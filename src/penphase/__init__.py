@@ -15,21 +15,16 @@ from .errors import (
 from .model import (
     J6,
     BindingPotential,
-    DiagonalQuadratic,
-    DynamicalMatrix,
     IsotropicOscillator,
     PenningQuadrupole,
     QuadraticForm,
     SystemParams,
     build_G,
     build_L3_form,
-    build_lambda,
     classical_energy,
     default_binding,
     make_params_adiabatic,
     make_params_dimensionless,
-    params_from_text,
-    params_to_text,
 )
 from .spectral import (
     Classification,
@@ -76,10 +71,9 @@ __all__ = [
     "MultiCrossingError", "NoCyclicStatesError",
     # model
     "J6", "SystemParams", "PenningQuadrupole", "IsotropicOscillator",
-    "DiagonalQuadratic", "BindingPotential", "QuadraticForm", "DynamicalMatrix",
+    "BindingPotential", "QuadraticForm",
     "make_params_dimensionless", "make_params_adiabatic", "default_binding",
-    "build_G", "build_L3_form", "build_lambda", "classical_energy",
-    "params_to_text", "params_from_text",
+    "build_G", "build_L3_form", "classical_energy",
     # spectral
     "Classification", "Tolerances", "Mode", "ModeSpectrum", "NormalModeBasis",
     "classify", "stable_modes", "krein_sign", "normal_mode_basis", "track_modes",

@@ -26,12 +26,13 @@ from .model import (
     make_params_dimensionless,
 )
 from .phases import FockLabel, aa_phase, berry_phase_adiabatic, resonance_shift
-from .spectral import classify
-from .sweep import GridSpec, curve_fig2, find_kcr, sweep_fig1
+from .spectral import DEFAULT_TOLERANCES, classify
+from .sweep import GAP_SLOPE_SCALE, GridSpec, curve_fig2, find_kcr, sweep_fig1
 from . import svgplot
 
-_SPECTRAL_CONSTANTS = {"re_factor": "1e-09", "gap_factor": "1e-07"}
-_RESERVED_KEYS = {"command", "artifact_version", *_SPECTRAL_CONSTANTS}
+_SPECTRAL_CONSTANTS = {
+    key: repr(getattr(DEFAULT_TOLERANCES, key)) for key in ("re_factor", "gap_factor")
+}
 
 _CANONICAL = {
     "sweep_fig1": "sweep-fig1",
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha0-min", type=float, default=0.0)
     p.add_argument("--alpha0-max", type=float, default=3.0)
     p.add_argument("--alpha0-steps", type=int, default=600)
-    p.add_argument("--gap-scale", type=float, default=4.0,
+    p.add_argument("--gap-scale", type=float, default=GAP_SLOPE_SCALE,
                    help="grid-resolution degeneracy margin, in gap-slope units")
     p.add_argument("--auto-extend", action=argparse.BooleanOptionalAction, default=True,
                    help="widen the window until four confined components appear")

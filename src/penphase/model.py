@@ -25,26 +25,18 @@ from .errors import DomainError
 
 __all__ = [
     "J6",
-    "CANONICAL_ORDER",
     "SystemParams",
     "PenningQuadrupole",
     "IsotropicOscillator",
-    "DiagonalQuadratic",
     "BindingPotential",
     "QuadraticForm",
-    "DynamicalMatrix",
     "make_params_dimensionless",
     "make_params_adiabatic",
     "default_binding",
     "build_G",
     "build_L3_form",
-    "build_lambda",
     "classical_energy",
-    "params_to_text",
-    "params_from_text",
 ]
-
-CANONICAL_ORDER = ("x1", "x2", "x3", "p1", "p2", "p3")
 
 #: Symplectic unit in the (x, p) block ordering.
 J6 = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
@@ -157,14 +149,14 @@ def make_params_adiabatic(k: float, omega: float = 0.0) -> SystemParams:
 class PenningQuadrupole:
     """Quadrupole binding V = (w0^2/2) (x3^2 - (x1^2 + x2^2)/2).
 
-    The transverse curvature is negative; this variant is not expressible as
-    a DiagonalQuadratic.
+    The transverse curvature is negative.
     """
 
     w0: float
 
     def curvatures(self):
-        return (-0.5 * self.w0**2, -0.5 * self.w0**2, self.w0**2)
+        w2 = self.w0 * self.w0
+        return (-0.5 * w2, -0.5 * w2, w2)
 
     def potential(self, x) -> float:
         return 0.5 * self.w0**2 * (x[2] ** 2 - (x[0] ** 2 + x[1] ** 2) / 2.0)
@@ -177,32 +169,14 @@ class IsotropicOscillator:
     w0: float
 
     def curvatures(self):
-        return (self.w0**2, self.w0**2, self.w0**2)
+        w2 = self.w0 * self.w0
+        return (w2, w2, w2)
 
     def potential(self, x) -> float:
         return 0.5 * self.w0**2 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
 
 
-@dataclass(frozen=True)
-class DiagonalQuadratic:
-    """Axis-wise binding V = (w1^2 x1^2 + w2^2 x2^2 + w3^2 x3^2)/2.
-
-    Extension beyond the core model, kept for symmetry-dependence experiments
-    with non-degenerate decoupled oscillators.
-    """
-
-    w1: float
-    w2: float
-    w3: float
-
-    def curvatures(self):
-        return (self.w1**2, self.w2**2, self.w3**2)
-
-    def potential(self, x) -> float:
-        return 0.5 * (self.w1**2 * x[0] ** 2 + self.w2**2 * x[1] ** 2 + self.w3**2 * x[2] ** 2)
-
-
-BindingPotential = Union[PenningQuadrupole, IsotropicOscillator, DiagonalQuadratic]
+BindingPotential = Union[PenningQuadrupole, IsotropicOscillator]
 
 
 def default_binding(params: SystemParams) -> PenningQuadrupole:
@@ -229,29 +203,6 @@ class QuadraticForm:
         """Scalar (1/2) u^T S u."""
         u = np.asarray(u, dtype=float)
         return 0.5 * float(u @ self.S @ u)
-
-
-@dataclass(frozen=True)
-class DynamicalMatrix:
-    """Generator of the linear phase-space flow, Lambda = J S."""
-
-    Lambda: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.Lambda, dtype=float)
-        if L.shape != (6, 6):
-            raise DomainError(f"expected a 6x6 matrix, got {L.shape}")
-        L.setflags(write=False)
-        object.__setattr__(self, "Lambda", L)
-
-    @property
-    def J(self) -> np.ndarray:
-        return J6
-
-    @property
-    def generating_form(self) -> np.ndarray:
-        """Recover S from Lambda = J S (J^2 = -1)."""
-        return -J6 @ self.Lambda
 
 
 def classical_energy(u, params: SystemParams, binding: BindingPotential) -> float:
@@ -283,19 +234,30 @@ def build_G(params: SystemParams, binding: BindingPotential | None = None) -> Qu
     """
     if binding is None:
         binding = default_binding(params)
-    b, b0, om = params.b, params.b0, params.omega
-    k1, k2, k3 = binding.curvatures()
-    S = np.zeros((6, 6))
-    S[0, 0] = b0**2 + k1
-    S[1, 1] = b0**2 + b**2 + k2
-    S[2, 2] = b**2 + k3
-    S[0, 2] = S[2, 0] = -b * b0
-    S[0, 4] = S[4, 0] = b0 - om
-    S[1, 3] = S[3, 1] = om - b0
-    S[1, 5] = S[5, 1] = b
-    S[2, 4] = S[4, 2] = -b
-    S[3, 3] = S[4, 4] = S[5, 5] = 1.0
-    return QuadraticForm(S)
+    return QuadraticForm(_generator(params.b, params.b0, params.omega, binding.curvatures()))
+
+
+def _generator(b, b0, omega, curvatures, shape=()) -> np.ndarray:
+    """Entries of S, broadcast over a stack of the given shape.
+
+    Scalars give one 6x6 matrix; arrays of ``shape`` (e.g. the cells of a
+    grid) give ``shape + (6, 6)``, each slice bit-identical to the scalar
+    build at that point. Squares are written as products because a float's
+    ``x**2`` calls C ``pow``, which can differ from NumPy's array square in
+    the last bit.
+    """
+    k1, k2, k3 = curvatures
+    S = np.zeros(shape + (6, 6))
+    S[..., 0, 0] = b0 * b0 + k1
+    S[..., 1, 1] = b0 * b0 + b * b + k2
+    S[..., 2, 2] = b * b + k3
+    S[..., 0, 2] = S[..., 2, 0] = -b * b0
+    S[..., 0, 4] = S[..., 4, 0] = b0 - omega
+    S[..., 1, 3] = S[..., 3, 1] = omega - b0
+    S[..., 1, 5] = S[..., 5, 1] = b
+    S[..., 2, 4] = S[..., 4, 2] = -b
+    S[..., 3, 3] = S[..., 4, 4] = S[..., 5, 5] = 1.0
+    return S
 
 
 def build_L3_form() -> QuadraticForm:
@@ -304,78 +266,3 @@ def build_L3_form() -> QuadraticForm:
     S[0, 4] = S[4, 0] = 1.0
     S[1, 3] = S[3, 1] = -1.0
     return QuadraticForm(S)
-
-
-def build_lambda(G: QuadraticForm) -> DynamicalMatrix:
-    """Dynamical matrix Lambda = J S of the flow u(t) = exp(Lambda t) u(0)."""
-    return DynamicalMatrix(J6 @ G.S)
-
-
-_BINDING_TAGS = {
-    PenningQuadrupole: "penning",
-    IsotropicOscillator: "oscillator",
-}
-
-
-def params_to_text(params: SystemParams, binding: BindingPotential) -> str:
-    """Serialize to plain key=value lines (keys: b, b0, w0, omega, binding)."""
-    if isinstance(binding, DiagonalQuadratic):
-        tag = f"diagonal:{binding.w1!r},{binding.w2!r},{binding.w3!r}"
-    else:
-        tag = _BINDING_TAGS[type(binding)]
-    lines = [
-        f"b={params.b!r}",
-        f"b0={params.b0!r}",
-        f"w0={params.w0!r}",
-        f"omega={params.omega!r}",
-        f"binding={tag}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def params_from_text(text: str):
-    """Parse the key=value serialization back into (SystemParams, binding).
-
-    Lines starting with '#' and blank lines are ignored; unknown keys are
-    rejected.
-    """
-    values = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"malformed parameter line: {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise DomainError(f"duplicate key: {key}")
-        values[key] = val.strip()
-    unknown = set(values) - {"b", "b0", "w0", "omega", "binding"}
-    if unknown:
-        raise DomainError(f"unknown parameter keys: {sorted(unknown)}")
-    missing = {"b", "b0", "w0", "omega"} - set(values)
-    if missing:
-        raise DomainError(f"missing parameter keys: {sorted(missing)}")
-    try:
-        params = SystemParams(
-            b=float(values["b"]),
-            b0=float(values["b0"]),
-            w0=float(values["w0"]),
-            omega=float(values["omega"]),
-        )
-    except ValueError as exc:
-        raise DomainError(f"bad numeric value: {exc}") from exc
-    tag = values.get("binding", "penning")
-    if tag == "penning":
-        binding: BindingPotential = PenningQuadrupole(params.w0)
-    elif tag == "oscillator":
-        binding = IsotropicOscillator(params.w0)
-    elif tag.startswith("diagonal:"):
-        parts = tag.split(":", 1)[1].split(",")
-        if len(parts) != 3:
-            raise DomainError(f"diagonal binding needs 3 frequencies, got {tag!r}")
-        binding = DiagonalQuadratic(*(float(p) for p in parts))
-    else:
-        raise DomainError(f"unknown binding tag: {tag!r}")
-    return params, binding

@@ -28,7 +28,6 @@ from .model import (
     SystemParams,
     build_G,
     build_L3_form,
-    build_lambda,
 )
 from .spectral import (
     Classification,
@@ -36,6 +35,7 @@ from .spectral import (
     NormalModeBasis,
     classify,
     normal_mode_basis,
+    track_modes,
 )
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "cos_theta",
     "resonance_shift",
 ]
-
-DERIVATIVE_METHODS = ("implicit", "perturbative", "finite_diff")
 
 _SL3 = build_L3_form().S
 
@@ -226,10 +224,12 @@ def _dmodes_finite_diff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 _DMODE_DISPATCH = {
-    "perturbative": lambda S, f: _dmodes_perturbative(S, f),
-    "implicit": lambda S, f: _dmodes_implicit(S, f),
-    "finite_diff": lambda S, f: _dmodes_finite_diff(S, f),
+    "implicit": _dmodes_implicit,
+    "perturbative": _dmodes_perturbative,
+    "finite_diff": _dmodes_finite_diff,
 }
+
+DERIVATIVE_METHODS = tuple(_DMODE_DISPATCH)
 
 
 def dmode_domega(
@@ -239,9 +239,9 @@ def dmode_domega(
 ) -> np.ndarray:
     """d(freq_i)/d(omega) at fixed fields, for the three modes in tracked order.
 
-    The finite-difference step is 1e-5 * max(1, omega); the derivative is
-    evaluated directly at the params' omega (omega = 0 included, where the
-    shifted matrices remain exact).
+    The finite-difference step is a fixed 1e-5 in omega (halved once for the
+    Richardson step); the derivative is evaluated directly at the params'
+    omega (omega = 0 included, where the shifted matrices remain exact).
     """
     if method not in DERIVATIVE_METHODS:
         raise DomainError(f"unknown derivative method {method!r}; use {DERIVATIVE_METHODS}")
@@ -311,7 +311,7 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
     """
     if k <= 0:
         raise DomainError(f"field ratio k must be > 0, got {k}")
-    params = SystemParams(b=k, b0=1.0, w0=getattr(binding, "w0", 4.0 / 3.0), omega=0.0)
+    params = SystemParams(b=k, b0=1.0, w0=binding.w0, omega=0.0)
     S = build_G(params, binding).S
     spec = _confined_spectrum(S, f"static point k={k}")
     basis = normal_mode_basis(spec, S)
@@ -355,7 +355,7 @@ def resonance_shift(
     spec = _confined_spectrum(S, f"parameter point {params}")
     S2 = S - delta_omega * _SL3
     spec2 = _confined_spectrum(S2, f"shifted point omega={params.omega + delta_omega}")
-    perm = _match_by_frequency_overlap(spec, spec2)
+    perm = track_modes(spec, spec2)
     freqs2 = spec2.freqs[list(perm)]
     signs2 = spec2.krein_signs[list(perm)]
     if not np.array_equal(signs2, spec.krein_signs):
@@ -373,12 +373,3 @@ def resonance_shift(
         delta_omega=delta_omega,
     )
 
-
-def _match_by_frequency_overlap(spec: ModeSpectrum, spec2: ModeSpectrum):
-    from .spectral import track_modes
-
-    try:
-        return track_modes(spec, spec2)
-    except DegeneracyError:
-        # adjacent spectra too close to distinguish by overlap: keep the order
-        return (0, 1, 2)

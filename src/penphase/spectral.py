@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, DomainError, NumericalError, SaturationError
-from .model import DynamicalMatrix, J6, QuadraticForm
+from .model import J6, QuadraticForm
 
 __all__ = [
     "Classification",
@@ -49,27 +49,37 @@ class Classification(enum.Enum):
 class Tolerances:
     """Classification tolerances, scaled by (1 + ||Lambda||_F).
 
-    ``gap_floor``/``zero_floor`` are absolute lower bounds used by grid sweeps
-    to mark cells whose spectral gaps are below the grid's own resolution; the
-    defaults leave the pointwise spectral rules unchanged.
+    ``gap_floor`` is an absolute lower bound on the gap tolerance: grid sweeps
+    set it to their resolution margin, below which a cell's spectral gap or
+    smallest eigenvalue cannot certify Confined; the default 0 leaves the
+    pointwise rule unchanged. ``re_tol``/``gap_tol`` take a norm or an array.
     """
 
     re_factor: float = 1e-9
     gap_factor: float = 1e-7
     gap_floor: float = 0.0
-    zero_floor: float = 0.0
 
-    def re_tol(self, scale: float) -> float:
+    def re_tol(self, scale):
         return self.re_factor * (1.0 + scale)
 
-    def gap_tol(self, scale: float) -> float:
-        return max(self.gap_factor * (1.0 + scale), self.gap_floor)
-
-    def zero_tol(self, scale: float) -> float:
-        return max(self.gap_factor * (1.0 + scale), self.zero_floor)
+    def gap_tol(self, scale):
+        return np.maximum(self.gap_factor * (1.0 + scale), self.gap_floor)
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def _unconfined(ev: np.ndarray, scale, tol: Tolerances):
+    """Some eigenvalue has |Re| beyond the tolerance; over the last axis of ev."""
+    return np.abs(ev.real).max(axis=-1) > tol.re_tol(scale)
+
+
+def _separated(ev: np.ndarray, scale, tol: Tolerances):
+    """Every gap between sorted imaginary parts, and every |lambda|, exceeds the
+    gap tolerance; over the last axis of ev."""
+    tau = tol.gap_tol(scale)
+    gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
+    return (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
 
 
 @dataclass(frozen=True)
@@ -97,8 +107,6 @@ class ModeSpectrum:
 
 
 def _as_lambda(lam) -> np.ndarray:
-    if isinstance(lam, DynamicalMatrix):
-        return lam.Lambda
     L = np.asarray(lam, dtype=float)
     if L.shape != (6, 6):
         raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
@@ -145,13 +153,9 @@ def classify(lam, tolerances: Tolerances | None = None) -> ModeSpectrum:
         raise DomainError("dynamical matrix must be finite")
     ev, V = _eig_sorted(L)
     scale = float(np.linalg.norm(L))
-    tau_re = tol.re_tol(scale)
-    if np.max(np.abs(ev.real)) > tau_re:
+    if _unconfined(ev, scale, tol):
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
-    tau_gap = tol.gap_tol(scale)
-    tau_zero = tol.zero_tol(scale)
-    ims = np.sort(ev.imag)
-    if np.min(np.diff(ims)) <= tau_gap or np.min(np.abs(ev)) <= tau_zero:
+    if not _separated(ev, scale, tol):
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
     S = -J6 @ L
     modes = []
@@ -192,7 +196,7 @@ def stable_modes(lam, tolerances: Tolerances | None = None) -> List[Mode]:
     S = -J6 @ L
     out = []
     for i in range(6):
-        if abs(ev[i].real) > tau_re or ev[i].imag <= tol.zero_tol(scale):
+        if abs(ev[i].real) > tau_re or ev[i].imag <= tau_gap:
             continue
         gaps = np.abs(np.delete(ev, i) - ev[i])
         if np.min(gaps) <= tau_gap:

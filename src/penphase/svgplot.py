@@ -7,7 +7,7 @@ with no plotting dependency; anything fancier is out of scope.
 from __future__ import annotations
 
 import math
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -152,17 +152,3 @@ def curves_svg(table, stream: IO[str], width: int = 640, height: int = 480) -> N
                 _MARGIN_T - 8, color=color, width=2.0)
     cv.render(stream)
 
-
-def polyline_svg(xs: Sequence[float], ys: Sequence[float], stream: IO[str],
-                 xlabel: str = "x", ylabel: str = "y",
-                 width: int = 640, height: int = 480) -> None:
-    """Single-series polyline plot."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    cv = _Canvas(width, height)
-    ylo, yhi = float(np.min(ys)), float(np.max(ys))
-    if math.isclose(ylo, yhi):
-        ylo, yhi = ylo - 1.0, yhi + 1.0
-    to_px = _axes(cv, float(xs[0]), float(xs[-1]), ylo, yhi, xlabel, ylabel)
-    cv.polyline([to_px(float(x), float(y)) for x, y in zip(xs, ys)], _CURVE_COLORS[0])
-    cv.render(stream)

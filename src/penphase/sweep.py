@@ -8,7 +8,11 @@ worth of gap change cannot be certified as Confined at that resolution and is
 recorded as Boundary. This keeps the cell labeling faithful to the true open
 confined regions, whose separating collision curves pinch below any fixed
 grid resolution near their roots on the alpha = 0 axis; the pointwise
-classifier keeps its own much tighter spectral tolerances.
+classifier keeps its own much tighter spectral tolerances. Both apply the
+same rule from ``spectral``, the grid with its margin as ``gap_floor``.
+
+Grid work runs in fixed-size chunks of cells, so memory stays bounded for
+any grid size, with one thread per CPU the process may use.
 """
 
 from __future__ import annotations
@@ -29,10 +33,18 @@ from .model import (
     J6,
     PenningQuadrupole,
     SystemParams,
+    _generator,
     build_G,
 )
 from .phases import _dmodes_perturbative, cos_theta
-from .spectral import Classification, classify, stable_modes
+from .spectral import (
+    Classification,
+    Tolerances,
+    _separated,
+    _unconfined,
+    classify,
+    stable_modes,
+)
 
 __all__ = [
     "GridSpec",
@@ -49,7 +61,8 @@ __all__ = [
 #: used to scale the grid-resolution Boundary margin.
 GAP_SLOPE_SCALE = 4.0
 
-_THREADS_ENV = "PENPHASE_THREADS"
+#: Cells per batched eigen-solve; one chunk peaks at about 6 MB of arrays.
+_CHUNK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -87,70 +100,31 @@ class GridSpec:
         )
 
 
-def _n_threads() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"{_THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _loop_matrices(alphas: np.ndarray, alpha0s: np.ndarray) -> np.ndarray:
-    """Batched dynamical matrices at omega = 1 under the loop constraint."""
-    A, A0 = np.meshgrid(alphas, alpha0s, indexing="xy")
-    b, b0 = A, A0
-    w0 = 4.0 * A0 / 3.0
-    S = np.zeros(A.shape + (6, 6))
-    S[..., 0, 0] = b0**2 - 0.5 * w0**2
-    S[..., 1, 1] = b0**2 + b**2 - 0.5 * w0**2
-    S[..., 2, 2] = b**2 + w0**2
-    S[..., 0, 2] = S[..., 2, 0] = -b * b0
-    S[..., 0, 4] = S[..., 4, 0] = b0 - 1.0
-    S[..., 1, 3] = S[..., 3, 1] = 1.0 - b0
-    S[..., 1, 5] = S[..., 5, 1] = b
-    S[..., 2, 4] = S[..., 4, 2] = -b
-    S[..., 3, 3] = S[..., 4, 4] = S[..., 5, 5] = 1.0
-    return np.einsum("ij,...jk->...ik", J6, S)
-
-
-def _classify_block(Lam: np.ndarray, gap_floor: float) -> np.ndarray:
-    """Vectorized cell classification; returns 'C'/'U'/'B' codes."""
-    ev = np.linalg.eigvals(Lam)
-    norm = np.sqrt((Lam**2).sum(axis=(-2, -1)))
-    tau_re = 1e-9 * (1.0 + norm)
-    tau_gap = np.maximum(1e-7 * (1.0 + norm), gap_floor)
-    remax = np.abs(ev.real).max(axis=-1)
-    ims = np.sort(ev.imag, axis=-1)
-    gaps = np.diff(ims, axis=-1).min(axis=-1)
-    minabs = np.abs(ev).min(axis=-1)
-    unconf = remax > tau_re
-    conf = (~unconf) & (gaps > tau_gap) & (minabs > tau_gap)
-    out = np.full(Lam.shape[:-2], "B", dtype="<U1")
-    out[unconf] = "U"
-    out[conf] = "C"
-    return out
-
-
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
-    """Row-chunked (optionally threaded) classification over the grid."""
-    n_rows = len(alpha0s)
-    codes = np.empty((n_rows, len(alphas)), dtype="<U1")
-    threads = _n_threads()
-    chunk = max(1, math.ceil(n_rows / max(threads * 4, 1)))
-    blocks = [(i, min(i + chunk, n_rows)) for i in range(0, n_rows, chunk)]
+    """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
-    def work(block):
-        lo, hi = block
-        codes[lo:hi] = _classify_block(_loop_matrices(alphas, alpha0s[lo:hi]), gap_floor)
+    Cells go alpha0-major in chunks of _CHUNK_CELLS, one thread per usable
+    CPU; the batched eigensolver releases the interpreter lock.
+    """
+    tol = Tolerances(gap_floor=gap_floor)
+    n_cols = len(alphas)
+    n_cells = len(alpha0s) * n_cols
+    codes = np.empty(n_cells, dtype="<U1")
 
-    if threads == 1:
-        for blk in blocks:
-            work(blk)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, blocks))
-    return codes
+    def work(lo):
+        cell = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
+        b, b0 = alphas[cell % n_cols], alpha0s[cell // n_cols]
+        curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+        Lam = J6 @ _generator(b, b0, 1.0, curvatures, b.shape)
+        ev = np.linalg.eigvals(Lam)
+        scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
+        confined = np.where(_separated(ev, scale, tol), "C", "B")
+        codes[lo : lo + len(cell)] = np.where(_unconfined(ev, scale, tol), "U", confined)
+
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for _ in pool.map(work, range(0, n_cells, _CHUNK_CELLS)):
+            pass
+    return codes.reshape(len(alpha0s), n_cols)
 
 
 _FOUR_CONN = ndimage.generate_binary_structure(2, 1)
@@ -248,9 +222,9 @@ def sweep_fig1(
         extended = True
 
 
-def _loop_classification(alpha: float, alpha0: float) -> Classification:
-    params = SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)
-    return classify(J6 @ build_G(params).S).classification
+def _loop_confined(b: float, b0: float, omega: float = 1.0) -> bool:
+    params = SystemParams.penning_loop(b0=b0, b=b, omega=omega)
+    return classify(J6 @ build_G(params).S).classification is Classification.CONFINED
 
 
 def refine_boundary(
@@ -268,14 +242,14 @@ def refine_boundary(
     """
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
-    if _loop_classification(*p0) is not Classification.CONFINED:
+    if not _loop_confined(*p0):
         raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
-    if _loop_classification(*p1) is Classification.CONFINED:
+    if _loop_confined(*p1):
         raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
     flips = 0
     prev = True
     for s in np.linspace(0.0, 1.0, prescan + 1)[1:]:
-        confined = _loop_classification(*(p0 + s * (p1 - p0))) is Classification.CONFINED
+        confined = _loop_confined(*(p0 + s * (p1 - p0)))
         if confined != prev:
             flips += 1
             prev = confined
@@ -288,7 +262,7 @@ def refine_boundary(
     lo, hi = 0.0, 1.0
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if _loop_classification(*(p0 + mid * (p1 - p0))) is Classification.CONFINED:
+        if _loop_confined(*(p0 + mid * (p1 - p0))):
             lo = mid
         else:
             hi = mid
@@ -304,12 +278,6 @@ class KcrResult:
     iterations: int
 
 
-def _static_loop_confined(k: float) -> bool:
-    params = SystemParams.penning_loop(b0=1.0, b=k, omega=0.0)
-    spec = classify(J6 @ build_G(params).S)
-    return spec.classification is Classification.CONFINED
-
-
 def find_kcr(tol: float = 1e-7) -> KcrResult:
     """Critical field ratio where the slow mode pair loses stability at omega = 0.
 
@@ -319,14 +287,14 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")
     lo, hi = 0.01, 1.0
-    if not _static_loop_confined(lo):
+    if not _loop_confined(lo, 1.0, 0.0):
         raise NumericalError(f"lower bracket k={lo} is not Confined")
-    if _static_loop_confined(hi):
+    if _loop_confined(hi, 1.0, 0.0):
         raise NumericalError(f"upper bracket k={hi} is not Unconfined")
     iterations = math.ceil(math.log2((hi - lo) / tol))
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if _static_loop_confined(mid):
+        if _loop_confined(mid, 1.0, 0.0):
             lo = mid
         else:
             hi = mid
@@ -391,7 +359,7 @@ def curve_fig2(
     stable23 = np.zeros(n, dtype=bool)
     ct = np.array([cos_theta(k) for k in ks])
     for i, k in enumerate(ks):
-        params = SystemParams(b=k, b0=1.0, w0=getattr(bind, "w0", 4.0 / 3.0), omega=0.0)
+        params = SystemParams(b=k, b0=1.0, w0=bind.w0, omega=0.0)
         S = build_G(params, bind).S
         spec = classify(J6 @ S)
         if spec.classification is Classification.CONFINED:

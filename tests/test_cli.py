@@ -174,3 +174,13 @@ class TestResonanceCommand:
     def test_missing_delta_rejected(self, capsys):
         code, _, err = run(capsys, "resonance", "--k", "0.1", "--omega", "0.3")
         assert code == 2
+
+    def test_ambiguous_pairing_exit_code(self, capsys):
+        alpha0 = 0.34906544603570067
+        code, out, err = run(
+            capsys, "resonance", "--alpha", "1.004194013496052", "--alpha0", repr(alpha0),
+            "--w", repr(4.0 * alpha0 / 3.0), "--n1", "1", "--np2", "1",
+            "--delta-omega", "1e-3",
+        )
+        assert code == 3
+        assert out == "" and "ambiguous mode pairing" in err

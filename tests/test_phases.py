@@ -264,3 +264,15 @@ class TestResonanceShift:
         # halving delta by 10 shrinks the linearization error by ~100
         assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(100.0, rel=0.3)
+
+    def test_ambiguous_pairing_raises(self):
+        # modes 2 and 3 (Krein signs +1, -1, gap 0.023) mix under the shift:
+        # keeping the unshifted order gave omega_p_exact 144 delta^2 off
+        params = SystemParams.penning_loop(
+            b0=0.34906544603570067, b=1.004194013496052, omega=1.0
+        )
+        with pytest.raises(DegeneracyError, match="ambiguous mode pairing"):
+            resonance_shift(
+                params, PenningQuadrupole(params.w0),
+                FockLabel(1, 0, 0), FockLabel(0, 1, 0), 1e-3,
+            )

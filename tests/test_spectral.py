@@ -7,7 +7,6 @@ from conftest import sample_confined_loop_points, sample_unconfined_loop_points
 from penphase import (
     Classification,
     DegeneracyError,
-    DiagonalQuadratic,
     DomainError,
     IsotropicOscillator,
     J6,
@@ -16,7 +15,6 @@ from penphase import (
     SystemParams,
     boundedness_probe,
     build_G,
-    build_lambda,
     classify,
     krein_sign,
     make_params_adiabatic,
@@ -31,7 +29,7 @@ from penphase.phases import FockLabel
 
 def loop_lambda(b, b0, omega):
     p = SystemParams.penning_loop(b0=b0, b=b, omega=omega)
-    return build_lambda(build_G(p)).Lambda
+    return J6 @ build_G(p).S
 
 
 class TestClassify:
@@ -77,8 +75,8 @@ class TestClassify:
 
 class TestKreinSign:
     def test_positive_definite_modes(self):
-        S = build_G(SystemParams(b=0, b0=0, w0=0, omega=0),
-                    DiagonalQuadratic(0.7, 1.1, 1.9)).S
+        # decoupled oscillators V = sum w_i^2 x_i^2 / 2, w = (0.7, 1.1, 1.9)
+        S = np.diag([0.7**2, 1.1**2, 1.9**2, 1.0, 1.0, 1.0])
         spec = classify(J6 @ S)
         assert spec.classification is Classification.CONFINED
         assert list(spec.krein_signs) == [1, 1, 1]
@@ -110,7 +108,7 @@ class TestNormalModeBasis:
     def test_analytic_ladder_recovery(self):
         # decoupled oscillators: A_i = (w_i x_i + i p_i)/sqrt(2 w_i)
         ws = (1.3, 1.7, 2.3)
-        S = build_G(SystemParams(b=0, b0=0, w0=0, omega=0), DiagonalQuadratic(*ws)).S
+        S = np.diag([w**2 for w in ws] + [1.0, 1.0, 1.0])
         spec = classify(J6 @ S)
         basis = normal_mode_basis(spec, S)
         for mode_idx in range(3):
