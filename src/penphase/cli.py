@@ -10,9 +10,12 @@ error, 3 numerical error, 4 no cyclic states.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .errors import DegeneracyError, DomainError, NoCyclicStatesError, NumericalError
@@ -310,8 +313,6 @@ def _cmd_sweep_fig1(args) -> int:
         alpha0_steps=args.alpha0_steps,
     )
     rm = sweep_fig1(grid, auto_extend=args.auto_extend, gap_scale=args.gap_scale)
-    import io
-
     buf = io.StringIO()
     rm.to_csv(buf)
     _write_text(args.output, buf.getvalue())
@@ -329,14 +330,10 @@ def _cmd_sweep_fig1(args) -> int:
 
 
 def _cmd_curve_fig2(args) -> int:
-    import numpy as np
-
     if args.points < 2:
         raise DomainError("need at least 2 grid points")
     ks = np.linspace(args.k_min, args.k_max, args.points)
     table = curve_fig2(ks, binding=args.binding)
-    import io
-
     buf = io.StringIO()
     table.to_csv(buf)
     _write_text(args.output, buf.getvalue())

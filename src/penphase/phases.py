@@ -283,6 +283,23 @@ def _assemble_report(
     )
 
 
+def _cyclic_data(params: SystemParams, binding: BindingPotential):
+    """Generator, spectrum, ladder basis and derivative bundle shared by every
+    Fock label at one rotating point."""
+    if params.omega <= 0:
+        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
+    S = build_G(params, binding).S
+    spec = _confined_spectrum(S, f"parameter point {params}")
+    basis = normal_mode_basis(spec, S)
+    dfreq, spread = _derivative_bundle(S, spec.freqs)
+    return S, spec, basis, dfreq, spread
+
+
+def _cyclic_report(basis, n: FockLabel, dfreq, spread) -> PhaseReport:
+    eq7 = 2.0 * math.pi * expectation_quadratic(_SL3, basis, n)
+    return _assemble_report(basis, n, dfreq, spread, eq7)
+
+
 def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> PhaseReport:
     """Geometric phase of the cyclic state |n1 n2 n3> at rotation frequency omega > 0.
 
@@ -291,14 +308,8 @@ def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> P
     the quasienergy; their consistency is enforced. Valid at any rotation
     speed, not only adiabatically.
     """
-    if params.omega <= 0:
-        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
-    S = build_G(params, binding).S
-    spec = _confined_spectrum(S, f"parameter point {params}")
-    basis = normal_mode_basis(spec, S)
-    dfreq, spread = _derivative_bundle(S, spec.freqs)
-    eq7 = 2.0 * math.pi * expectation_quadratic(_SL3, basis, n)
-    return _assemble_report(basis, n, dfreq, spread, eq7)
+    _, _, basis, dfreq, spread = _cyclic_data(params, binding)
+    return _cyclic_report(basis, n, dfreq, spread)
 
 
 def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> PhaseReport:
@@ -343,16 +354,19 @@ def resonance_shift(
     n_prime: FockLabel,
     delta_omega: float,
 ) -> ResonanceShift:
-    """Shift of the resonance peak omega_p = E_n - E_n' under a small rotation change."""
-    report_n = aa_phase(params, binding, n)
-    report_np = aa_phase(params, binding, n_prime)
+    """Shift of the resonance peak omega_p = E_n - E_n' under a small rotation change.
+
+    Both labels share one classification, ladder basis and derivative
+    bundle; each label's report still enforces eq7 = eq8.
+    """
+    S, spec, basis, dfreq, spread = _cyclic_data(params, binding)
+    report_n = _cyclic_report(basis, n, dfreq, spread)
+    report_np = _cyclic_report(basis, n_prime, dfreq, spread)
     omega_p = report_n.quasienergy - report_np.quasienergy
     beta_n = report_n.aa_phase_eq8
     beta_np = report_np.aa_phase_eq8
     linear = omega_p - (beta_n - beta_np) * delta_omega / (2.0 * math.pi)
 
-    S = build_G(params, binding).S
-    spec = _confined_spectrum(S, f"parameter point {params}")
     S2 = S - delta_omega * _SL3
     spec2 = _confined_spectrum(S2, f"shifted point omega={params.omega + delta_omega}")
     perm = track_modes(spec, spec2)

@@ -82,6 +82,30 @@ def _separated(ev: np.ndarray, scale, tol: Tolerances):
     return (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
 
 
+def _mu_cubic(S: np.ndarray):
+    """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
+    in mu = lambda^2, over a stack of generators S = [[K, B], [B^T, I]] with B
+    skew-symmetric (the form every ``model._generator`` output has).
+
+    With g the axial vector of B and M = K + g g^T - |g|^2 I:
+    c2 = tr M + 4|g|^2, c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is
+    the sum of the principal 2x2 minors of M.
+    """
+    K, B = S[..., :3, :3], S[..., :3, 3:]
+    g = np.stack([B[..., 2, 1], B[..., 0, 2], B[..., 1, 0]], axis=-1)
+    gg = (g * g).sum(axis=-1)
+    M = K + g[..., :, None] * g[..., None, :] - gg[..., None, None] * np.eye(3)
+    m00, m01, m02 = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
+    m10, m11, m12 = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
+    m20, m21, m22 = M[..., 2, 0], M[..., 2, 1], M[..., 2, 2]
+    minor0, minor1, minor2 = m11 * m22 - m12 * m21, m00 * m22 - m02 * m20, m00 * m11 - m01 * m10
+    gMg = np.einsum("...i,...ij,...j->...", g, M, g)
+    c2 = m00 + m11 + m22 + 4.0 * gg
+    c1 = minor0 + minor1 + minor2 + 4.0 * gMg
+    c0 = m00 * minor0 - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
+    return c2, c1, c0
+
+
 @dataclass(frozen=True)
 class Mode:
     """A stable normal mode: eigenvalue +i*freq of Lambda with its energy sign."""

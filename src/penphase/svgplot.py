@@ -104,20 +104,16 @@ def region_map_svg(region_map, stream: IO[str], width: int = 640, height: int = 
     for i in range(len(alpha0s)):
         row = region_map.classes[i]
         _, y = to_px(alphas[0], alpha0s[i])
-        j = 0
-        while j < len(row):
-            j2 = j
-            while j2 + 1 < len(row) and row[j2 + 1] == row[j]:
-                j2 += 1
+        starts = np.flatnonzero(row[1:] != row[:-1]) + 1
+        for j, j_end in zip([0, *starts.tolist()], [*starts.tolist(), len(row)]):
             x, _ = to_px(alphas[j], alpha0s[i])
             cv.rect(
                 x - cell_w / 2,
                 y - cell_h / 2,
-                cell_w * (j2 - j + 1),
+                cell_w * (j_end - j),
                 cell_h,
                 _CLASS_COLORS[str(row[j])],
             )
-            j = j2 + 1
     cv.text(width - _MARGIN_R - 4, _MARGIN_T - 4, "C confined / U unconfined / B boundary",
             anchor="end", size=10)
     cv.render(stream)

@@ -11,8 +11,13 @@ grid resolution near their roots on the alpha = 0 axis; the pointwise
 classifier keeps its own much tighter spectral tolerances. Both apply the
 same rule from ``spectral``, the grid with its margin as ``gap_floor``.
 
-Grid work runs in fixed-size chunks of cells, so memory stays bounded for
-any grid size, with one thread per CPU the process may use.
+Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
+in mu = lambda^2, and most cells are certified Confined or Unconfined from
+the closed-form roots of that cubic, with a slack far above rounding. Only
+the cells the roots leave undecided, near region edges, go through the
+batched eigensolver; the labels equal those of the eigenvalue rule on every
+cell. Grid work runs in fixed-size chunks of cells, so memory stays bounded
+for any grid size, with one thread per CPU the process may use.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .phases import _dmodes_perturbative, cos_theta
 from .spectral import (
     Classification,
     Tolerances,
+    _mu_cubic,
     _separated,
     _unconfined,
     classify,
@@ -61,8 +67,11 @@ __all__ = [
 #: used to scale the grid-resolution Boundary margin.
 GAP_SLOPE_SCALE = 4.0
 
-#: Cells per batched eigen-solve; one chunk peaks at about 6 MB of arrays.
+#: Cells per certification chunk; one chunk peaks at about 5.4 MB of arrays.
 _CHUNK_CELLS = 8192
+
+#: Phase offsets 0, 2 pi/3, 4 pi/3 of the trigonometric cubic roots.
+_THIRDS = 2.0 * np.pi / 3.0 * np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -100,11 +109,53 @@ class GridSpec:
         )
 
 
+def _certify_cells(S: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks (confined, unconfined) of the cells the mu-cubic decides without eig,
+    over a stack S of shape (n, 6, 6).
+
+    The roots mu = lambda^2 come in closed form: trigonometric when all three
+    are real, Cardano's otherwise. A cell is certified Confined when all three
+    mu are negative and the frequencies w = sqrt(-mu) clear the gap tolerance
+    by ``slack``, pairwise and from zero; Unconfined when some |Re lambda|
+    exceeds ``slack``. The slack dwarfs both the roots' and eig's rounding,
+    so a certified cell gets the class the eigenvalue rule would give it;
+    a cell whose roots come out NaN is left uncertified.
+    """
+    c2, c1, c0 = _mu_cubic(S)
+    scale = np.sqrt((S * S).sum(axis=(-2, -1)))
+    slack = 1e-6 * (1.0 + scale)
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = 2.0 * np.sqrt(-p / 3.0)
+        theta = np.arccos(3.0 * q / (p * m)) / 3.0
+        mu = m[:, None] * np.cos(theta[:, None] - _THIRDS) - shift[:, None]
+        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+        v = -p / (3.0 * u)
+        mu_pair = (-0.5 * (u + v) - shift) + 0.5j * math.sqrt(3.0) * (u - v)
+        w = np.sqrt(np.maximum(-mu, 0.0))
+        separation = np.minimum(
+            np.abs(w - np.roll(w, 1, axis=1)).min(axis=1), w.min(axis=1)
+        )
+        re_lam = np.where(
+            disc <= 0.0,
+            np.sqrt(np.maximum(mu.max(axis=1), 0.0)),
+            np.maximum(np.sqrt(np.maximum(u + v - shift, 0.0)), np.sqrt(mu_pair).real),
+        )
+    confined = (disc <= 0.0) & (separation > tol.gap_tol(scale) + slack)
+    return confined, re_lam > slack
+
+
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
     """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
-    Cells go alpha0-major in chunks of _CHUNK_CELLS, one thread per usable
-    CPU; the batched eigensolver releases the interpreter lock.
+    Most cells are certified from the closed-form mu-cubic; only the rest
+    (near region edges) go through the batched eigensolver and the
+    eigenvalue rule of ``spectral``, with the same result either way. Cells
+    go alpha0-major in chunks of _CHUNK_CELLS, one thread per usable CPU;
+    NumPy releases the interpreter lock in the heavy calls.
     """
     tol = Tolerances(gap_floor=gap_floor)
     n_cols = len(alphas)
@@ -115,11 +166,16 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
         cell = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
         b, b0 = alphas[cell % n_cols], alpha0s[cell // n_cols]
         curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-        Lam = J6 @ _generator(b, b0, 1.0, curvatures, b.shape)
+        S = _generator(b, b0, 1.0, curvatures, b.shape)
+        confined, unconfined = _certify_cells(S, tol)
+        chunk = np.where(unconfined, "U", "C")
+        rest = ~(confined | unconfined)
+        Lam = J6 @ S[rest]
         ev = np.linalg.eigvals(Lam)
         scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
-        confined = np.where(_separated(ev, scale, tol), "C", "B")
-        codes[lo : lo + len(cell)] = np.where(_unconfined(ev, scale, tol), "U", confined)
+        separated = np.where(_separated(ev, scale, tol), "C", "B")
+        chunk[rest] = np.where(_unconfined(ev, scale, tol), "U", separated)
+        codes[lo : lo + len(cell)] = chunk
 
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         for _ in pool.map(work, range(0, n_cells, _CHUNK_CELLS)):
@@ -161,13 +217,14 @@ class RegionMap:
     def to_csv(self, stream: IO[str]) -> None:
         """Rows alpha0-major ascending: header alpha,alpha0,class,component."""
         stream.write("alpha,alpha0,class,component\n")
-        alphas, alpha0s = self.alphas, self.alpha0s
-        for i in range(len(alpha0s)):
-            a0 = f"{alpha0s[i]:.17g}"
-            row_cls = self.classes[i]
-            row_comp = self.component[i]
-            for j in range(len(alphas)):
-                stream.write(f"{alphas[j]:.17g},{a0},{row_cls[j]},{row_comp[j]}\n")
+        alphas = [f"{a:.17g}" for a in self.alphas.tolist()]
+        for alpha0, row_cls, row_comp in zip(
+            self.alpha0s.tolist(), self.classes.tolist(), self.component.tolist()
+        ):
+            a0 = f"{alpha0:.17g}"
+            stream.write(
+                "".join(f"{a},{a0},{c},{k}\n" for a, c, k in zip(alphas, row_cls, row_comp))
+            )
 
 
 def _label_regions(codes: np.ndarray) -> Tuple[np.ndarray, int, int]:

@@ -233,6 +233,16 @@ class TestBerryPhaseAdiabatic:
 
 
 class TestResonanceShift:
+    def test_matches_two_aa_phase_calls(self, rng):
+        for params in sample_confined_loop_points(rng, 4):
+            binding = PenningQuadrupole(params.w0)
+            n, np_ = FockLabel(2, 0, 1), FockLabel(0, 1, 0)
+            res = resonance_shift(params, binding, n, np_, 1e-3)
+            rep_n, rep_np = aa_phase(params, binding, n), aa_phase(params, binding, np_)
+            assert res.omega_p == rep_n.quasienergy - rep_np.quasienergy
+            assert res.beta_n == rep_n.aa_phase_eq8
+            assert res.beta_n_prime == rep_np.aa_phase_eq8
+
     def test_zero_shift(self, rng):
         params = sample_confined_loop_points(rng, 1)[0]
         res = resonance_shift(

@@ -1,5 +1,6 @@
-"""Property tests: one generator assembly for points and batches, and one
-confinement rule for the pointwise and grid classifiers."""
+"""Property tests: one generator assembly for points and batches, one
+confinement rule for the pointwise and grid classifiers, and grid cells
+certified from the mu-cubic labelled as the eigenvalue rule labels them."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from penphase import (
     classify,
 )
 from penphase.model import _generator
-from penphase.spectral import DEFAULT_TOLERANCES
+from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
 from penphase.sweep import _classify_grid
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -79,3 +80,39 @@ def test_grid_agrees_with_pointwise_outside_margin(alphas, alpha0s, gap_floor):
             want = _expected_cell(alpha, alpha0, gap_floor)
             if want is not None:
                 assert codes[i, j] == want, (alpha, alpha0, gap_floor)
+
+
+def _eig_only_grid(alphas, alpha0s, gap_floor):
+    """The grid classifier before cubic certification: every cell through
+    the batched eigensolver and the eigenvalue rule."""
+    tol = Tolerances(gap_floor=gap_floor)
+    b0, b = (x.ravel() for x in np.meshgrid(alpha0s, alphas, indexing="ij"))
+    Lam = J6 @ _generator(b, b0, 1.0, PenningQuadrupole(4.0 * b0 / 3.0).curvatures(), b.shape)
+    ev = np.linalg.eigvals(Lam)
+    scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
+    confined = np.where(_separated(ev, scale, tol), "C", "B")
+    codes = np.where(_unconfined(ev, scale, tol), "U", confined)
+    return codes.reshape(len(alpha0s), len(alphas))
+
+
+@st.composite
+def grid_windows(draw):
+    """A window inside [0, 10]^2 with 20 to 200 steps per axis."""
+    edges = []
+    for _ in range(2):
+        lo = draw(st.floats(min_value=0.0, max_value=9.9))
+        hi = draw(st.floats(min_value=lo + 0.05, max_value=10.0))
+        edges.append((lo, hi, draw(st.integers(min_value=20, max_value=200))))
+    return edges
+
+
+@settings(max_examples=25, deadline=None)
+@given(window=grid_windows(), floored=st.booleans())
+def test_certified_grid_matches_eig_only_rule(window, floored):
+    (a_lo, a_hi, a_steps), (a0_lo, a0_hi, a0_steps) = window
+    alphas = np.linspace(a_lo, a_hi, a_steps + 1)
+    alpha0s = np.linspace(a0_lo, a0_hi, a0_steps + 1)
+    max_step = max((a_hi - a_lo) / a_steps, (a0_hi - a0_lo) / a0_steps)
+    gap_floor = 4.0 * max_step if floored else 0.0
+    codes = _classify_grid(alphas, alpha0s, gap_floor)
+    assert np.array_equal(codes, _eig_only_grid(alphas, alpha0s, gap_floor))

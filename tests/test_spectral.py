@@ -25,6 +25,7 @@ from penphase import (
     track_modes,
 )
 from penphase.phases import FockLabel
+from penphase.spectral import _mu_cubic
 
 
 def loop_lambda(b, b0, omega):
@@ -274,3 +275,19 @@ class TestStableModes:
             assert spec.classification is Classification.CONFINED
             sums.append(int(spec.krein_signs.sum()))
         assert set(sums) == {1}
+
+
+class TestMuCubic:
+    @pytest.mark.parametrize("binding_cls", [PenningQuadrupole, IsotropicOscillator])
+    def test_matches_characteristic_polynomial(self, rng, binding_cls):
+        draws = rng.uniform(0.0, 3.0, (40, 4))
+        draws[:10, 3] = 0.0  # omega = 0
+        draws[10:20, 3] = 1.0
+        for b, b0, w0, omega in draws:
+            S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+            poly = np.poly(J6 @ S)
+            c2, c1, c0 = _mu_cubic(S)
+            scale = np.abs(poly).max()
+            # odd powers of lambda vanish: the spectrum is symmetric under lambda -> -lambda
+            assert np.abs(poly[1::2]).max() <= 1e-12 * scale
+            assert np.abs(poly[::2] - [1.0, c2, c1, c0]).max() <= 1e-12 * scale

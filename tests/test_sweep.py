@@ -18,7 +18,8 @@ from penphase import (
     refine_boundary,
     sweep_fig1,
 )
-from penphase.sweep import _classify_grid
+from penphase import svgplot
+from penphase.sweep import RegionMap, _classify_grid
 
 
 def loop_classification(alpha, alpha0):
@@ -83,6 +84,77 @@ class TestSweepFig1:
             GridSpec(alpha_steps=0)
         with pytest.raises(DomainError):
             GridSpec(alpha_min=2.0, alpha_max=1.0)
+
+
+def _mixed_region_map():
+    """A small map with C, U and B cells, runs of every length from one cell
+    to a whole row, and several component ids."""
+    classes = np.array([
+        list("CCUUBBCCC"),
+        list("CUBCUBCUB"),
+        list("BBBBBBBBB"),
+        list("UUCCCCBBU"),
+        list("CBBBBBBBC"),
+    ])
+    component = np.full(classes.shape, -1, dtype=np.int32)
+    component[classes == "C"] = [1, 1, 2, 2, 2, 1, 3, 2, 4, 4, 4, 4, 5, 12]
+    grid = GridSpec(alpha_min=0.1, alpha_max=2.9, alpha_steps=8,
+                    alpha0_min=0.0, alpha0_max=1.7, alpha0_steps=4)
+    return RegionMap(grid=grid, classes=classes, component=component, n_components=12,
+                     n_unconfined_regions=3, auto_extended=False, gap_floor=0.1)
+
+
+def _loop_csv(rm, stream):
+    """Per-cell reference rendering of RegionMap.to_csv."""
+    stream.write("alpha,alpha0,class,component\n")
+    alphas, alpha0s = rm.alphas, rm.alpha0s
+    for i in range(len(alpha0s)):
+        a0 = f"{alpha0s[i]:.17g}"
+        row_cls = rm.classes[i]
+        row_comp = rm.component[i]
+        for j in range(len(alphas)):
+            stream.write(f"{alphas[j]:.17g},{a0},{row_cls[j]},{row_comp[j]}\n")
+
+
+def _loop_svg(rm, stream, width=640, height=640):
+    """Cell-by-cell run scan reference rendering of svgplot.region_map_svg."""
+    cv = svgplot._Canvas(width, height)
+    alphas, alpha0s = rm.alphas, rm.alpha0s
+    to_px = svgplot._axes(cv, alphas[0], alphas[-1], alpha0s[0], alpha0s[-1], "alpha", "alpha0")
+    x_left, _ = to_px(alphas[0], alpha0s[0])
+    x_right, _ = to_px(alphas[-1], alpha0s[0])
+    cell_w = (x_right - x_left) / max(len(alphas) - 1, 1)
+    _, y_bot = to_px(alphas[0], alpha0s[0])
+    _, y_top = to_px(alphas[0], alpha0s[-1])
+    cell_h = (y_bot - y_top) / max(len(alpha0s) - 1, 1)
+    for i in range(len(alpha0s)):
+        row = rm.classes[i]
+        _, y = to_px(alphas[0], alpha0s[i])
+        j = 0
+        while j < len(row):
+            j2 = j
+            while j2 + 1 < len(row) and row[j2 + 1] == row[j]:
+                j2 += 1
+            x, _ = to_px(alphas[j], alpha0s[i])
+            cv.rect(x - cell_w / 2, y - cell_h / 2, cell_w * (j2 - j + 1), cell_h,
+                    svgplot._CLASS_COLORS[str(row[j])])
+            j = j2 + 1
+    cv.text(width - svgplot._MARGIN_R - 4, svgplot._MARGIN_T - 4,
+            "C confined / U unconfined / B boundary", anchor="end", size=10)
+    cv.render(stream)
+
+
+class TestRendering:
+    @pytest.mark.parametrize("render, reference", [
+        (lambda rm, s: rm.to_csv(s), _loop_csv),
+        (svgplot.region_map_svg, _loop_svg),
+    ], ids=["csv", "svg"])
+    def test_matches_per_cell_loop(self, render, reference):
+        rm = _mixed_region_map()
+        got, want = io.StringIO(), io.StringIO()
+        render(rm, got)
+        reference(rm, want)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestRefineBoundary:
