@@ -22,7 +22,6 @@ from .model import (
     build_G,
     build_L3_form,
     classical_energy,
-    default_binding,
     make_params_adiabatic,
     make_params_dimensionless,
 )
@@ -72,7 +71,7 @@ __all__ = [
     # model
     "J6", "SystemParams", "PenningQuadrupole", "IsotropicOscillator",
     "BindingPotential", "QuadraticForm",
-    "make_params_dimensionless", "make_params_adiabatic", "default_binding",
+    "make_params_dimensionless", "make_params_adiabatic",
     "build_G", "build_L3_form", "classical_energy",
     # spectral
     "Classification", "Tolerances", "Mode", "ModeSpectrum", "NormalModeBasis",

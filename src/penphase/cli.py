@@ -10,10 +10,11 @@ error, 3 numerical error, 4 no cyclic states.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,26 +43,6 @@ _CANONICAL = {
     "curve_fig2": "curve-fig2",
     "find_kcr": "find-kcr",
 }
-
-# dests echoed into each command's manifest, in a fixed order
-_MANIFEST_DESTS: Dict[str, List[str]] = {
-    "classify": ["alpha", "alpha0", "w", "k", "omega", "binding", "json", "output"],
-    "phases": ["alpha", "alpha0", "w", "k", "omega", "binding", "n1", "n2", "n3", "output"],
-    "sweep-fig1": [
-        "alpha_min", "alpha_max", "alpha_steps",
-        "alpha0_min", "alpha0_max", "alpha0_steps",
-        "gap_scale", "auto_extend", "output", "svg",
-    ],
-    "curve-fig2": ["k_min", "k_max", "points", "binding", "output", "svg"],
-    "find-kcr": ["tol", "output"],
-    "resonance": [
-        "alpha", "alpha0", "w", "k", "omega", "binding",
-        "n1", "n2", "n3", "np1", "np2", "np3", "delta_omega", "output",
-    ],
-}
-
-_BOOLEAN_DESTS = {"json", "auto_extend"}
-
 
 def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="dimensionless b/omega (omega = 1)")
@@ -146,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str, command: str, valid_dests: Sequence[str]) -> List[str]:
-    """Turn a key=value config file into an argv prefix for `command`."""
+def _read_config(path: str, command: str, defaults: dict) -> List[str]:
+    """Turn a key=value config file into an argv prefix for `command`, whose
+    option dests map to their defaults in `defaults` (a bool one: a boolean key)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -177,10 +159,10 @@ def _read_config(path: str, command: str, valid_dests: Sequence[str]) -> List[st
                     f"{_SPECTRAL_CONSTANTS[key]}"
                 )
             continue
-        if key not in valid_dests:
+        if key == "config" or key not in defaults:
             raise DomainError(f"unknown config key {key!r} for command {command!r}")
         flag = "--" + key.replace("_", "-")
-        if key in _BOOLEAN_DESTS:
+        if isinstance(defaults[key], bool):
             if value not in ("true", "false"):
                 raise DomainError(f"boolean key {key} must be true or false, got {value!r}")
             tokens.append(flag if value == "true" else "--no-" + key.replace("_", "-"))
@@ -193,8 +175,9 @@ def _manifest_text(command: str, args: argparse.Namespace) -> str:
     lines = [f"command={command}", f"artifact_version={__version__}"]
     for key, val in sorted(_SPECTRAL_CONSTANTS.items()):
         lines.append(f"{key}={val}")
-    for dest in _MANIFEST_DESTS[command]:
-        val = getattr(args, dest)
+    for dest, val in vars(args).items():
+        if dest in ("command", "config"):
+            continue
         if val is None:
             rendered = "none"
         elif isinstance(val, bool):
@@ -247,6 +230,16 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _emit_json(command: str, args: argparse.Namespace, result) -> int:
+    """Print a result dataclass as JSON; with -o, also write it and its manifest."""
+    text = _json_dumps(dataclasses.asdict(result))
+    sys.stdout.write(text)
+    if args.output:
+        _write_text(args.output, text)
+        _emit_manifest(command, args)
+    return 0
+
+
 def _cmd_classify(args) -> int:
     params = _params_from_args(args)
     binding = _binding_from_args(args, params)
@@ -277,16 +270,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _phase_report_json(report) -> dict:
-    return {
-        "quasienergy": report.quasienergy,
-        "aa_phase_eq7": report.aa_phase_eq7,
-        "aa_phase_eq8": report.aa_phase_eq8,
-        "dfreq_domega": list(report.dfreq_domega),
-        "method_spread": report.method_spread,
-    }
-
-
 def _cmd_phases(args) -> int:
     params = _params_from_args(args)
     binding = _binding_from_args(args, params)
@@ -295,12 +278,7 @@ def _cmd_phases(args) -> int:
         report = aa_phase(params, binding, label)
     else:
         report = berry_phase_adiabatic(params.k, binding, label)
-    text = _json_dumps(_phase_report_json(report))
-    sys.stdout.write(text)
-    if args.output:
-        _write_text(args.output, text)
-        _emit_manifest("phases", args)
-    return 0
+    return _emit_json("phases", args, report)
 
 
 def _cmd_sweep_fig1(args) -> int:
@@ -348,19 +326,7 @@ def _cmd_curve_fig2(args) -> int:
 
 
 def _cmd_find_kcr(args) -> int:
-    res = find_kcr(tol=args.tol)
-    payload = {
-        "k_cr": res.k_cr,
-        "bracket": list(res.bracket),
-        "tol": res.tol,
-        "iterations": res.iterations,
-    }
-    text = _json_dumps(payload)
-    sys.stdout.write(text)
-    if args.output:
-        _write_text(args.output, text)
-        _emit_manifest("find-kcr", args)
-    return 0
+    return _emit_json("find-kcr", args, find_kcr(tol=args.tol))
 
 
 def _cmd_resonance(args) -> int:
@@ -375,20 +341,7 @@ def _cmd_resonance(args) -> int:
         FockLabel(args.np1, args.np2, args.np3),
         args.delta_omega,
     )
-    payload = {
-        "omega_p": res.omega_p,
-        "omega_p_linear": res.omega_p_linear,
-        "omega_p_exact": res.omega_p_exact,
-        "beta_n": res.beta_n,
-        "beta_n_prime": res.beta_n_prime,
-        "delta_omega": res.delta_omega,
-    }
-    text = _json_dumps(payload)
-    sys.stdout.write(text)
-    if args.output:
-        _write_text(args.output, text)
-        _emit_manifest("resonance", args)
-    return 0
+    return _emit_json("resonance", args, res)
 
 
 _DISPATCH = {
@@ -411,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return int(exc.code or 0)
         command = _CANONICAL.get(args.command, args.command)
         if getattr(args, "config", None):
-            prefix = _read_config(args.config, command, _MANIFEST_DESTS[command])
+            prefix = _read_config(args.config, command, vars(parser.parse_args([command])))
             # config supplies defaults; explicit flags win by coming last
             try:
                 args = parser.parse_args([command, *prefix, *argv[1:]])

@@ -32,7 +32,6 @@ __all__ = [
     "QuadraticForm",
     "make_params_dimensionless",
     "make_params_adiabatic",
-    "default_binding",
     "build_G",
     "build_L3_form",
     "classical_energy",
@@ -179,11 +178,6 @@ class IsotropicOscillator:
 BindingPotential = Union[PenningQuadrupole, IsotropicOscillator]
 
 
-def default_binding(params: SystemParams) -> PenningQuadrupole:
-    """The trap quadrupole at the parameters' binding frequency."""
-    return PenningQuadrupole(params.w0)
-
-
 @dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric coefficient matrix S of a quadratic observable (1/2) u^T S u."""
@@ -233,7 +227,7 @@ def build_G(params: SystemParams, binding: BindingPotential | None = None) -> Qu
         S such that (1/2) u^T S u equals :func:`classical_energy`.
     """
     if binding is None:
-        binding = default_binding(params)
+        binding = PenningQuadrupole(params.w0)
     return QuadraticForm(_generator(params.b, params.b0, params.omega, binding.curvatures()))
 
 

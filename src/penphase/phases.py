@@ -9,7 +9,11 @@ enforced as a runtime invariant.
 
 All omega-derivatives are taken at fixed physical fields (b, b0, w0); the
 generator is affine in omega, so shifted coefficient matrices are formed
-exactly as S - delta * S_L3.
+exactly as S - delta * S_L3. The mode-frequency derivative has three
+independent routes: first-order perturbation with left/right eigenvectors,
+implicit differentiation of the closed-form mu-cubic (the characteristic
+polynomial of the Hamiltonian Lambda = J S in mu = lambda^2), and
+Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .spectral import (
     Classification,
     ModeSpectrum,
     NormalModeBasis,
+    _mu_cubic,
     classify,
     normal_mode_basis,
     track_modes,
@@ -162,41 +167,19 @@ def _dmodes_perturbative(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _char_det(L: np.ndarray, lam: complex) -> complex:
-    return complex(np.linalg.det(lam * np.eye(6) - L))
-
-
-def _circle_derivative(f, n: int, radius: float) -> complex:
-    """Exact first Taylor coefficient of a polynomial of degree < n.
-
-    Discrete orthogonality of the n-th roots of unity makes
-    (1/(n r)) sum_k f(r w_k) conj(w_k) exact, with no aliasing.
-    """
-    thetas = 2.0 * np.pi * np.arange(n) / n
-    nodes = radius * np.exp(1j * thetas)
-    vals = np.array([f(z) for z in nodes])
-    return complex(np.sum(vals * np.exp(-1j * thetas)) / (n * radius))
-
-
 def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Implicit differentiation of det(lambda I - Lambda(omega)) = 0.
+    """Implicit differentiation of the mu-cubic q(mu, omega) = 0 at mu = -w^2.
 
-    Both partial derivatives are exact: the determinant is a polynomial of
-    degree 6 in lambda and degree <= 4 in omega, recovered from circle nodes
-    by the discrete Cauchy formula.
+    The coefficients of ``spectral._mu_cubic`` are real polynomials in omega
+    and S(omega + d) = S - d * S_L3, so one complex step d = i h gives their
+    omega-derivatives exact to rounding; dw/domega = q_omega / (2 w q_mu).
     """
-    L = J6 @ S
-    out = np.empty(len(freqs))
-    for m, w in enumerate(freqs):
-        lam0 = 1j * w
-        dD_dlam = _circle_derivative(
-            lambda z: _char_det(L, lam0 + z), 7, 0.5 * (1.0 + abs(lam0))
-        )
-        dD_domega = _circle_derivative(
-            lambda d: _char_det(_shifted_lambda(S, d), lam0), 5, 0.5
-        )
-        out[m] = float((-dD_domega / dD_dlam).imag)
-    return out
+    h = 1e-20
+    c2, c1, c0 = _mu_cubic(S - 1j * h * _SL3)
+    mu = -freqs * freqs
+    dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / h
+    dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real
+    return dq_domega / (2.0 * freqs * dq_dmu)
 
 
 def _positive_freqs(L: np.ndarray) -> np.ndarray:
@@ -359,6 +342,8 @@ def resonance_shift(
     Both labels share one classification, ladder basis and derivative
     bundle; each label's report still enforces eq7 = eq8.
     """
+    if not math.isfinite(delta_omega):
+        raise DomainError(f"delta_omega must be finite, got {delta_omega}")
     S, spec, basis, dfreq, spread = _cyclic_data(params, binding)
     report_n = _cyclic_report(basis, n, dfreq, spread)
     report_np = _cyclic_report(basis, n_prime, dfreq, spread)

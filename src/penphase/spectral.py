@@ -89,7 +89,10 @@ def _mu_cubic(S: np.ndarray):
 
     With g the axial vector of B and M = K + g g^T - |g|^2 I:
     c2 = tr M + 4|g|^2, c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is
-    the sum of the principal 2x2 minors of M.
+    the sum of the principal 2x2 minors of M. Every operation is a polynomial
+    in the entries, so a complex S gives the analytic continuation. Callers:
+    ``sweep._certify_cells`` (grid cells from the roots) and
+    ``phases._dmodes_implicit`` (a complex omega-step for the derivative).
     """
     K, B = S[..., :3, :3], S[..., :3, 3:]
     g = np.stack([B[..., 2, 1], B[..., 0, 2], B[..., 1, 0]], axis=-1)

@@ -86,6 +86,9 @@ class GridSpec:
     alpha0_steps: int = 600
 
     def __post_init__(self):
+        extents = (self.alpha_min, self.alpha_max, self.alpha0_min, self.alpha0_max)
+        if not all(math.isfinite(x) for x in extents):
+            raise DomainError(f"grid extents must be finite, got {extents}")
         if self.alpha_steps < 1 or self.alpha0_steps < 1:
             raise DomainError("step counts must be positive")
         if self.alpha_max <= self.alpha_min or self.alpha0_max <= self.alpha0_min:
@@ -249,6 +252,8 @@ def sweep_fig1(
     50% increments (same cell size) up to [0, 10]^2, then the result is
     reported as-is.
     """
+    if not math.isfinite(gap_scale):
+        raise DomainError(f"gap scale must be finite, got {gap_scale}")
     spec = grid or GridSpec()
     extended = False
     while True:
@@ -284,6 +289,17 @@ def _loop_confined(b: float, b0: float, omega: float = 1.0) -> bool:
     return classify(J6 @ build_G(params).S).classification is Classification.CONFINED
 
 
+def _bisect(confined_at, lo: float, hi: float, iterations: int) -> Tuple[float, float]:
+    """Halve [lo, hi] exactly `iterations` times, keeping confined_at(lo) true."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if confined_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def refine_boundary(
     p_confined: Tuple[float, float],
     p_unconfined: Tuple[float, float],
@@ -297,6 +313,8 @@ def refine_boundary(
     halves the bracket exactly ceil(log2(length / tol)) times and returns the
     midpoint of the final bracket.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
     if not _loop_confined(*p0):
@@ -316,13 +334,7 @@ def refine_boundary(
         )
     length = float(np.linalg.norm(p1 - p0))
     iterations = max(1, math.ceil(math.log2(length / tol)))
-    lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if _loop_confined(*(p0 + mid * (p1 - p0))):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda s: _loop_confined(*(p0 + s * (p1 - p0))), 0.0, 1.0, iterations)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))
 
@@ -341,6 +353,8 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     Bisection of the static loop classification over k in [0.01, 1.0]; the
     bracket is halved exactly ceil(log2(range / tol)) times.
     """
+    if not math.isfinite(tol):
+        raise DomainError(f"tolerance must be finite, got {tol}")
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")
     lo, hi = 0.01, 1.0
@@ -349,12 +363,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     if _loop_confined(hi, 1.0, 0.0):
         raise NumericalError(f"upper bracket k={hi} is not Unconfined")
     iterations = math.ceil(math.log2((hi - lo) / tol))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if _loop_confined(mid, 1.0, 0.0):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda k: _loop_confined(k, 1.0, 0.0), lo, hi, iterations)
     return KcrResult(k_cr=0.5 * (lo + hi), bracket=(lo, hi), tol=tol, iterations=iterations)
 
 

@@ -184,3 +184,72 @@ class TestResonanceCommand:
         )
         assert code == 3
         assert out == "" and "ambiguous mode pairing" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, what", [
+        (["sweep-fig1", "--alpha-max", "nan"], "grid extents"),
+        (["sweep-fig1", "--alpha-max", "inf"], "grid extents"),
+        (["sweep-fig1", "--gap-scale", "nan", "--alpha-steps", "20", "--alpha0-steps", "20"],
+         "gap scale"),
+        (["find-kcr", "--tol", "nan"], "tolerance"),
+        (["find-kcr", "--tol", "inf"], "tolerance"),
+        (["resonance", "--k", "0.1", "--omega", "0.3", "--delta-omega", "nan"], "delta_omega"),
+    ])
+    def test_domain_error_exit_code(self, capsys, tmp_path, argv, what):
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "-o", str(out_path))
+        assert code == 2
+        assert f"error: {what} must be finite" in err
+        assert out == "" and not out_path.exists()
+
+
+_PARAMS = ["--alpha", "0.12", "--alpha0", "0.55", "--w", repr(0.55 * 4 / 3), "--n1", "1"]
+
+# each command's options in definition order: the manifest's keys after its header
+REPLAY_RUNS = {
+    "classify": (
+        ["--k", "0.2", "--omega", "0", "--no-json"],
+        ["alpha", "alpha0", "w", "k", "omega", "binding", "json", "output"],
+    ),
+    "phases": (
+        _PARAMS,
+        ["alpha", "alpha0", "w", "k", "omega", "binding", "n1", "n2", "n3", "output"],
+    ),
+    "sweep-fig1": (
+        ["--alpha-steps", "40", "--alpha0-steps", "30", "--alpha-max", "1.5",
+         "--no-auto-extend", "--svg", "{tmp}/map.svg"],
+        ["alpha_min", "alpha_max", "alpha_steps", "alpha0_min", "alpha0_max",
+         "alpha0_steps", "gap_scale", "auto_extend", "output", "svg"],
+    ),
+    "curve-fig2": (
+        ["--points", "30", "--binding", "oscillator"],
+        ["k_min", "k_max", "points", "binding", "output", "svg"],
+    ),
+    "find-kcr": (["--tol", "1e-5"], ["tol", "output"]),
+    "resonance": (
+        [*_PARAMS, "--np3", "2", "--delta-omega", "1e-4"],
+        ["alpha", "alpha0", "w", "k", "omega", "binding", "n1", "n2", "n3",
+         "np1", "np2", "np3", "delta_omega", "output"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(REPLAY_RUNS))
+def test_manifest_replays_every_command(capsys, tmp_path, command):
+    options, keys = REPLAY_RUNS[command]
+    output = tmp_path / "result"
+    manifest = tmp_path / "result.manifest"
+    argv = [command, *(o.format(tmp=tmp_path) for o in options), "-o", str(output)]
+    code, first_out, _ = run(capsys, *argv)
+    assert code == 0
+    produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert "result.manifest" in produced
+    header = ["command", "artifact_version", "gap_factor", "re_factor"]
+    lines = manifest.read_text().splitlines()
+    assert [line.partition("=")[0] for line in lines] == header + keys
+    # replay purely from the manifest: same stdout, same bytes in every file
+    code, replay_out, _ = run(capsys, command, "--config", str(manifest))
+    assert code == 0
+    assert replay_out == first_out
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == produced

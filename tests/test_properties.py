@@ -1,9 +1,10 @@
 """Property tests: one generator assembly for points and batches, one
-confinement rule for the pointwise and grid classifiers, and grid cells
-certified from the mu-cubic labelled as the eigenvalue rule labels them."""
+confinement rule for the pointwise and grid classifiers, grid cells
+certified from the mu-cubic labelled as the eigenvalue rule labels them, and
+the mu-cubic's implicit derivative equal to the determinant-based one."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from penphase import (
@@ -15,7 +16,8 @@ from penphase import (
     build_G,
     classify,
 )
-from penphase.model import _generator
+from penphase.model import _generator, build_L3_form
+from penphase.phases import _dmodes_implicit
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
 from penphase.sweep import _classify_grid
 
@@ -116,3 +118,63 @@ def test_certified_grid_matches_eig_only_rule(window, floored):
     gap_floor = 4.0 * max_step if floored else 0.0
     codes = _classify_grid(alphas, alpha0s, gap_floor)
     assert np.array_equal(codes, _eig_only_grid(alphas, alpha0s, gap_floor))
+
+
+_SL3 = build_L3_form().S
+
+
+def _char_det(L, lam):
+    return complex(np.linalg.det(lam * np.eye(6) - L))
+
+
+def _circle_derivative(f, n, radius):
+    """Exact first Taylor coefficient of a polynomial of degree < n.
+
+    Discrete orthogonality of the n-th roots of unity makes
+    (1/(n r)) sum_k f(r w_k) conj(w_k) exact, with no aliasing.
+    """
+    thetas = 2.0 * np.pi * np.arange(n) / n
+    nodes = radius * np.exp(1j * thetas)
+    vals = np.array([f(z) for z in nodes])
+    return complex(np.sum(vals * np.exp(-1j * thetas)) / (n * radius))
+
+
+def _circle_node_implicit(S, freqs):
+    """The implicit route before the mu-cubic: both partial derivatives of
+    det(lambda I - Lambda(omega)), degree 6 in lambda and <= 4 in omega,
+    from 6x6 determinants at circle nodes."""
+    L = J6 @ S
+    out = np.empty(len(freqs))
+    for m, w in enumerate(freqs):
+        lam0 = 1j * w
+        dD_dlam = _circle_derivative(
+            lambda z: _char_det(L, lam0 + z), 7, 0.5 * (1.0 + abs(lam0))
+        )
+        dD_domega = _circle_derivative(
+            lambda d: _char_det(J6 @ (S - d * _SL3), lam0), 5, 0.5
+        )
+        out[m] = float((-dD_domega / dD_dlam).imag)
+    return out
+
+
+field = st.floats(min_value=0.0, max_value=3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=field,
+    b0=field,
+    w0=field,
+    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
+    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
+)
+def test_implicit_route_matches_circle_node_reference(b, b0, w0, omega, binding_cls):
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    got = _dmodes_implicit(S, spec.freqs)
+    want = _circle_node_implicit(S, spec.freqs)
+    # relative in the (1 + |d|) sense of the derivative bundle's spread
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))

@@ -85,6 +85,17 @@ class TestSweepFig1:
         with pytest.raises(DomainError):
             GridSpec(alpha_min=2.0, alpha_max=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha_min", "alpha_max", "alpha0_min", "alpha0_max"])
+    def test_non_finite_extent_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_gap_scale_rejected(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            sweep_fig1(GridSpec(alpha_steps=20, alpha0_steps=20), gap_scale=value)
+
 
 def _mixed_region_map():
     """A small map with C, U and B cells, runs of every length from one cell
@@ -179,6 +190,11 @@ class TestRefineBoundary:
         with pytest.raises(MultiCrossingError):
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            refine_boundary((0.3, 0.55), (0.3, 0.8), tol=tol)
+
 
 class TestFindKcr:
     def test_value_and_bracket(self):
@@ -214,6 +230,11 @@ class TestFindKcr:
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             find_kcr(tol=1e-10)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="finite"):
+            find_kcr(tol=tol)
 
 
 class TestCurveFig2:
