@@ -31,7 +31,6 @@ from .spectral import (
     ModeSpectrum,
     NormalModeBasis,
     ProbeResult,
-    Tolerances,
     boundedness_probe,
     classify,
     krein_sign,
@@ -74,7 +73,7 @@ __all__ = [
     "make_params_dimensionless", "make_params_adiabatic",
     "build_G", "build_L3_form", "classical_energy",
     # spectral
-    "Classification", "Tolerances", "Mode", "ModeSpectrum", "NormalModeBasis",
+    "Classification", "Mode", "ModeSpectrum", "NormalModeBasis",
     "classify", "stable_modes", "krein_sign", "normal_mode_basis", "track_modes",
     "propagate", "boundedness_probe", "ProbeResult",
     # phases

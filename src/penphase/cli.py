@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -21,9 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import DegeneracyError, DomainError, NoCyclicStatesError, NumericalError
 from .model import (
-    IsotropicOscillator,
+    BINDINGS,
     J6,
-    PenningQuadrupole,
     SystemParams,
     build_G,
     make_params_adiabatic,
@@ -51,7 +51,7 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=float, default=None, help="field ratio B/B0 (b0 = 1, loop binding)")
     p.add_argument("--omega", type=float, default=None, help="rotation frequency (with --k)")
     p.add_argument(
-        "--binding", choices=("penning", "oscillator"), default="penning",
+        "--binding", choices=tuple(BINDINGS), default="penning",
         help="binding potential variant",
     )
 
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=float, default=0.01)
     p.add_argument("--k-max", type=float, default=1.0)
     p.add_argument("--points", type=int, default=500)
-    p.add_argument("--binding", choices=("penning", "oscillator"), default="penning")
+    p.add_argument("--binding", choices=tuple(BINDINGS), default="penning")
     p.add_argument("-o", "--output", required=False, default="fig2.csv")
     p.add_argument("--svg", default=None, help="also render the curves to this SVG")
     p.add_argument("--config", default=None)
@@ -220,12 +220,6 @@ def _params_from_args(args) -> SystemParams:
     return make_params_adiabatic(args.k, omega)
 
 
-def _binding_from_args(args, params: SystemParams):
-    if args.binding == "oscillator":
-        return IsotropicOscillator(params.w0)
-    return PenningQuadrupole(params.w0)
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -242,7 +236,7 @@ def _emit_json(command: str, args: argparse.Namespace, result) -> int:
 
 def _cmd_classify(args) -> int:
     params = _params_from_args(args)
-    binding = _binding_from_args(args, params)
+    binding = BINDINGS[args.binding](params.w0)
     spectrum = classify(J6 @ build_G(params, binding).S)
     ev = sorted(spectrum.raw_eigenvalues, key=lambda z: (round(z.imag, 12), z.real))
     report = {
@@ -272,7 +266,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_phases(args) -> int:
     params = _params_from_args(args)
-    binding = _binding_from_args(args, params)
+    binding = BINDINGS[args.binding](params.w0)
     label = FockLabel(args.n1, args.n2, args.n3)
     if params.omega > 0:
         report = aa_phase(params, binding, label)
@@ -310,6 +304,8 @@ def _cmd_sweep_fig1(args) -> int:
 def _cmd_curve_fig2(args) -> int:
     if args.points < 2:
         raise DomainError("need at least 2 grid points")
+    if not (math.isfinite(args.k_min) and math.isfinite(args.k_max)):
+        raise DomainError("k grid must be finite")
     ks = np.linspace(args.k_min, args.k_max, args.points)
     table = curve_fig2(ks, binding=args.binding)
     buf = io.StringIO()
@@ -331,7 +327,7 @@ def _cmd_find_kcr(args) -> int:
 
 def _cmd_resonance(args) -> int:
     params = _params_from_args(args)
-    binding = _binding_from_args(args, params)
+    binding = BINDINGS[args.binding](params.w0)
     if args.delta_omega is None:
         raise DomainError("--delta-omega is required")
     res = resonance_shift(

@@ -29,6 +29,7 @@ __all__ = [
     "PenningQuadrupole",
     "IsotropicOscillator",
     "BindingPotential",
+    "BINDINGS",
     "QuadraticForm",
     "make_params_dimensionless",
     "make_params_adiabatic",
@@ -177,6 +178,9 @@ class IsotropicOscillator:
 
 BindingPotential = Union[PenningQuadrupole, IsotropicOscillator]
 
+#: Binding kinds by name, each constructed from its frequency w0.
+BINDINGS = {"penning": PenningQuadrupole, "oscillator": IsotropicOscillator}
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -197,6 +201,11 @@ class QuadraticForm:
         """Scalar (1/2) u^T S u."""
         u = np.asarray(u, dtype=float)
         return 0.5 * float(u @ self.S @ u)
+
+
+def _as_matrix(Q) -> np.ndarray:
+    """The coefficient matrix of a QuadraticForm, or an array-like as floats."""
+    return Q.S if isinstance(Q, QuadraticForm) else np.asarray(Q, dtype=float)
 
 
 def classical_energy(u, params: SystemParams, binding: BindingPotential) -> float:

@@ -28,8 +28,8 @@ from .errors import DegeneracyError, DomainError, NoCyclicStatesError, Numerical
 from .model import (
     BindingPotential,
     J6,
-    QuadraticForm,
     SystemParams,
+    _as_matrix,
     build_G,
     build_L3_form,
 )
@@ -107,8 +107,7 @@ def _ladder_transform(Q: np.ndarray, basis: NormalModeBasis) -> np.ndarray:
 
 def _diagonal_coefficients(Q, basis: NormalModeBasis):
     """Per-mode coefficients (q, q0) with <Q> = sum q_i (n_i + 1/2) + q0."""
-    Qmat = Q.S if isinstance(Q, QuadraticForm) else np.asarray(Q, dtype=float)
-    M = _ladder_transform(Qmat, basis)
+    M = _ladder_transform(_as_matrix(Q), basis)
     d12 = np.diag(M[:3, 3:])
     d21 = np.diag(M[3:, :3])
     q = 0.5 * np.real(d12 + d21)

@@ -14,17 +14,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, DomainError, NumericalError, SaturationError
-from .model import J6, QuadraticForm
+from .model import J6, _as_matrix
 
 __all__ = [
     "Classification",
-    "Tolerances",
     "Mode",
     "ModeSpectrum",
     "NormalModeBasis",
@@ -49,14 +48,15 @@ class Classification(enum.Enum):
 class Tolerances:
     """Classification tolerances, scaled by (1 + ||Lambda||_F).
 
-    ``gap_floor`` is an absolute lower bound on the gap tolerance: grid sweeps
-    set it to their resolution margin, below which a cell's spectral gap or
-    smallest eigenvalue cannot certify Confined; the default 0 leaves the
-    pointwise rule unchanged. ``re_tol``/``gap_tol`` take a norm or an array.
+    The factors are constants. ``gap_floor`` is an absolute lower bound on
+    the gap tolerance: grid sweeps set it to their resolution margin, below
+    which a cell's spectral gap or smallest eigenvalue cannot certify
+    Confined; the default 0 leaves the pointwise rule unchanged.
+    ``re_tol``/``gap_tol`` take a norm or an array.
     """
 
-    re_factor: float = 1e-9
-    gap_factor: float = 1e-7
+    re_factor: ClassVar[float] = 1e-9
+    gap_factor: ClassVar[float] = 1e-7
     gap_floor: float = 0.0
 
     def re_tol(self, scale):
@@ -147,7 +147,7 @@ def krein_sign(v: np.ndarray, S) -> int:
     freq > 0; raises DegeneracyError when the energy form is too close to
     zero to carry a sign.
     """
-    Smat = S.S if isinstance(S, QuadraticForm) else np.asarray(S, dtype=float)
+    Smat = _as_matrix(S)
     quad = np.conj(v) @ Smat @ v
     scale = np.linalg.norm(Smat) * float(np.real(np.conj(v) @ v))
     if abs(np.imag(quad)) > 1e-10 * max(abs(quad), 1e-300):
@@ -167,22 +167,22 @@ def _eig_sorted(L: np.ndarray):
     return ev, V
 
 
-def classify(lam, tolerances: Tolerances | None = None) -> ModeSpectrum:
-    """Classify a dynamical matrix as Confined / Unconfined / Boundary.
+def classify(lam) -> ModeSpectrum:
+    """Classify a dynamical matrix as Confined / Unconfined / Boundary, with the
+    pointwise tolerances (no gap floor).
 
     When Confined, the three positive-frequency modes are returned sorted by
     descending frequency (ties broken by Krein sign, +1 first), each with a
     residual-checked eigenvector.
     """
     L = _as_lambda(lam)
-    tol = tolerances or DEFAULT_TOLERANCES
     if not np.all(np.isfinite(L)):
         raise DomainError("dynamical matrix must be finite")
     ev, V = _eig_sorted(L)
     scale = float(np.linalg.norm(L))
-    if _unconfined(ev, scale, tol):
+    if _unconfined(ev, scale, DEFAULT_TOLERANCES):
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
-    if not _separated(ev, scale, tol):
+    if not _separated(ev, scale, DEFAULT_TOLERANCES):
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
     S = -J6 @ L
     modes = []
@@ -208,18 +208,17 @@ def classify(lam, tolerances: Tolerances | None = None) -> ModeSpectrum:
     return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
 
 
-def stable_modes(lam, tolerances: Tolerances | None = None) -> List[Mode]:
+def stable_modes(lam) -> List[Mode]:
     """Simple purely-imaginary positive-frequency modes, even at Unconfined points.
 
-    Used for tracking the surviving branch through a stability loss; returns
-    modes sorted by descending frequency.
+    Used for tracking the surviving branch through a stability loss; applies
+    the pointwise tolerances and returns modes sorted by descending frequency.
     """
     L = _as_lambda(lam)
-    tol = tolerances or DEFAULT_TOLERANCES
     ev, V = _eig_sorted(L)
     scale = float(np.linalg.norm(L))
-    tau_re = tol.re_tol(scale)
-    tau_gap = tol.gap_tol(scale)
+    tau_re = DEFAULT_TOLERANCES.re_tol(scale)
+    tau_gap = DEFAULT_TOLERANCES.gap_tol(scale)
     S = -J6 @ L
     out = []
     for i in range(6):
@@ -262,7 +261,7 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
-    Smat = S.S if isinstance(S, QuadraticForm) else np.asarray(S, dtype=float)
+    Smat = _as_matrix(S)
     rows = []
     for mode in spectrum.modes:
         v = mode.eigvec
@@ -316,12 +315,8 @@ def track_modes(prev: ModeSpectrum, nxt: ModeSpectrum) -> Tuple[int, int, int]:
     return perms[int(np.argmax(scores))]
 
 
-def propagate(lam, u0, t: float, method: str = "expm") -> np.ndarray:
-    """Flow map u(t) = exp(Lambda t) u0.
-
-    method='expm' uses scaling-and-squaring; method='spectral' reconstructs
-    from the eigendecomposition (diagonalizable Lambda only).
-    """
+def propagate(lam, u0, t: float) -> np.ndarray:
+    """Flow map u(t) = exp(Lambda t) u0, by scaling-and-squaring."""
     L = _as_lambda(lam)
     u0 = np.asarray(u0, dtype=float)
     ev = np.linalg.eigvals(L)
@@ -331,13 +326,7 @@ def propagate(lam, u0, t: float, method: str = "expm") -> np.ndarray:
             f"propagation over t={t} overflows (growth exponent {growth:.3e})",
             growth_exponent=growth,
         )
-    if method == "expm":
-        return scipy.linalg.expm(L * t) @ u0
-    if method == "spectral":
-        evs, V = np.linalg.eig(L)
-        coeff = np.linalg.solve(V, u0.astype(complex))
-        return np.real(V @ (np.exp(evs * t) * coeff))
-    raise DomainError(f"unknown propagation method {method!r}")
+    return scipy.linalg.expm(L * t) @ u0
 
 
 @dataclass(frozen=True)

@@ -87,9 +87,9 @@ def _axes(cv: _Canvas, xlo, xhi, ylo, yhi, xlabel, ylabel):
     return to_px
 
 
-def region_map_svg(region_map, stream: IO[str], width: int = 640, height: int = 640) -> None:
-    """Render the class grid as run-length colored rows with axes."""
-    cv = _Canvas(width, height)
+def region_map_svg(region_map, stream: IO[str]) -> None:
+    """Render the class grid as run-length colored rows with axes, 640x640 px."""
+    cv = _Canvas(640, 640)
     alphas = region_map.alphas
     alpha0s = region_map.alpha0s
     to_px = _axes(
@@ -114,14 +114,14 @@ def region_map_svg(region_map, stream: IO[str], width: int = 640, height: int = 
                 cell_h,
                 _CLASS_COLORS[str(row[j])],
             )
-    cv.text(width - _MARGIN_R - 4, _MARGIN_T - 4, "C confined / U unconfined / B boundary",
+    cv.text(cv.width - _MARGIN_R - 4, _MARGIN_T - 4, "C confined / U unconfined / B boundary",
             anchor="end", size=10)
     cv.render(stream)
 
 
-def curves_svg(table, stream: IO[str], width: int = 640, height: int = 480) -> None:
-    """Polyline plot of cos(theta) and the three derivative curves over k."""
-    cv = _Canvas(width, height)
+def curves_svg(table, stream: IO[str]) -> None:
+    """Polyline plot of cos(theta) and the three derivative curves over k, 640x480 px."""
+    cv = _Canvas(640, 480)
     series = [("cos_theta", np.asarray(table.cos_theta))]
     for m in range(3):
         series.append((f"dw{m + 1}", table.dw[:, m]))

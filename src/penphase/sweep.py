@@ -33,8 +33,7 @@ from scipy import ndimage
 
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import (
-    BindingPotential,
-    IsotropicOscillator,
+    BINDINGS,
     J6,
     PenningQuadrupole,
     SystemParams,
@@ -66,6 +65,9 @@ __all__ = [
 #: Upper bound on how fast frequency gaps vary per unit of (alpha, alpha0);
 #: used to scale the grid-resolution Boundary margin.
 GAP_SLOPE_SCALE = 4.0
+
+#: Sample points of the flip pre-scan in ``refine_boundary``.
+_PRESCAN_STEPS = 32
 
 #: Cells per certification chunk; one chunk peaks at about 5.4 MB of arrays.
 _CHUNK_CELLS = 8192
@@ -252,8 +254,8 @@ def sweep_fig1(
     50% increments (same cell size) up to [0, 10]^2, then the result is
     reported as-is.
     """
-    if not math.isfinite(gap_scale):
-        raise DomainError(f"gap scale must be finite, got {gap_scale}")
+    if not (math.isfinite(gap_scale) and gap_scale >= 0):
+        raise DomainError(f"gap scale must be finite and >= 0, got {gap_scale}")
     spec = grid or GridSpec()
     extended = False
     while True:
@@ -289,29 +291,32 @@ def _loop_confined(b: float, b0: float, omega: float = 1.0) -> bool:
     return classify(J6 @ build_G(params).S).classification is Classification.CONFINED
 
 
-def _bisect(confined_at, lo: float, hi: float, iterations: int) -> Tuple[float, float]:
-    """Halve [lo, hi] exactly `iterations` times, keeping confined_at(lo) true."""
+def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
+    """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, keeping
+    confined_at(lo) true, where `length` is the bracket's extent in the units
+    of `tol`; returns (lo, hi, iterations)."""
+    iterations = max(1, math.ceil(math.log2(length / tol)))
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         if confined_at(mid):
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo, hi, iterations
 
 
 def refine_boundary(
     p_confined: Tuple[float, float],
     p_unconfined: Tuple[float, float],
     tol: float = 1e-6,
-    prescan: int = 32,
 ) -> Tuple[float, float]:
     """Bisect a segment between a Confined and an Unconfined point.
 
-    The segment is pre-scanned for multiple classification flips (a region
-    sliver raises MultiCrossingError; subdivide and retry). Bisection then
-    halves the bracket exactly ceil(log2(length / tol)) times and returns the
-    midpoint of the final bracket.
+    The segment is pre-scanned at _PRESCAN_STEPS equal steps for multiple
+    classification flips (a region sliver raises MultiCrossingError;
+    subdivide and retry). Bisection then halves the bracket
+    max(1, ceil(log2(length / tol))) times and returns the midpoint of the
+    final bracket.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
@@ -323,7 +328,7 @@ def refine_boundary(
         raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
     flips = 0
     prev = True
-    for s in np.linspace(0.0, 1.0, prescan + 1)[1:]:
+    for s in np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)[1:]:
         confined = _loop_confined(*(p0 + s * (p1 - p0)))
         if confined != prev:
             flips += 1
@@ -333,8 +338,7 @@ def refine_boundary(
             f"segment {tuple(p0)} -> {tuple(p1)} crosses {flips} boundaries; subdivide"
         )
     length = float(np.linalg.norm(p1 - p0))
-    iterations = max(1, math.ceil(math.log2(length / tol)))
-    lo, hi = _bisect(lambda s: _loop_confined(*(p0 + s * (p1 - p0))), 0.0, 1.0, iterations)
+    lo, hi, _ = _bisect(lambda s: _loop_confined(*(p0 + s * (p1 - p0))), 0.0, 1.0, length, tol)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))
 
@@ -351,7 +355,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     """Critical field ratio where the slow mode pair loses stability at omega = 0.
 
     Bisection of the static loop classification over k in [0.01, 1.0]; the
-    bracket is halved exactly ceil(log2(range / tol)) times.
+    bracket is halved max(1, ceil(log2(range / tol))) times.
     """
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got {tol}")
@@ -362,8 +366,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
         raise NumericalError(f"lower bracket k={lo} is not Confined")
     if _loop_confined(hi, 1.0, 0.0):
         raise NumericalError(f"upper bracket k={hi} is not Unconfined")
-    iterations = math.ceil(math.log2((hi - lo) / tol))
-    lo, hi = _bisect(lambda k: _loop_confined(k, 1.0, 0.0), lo, hi, iterations)
+    lo, hi, iterations = _bisect(lambda k: _loop_confined(k, 1.0, 0.0), lo, hi, hi - lo, tol)
     return KcrResult(k_cr=0.5 * (lo + hi), bracket=(lo, hi), tol=tol, iterations=iterations)
 
 
@@ -391,23 +394,13 @@ class CurveTable:
             stream.write(",".join(cells) + "\n")
 
 
-def _static_binding(kind: str, w0: float = 4.0 / 3.0) -> BindingPotential:
-    if kind == "penning":
-        return PenningQuadrupole(w0)
-    if kind == "oscillator":
-        return IsotropicOscillator(w0)
-    raise DomainError(f"unknown binding kind {kind!r}")
-
-
-def curve_fig2(
-    k_grid: Optional[Sequence[float]] = None,
-    binding: str | BindingPotential = "penning",
-) -> CurveTable:
+def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning") -> CurveTable:
     """Derivative curves at omega = 0 on the k-grid (default [0.01, 1.0], 500 points).
 
-    For the loop binding, modes 2 and 3 exist only below the critical ratio;
-    their columns are absent (never fabricated) beyond it. The oscillator
-    binding keeps all three modes for every k.
+    `binding` names a kind in ``model.BINDINGS``, built at w0 = 4/3. For the
+    loop binding, modes 2 and 3 exist only below the critical ratio; their
+    columns are absent (never fabricated) beyond it. The oscillator binding
+    keeps all three modes for every k.
     """
     if k_grid is None:
         ks = np.linspace(0.01, 1.0, 500)
@@ -415,11 +408,15 @@ def curve_fig2(
         ks = np.asarray(list(k_grid), dtype=float)
         if ks.ndim != 1 or len(ks) == 0:
             raise DomainError("k grid must be a non-empty 1-D sequence")
+        if not np.all(np.isfinite(ks)):
+            raise DomainError("k grid must be finite")
         if np.any(ks <= 0):
             raise DomainError("k grid values must be > 0")
         if np.any(np.diff(ks) <= 0):
             raise DomainError("k grid must be strictly increasing")
-    bind = _static_binding(binding) if isinstance(binding, str) else binding
+    if binding not in BINDINGS:
+        raise DomainError(f"unknown binding kind {binding!r}")
+    bind = BINDINGS[binding](4.0 / 3.0)
     n = len(ks)
     dw = np.full((n, 3), np.nan)
     stable23 = np.zeros(n, dtype=bool)

@@ -195,6 +195,10 @@ class TestNonFiniteInput:
         (["find-kcr", "--tol", "nan"], "tolerance"),
         (["find-kcr", "--tol", "inf"], "tolerance"),
         (["resonance", "--k", "0.1", "--omega", "0.3", "--delta-omega", "nan"], "delta_omega"),
+        (["sweep-fig1", "--gap-scale", "-4", "--alpha-steps", "20", "--alpha0-steps", "20"],
+         "gap scale"),
+        (["curve-fig2", "--k-max", "inf"], "k grid"),
+        (["curve-fig2", "--k-max", "nan"], "k grid"),
     ])
     def test_domain_error_exit_code(self, capsys, tmp_path, argv, what):
         out_path = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Property tests: one generator assembly for points and batches, one
 confinement rule for the pointwise and grid classifiers, grid cells
-certified from the mu-cubic labelled as the eigenvalue rule labels them, and
-the mu-cubic's implicit derivative equal to the determinant-based one."""
+certified from the mu-cubic labelled as the eigenvalue rule labels them, the
+mu-cubic's implicit derivative equal to the determinant-based one, and the
+geometric phases' invariance under a change of time unit."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -13,11 +14,12 @@ from penphase import (
     IsotropicOscillator,
     PenningQuadrupole,
     SystemParams,
+    aa_phase,
     build_G,
     classify,
 )
 from penphase.model import _generator, build_L3_form
-from penphase.phases import _dmodes_implicit
+from penphase.phases import FockLabel, _dmodes_implicit
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
 from penphase.sweep import _classify_grid
 
@@ -178,3 +180,34 @@ def test_implicit_route_matches_circle_node_reference(b, b0, w0, omega, binding_
     want = _circle_node_implicit(S, spec.freqs)
     # relative in the (1 + |d|) sense of the derivative bundle's spread
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def _loop_point(alpha, alpha0, c=1.0):
+    """Loop parameters at (alpha, alpha0), omega = 1, every frequency times c."""
+    return SystemParams.penning_loop(b0=c * alpha0, b=c * alpha, omega=c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=field,
+    alpha0=field,
+    n=st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    c=st.floats(min_value=0.1, max_value=10.0),
+)
+def test_aa_phase_invariant_under_time_unit(alpha, alpha0, n, c):
+    params = _loop_point(alpha, alpha0)
+    spec = classify(J6 @ build_G(params).S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    label = FockLabel(*n)
+    # aa_phase raises unless the <L3> route (eq7) equals the derivative route (eq8)
+    report = aa_phase(params, PenningQuadrupole(params.w0), label)
+    scaled_params = _loop_point(alpha, alpha0, c)
+    scaled = aa_phase(scaled_params, PenningQuadrupole(scaled_params.w0), label)
+    # the phases are dimensionless; the quasienergy is a frequency
+    for beta, beta_c in ((report.aa_phase_eq7, scaled.aa_phase_eq7),
+                         (report.aa_phase_eq8, scaled.aa_phase_eq8)):
+        assert abs(beta_c - beta) <= 1e-9 * (1.0 + abs(beta))
+    energy = c * report.quasienergy
+    assert abs(scaled.quasienergy - energy) <= 1e-9 * (1.0 + abs(energy))

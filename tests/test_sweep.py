@@ -91,7 +91,7 @@ class TestSweepFig1:
         with pytest.raises(DomainError, match="finite"):
             GridSpec(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -4.0])
     def test_non_finite_gap_scale_rejected(self, value):
         with pytest.raises(DomainError, match="finite"):
             sweep_fig1(GridSpec(alpha_steps=20, alpha0_steps=20), gap_scale=value)
@@ -127,9 +127,9 @@ def _loop_csv(rm, stream):
             stream.write(f"{alphas[j]:.17g},{a0},{row_cls[j]},{row_comp[j]}\n")
 
 
-def _loop_svg(rm, stream, width=640, height=640):
+def _loop_svg(rm, stream):
     """Cell-by-cell run scan reference rendering of svgplot.region_map_svg."""
-    cv = svgplot._Canvas(width, height)
+    cv = svgplot._Canvas(640, 640)
     alphas, alpha0s = rm.alphas, rm.alpha0s
     to_px = svgplot._axes(cv, alphas[0], alphas[-1], alpha0s[0], alpha0s[-1], "alpha", "alpha0")
     x_left, _ = to_px(alphas[0], alpha0s[0])
@@ -150,7 +150,7 @@ def _loop_svg(rm, stream, width=640, height=640):
             cv.rect(x - cell_w / 2, y - cell_h / 2, cell_w * (j2 - j + 1), cell_h,
                     svgplot._CLASS_COLORS[str(row[j])])
             j = j2 + 1
-    cv.text(width - svgplot._MARGIN_R - 4, svgplot._MARGIN_T - 4,
+    cv.text(cv.width - svgplot._MARGIN_R - 4, svgplot._MARGIN_T - 4,
             "C confined / U unconfined / B boundary", anchor="end", size=10)
     cv.render(stream)
 
@@ -209,6 +209,12 @@ class TestFindKcr:
         assert res.iterations == math.ceil(math.log2(0.99 / 1e-4))
         lo, hi = res.bracket
         assert hi - lo == pytest.approx(0.99 / 2**res.iterations, rel=1e-9)
+
+    def test_tolerance_wider_than_bracket_bisects_once(self):
+        res = find_kcr(tol=100)
+        assert res.iterations == 1
+        lo, hi = res.bracket
+        assert hi - lo == pytest.approx(0.495, rel=1e-12)
 
     def test_sides_of_the_critical_ratio(self):
         res = find_kcr(tol=1e-7)
@@ -289,5 +295,7 @@ class TestCurveFig2:
             curve_fig2([0.2, 0.1])
         with pytest.raises(DomainError):
             curve_fig2([-0.1, 0.2])
+        with pytest.raises(DomainError, match="k grid must be finite"):
+            curve_fig2([0.1, math.inf])
         with pytest.raises(DomainError):
             curve_fig2([0.1], binding="hexapole")
