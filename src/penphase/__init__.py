@@ -36,7 +36,6 @@ from .spectral import (
     krein_sign,
     normal_mode_basis,
     propagate,
-    stable_modes,
     track_modes,
 )
 from .phases import (
@@ -74,7 +73,7 @@ __all__ = [
     "build_G", "build_L3_form", "classical_energy",
     # spectral
     "Classification", "Mode", "ModeSpectrum", "NormalModeBasis",
-    "classify", "stable_modes", "krein_sign", "normal_mode_basis", "track_modes",
+    "classify", "krein_sign", "normal_mode_basis", "track_modes",
     "propagate", "boundedness_probe", "ProbeResult",
     # phases
     "FockLabel", "PhaseReport", "ResonanceShift", "quasienergy",

@@ -82,12 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-fig1", aliases=["sweep_fig1"],
                        help="region map over (alpha, alpha0)")
-    p.add_argument("--alpha-min", type=float, default=0.0)
-    p.add_argument("--alpha-max", type=float, default=3.0)
-    p.add_argument("--alpha-steps", type=int, default=600)
-    p.add_argument("--alpha0-min", type=float, default=0.0)
-    p.add_argument("--alpha0-max", type=float, default=3.0)
-    p.add_argument("--alpha0-steps", type=int, default=600)
+    grid_defaults = GridSpec()
+    for field in dataclasses.fields(grid_defaults):
+        default = getattr(grid_defaults, field.name)
+        p.add_argument("--" + field.name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--gap-scale", type=float, default=GAP_SLOPE_SCALE,
                    help="grid-resolution degeneracy margin, in gap-slope units")
     p.add_argument("--auto-extend", action=argparse.BooleanOptionalAction, default=True,
@@ -276,14 +274,7 @@ def _cmd_phases(args) -> int:
 
 
 def _cmd_sweep_fig1(args) -> int:
-    grid = GridSpec(
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        alpha_steps=args.alpha_steps,
-        alpha0_min=args.alpha0_min,
-        alpha0_max=args.alpha0_max,
-        alpha0_steps=args.alpha0_steps,
-    )
+    grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     rm = sweep_fig1(grid, auto_extend=args.auto_extend, gap_scale=args.gap_scale)
     buf = io.StringIO()
     rm.to_csv(buf)

@@ -59,8 +59,8 @@ class SystemParams:
         Rotation frequency of the transverse field (0 = static/adiabatic).
 
     Physical frequencies are stored, not the dimensionless ratios, because
-    omega-derivatives must be taken at fixed fields; the dimensionless
-    combinations are exposed as derived accessors.
+    omega-derivatives must be taken at fixed fields; the field ratio ``k``
+    is a derived accessor.
     """
 
     b: float
@@ -82,37 +82,11 @@ class SystemParams:
             raise DomainError("parameters must be finite")
 
     @property
-    def alpha(self) -> float:
-        """b/omega; defined only for omega > 0."""
-        if self.omega <= 0:
-            raise DomainError("alpha is undefined at omega = 0")
-        return self.b / self.omega
-
-    @property
-    def alpha0(self) -> float:
-        """b0/omega; defined only for omega > 0."""
-        if self.omega <= 0:
-            raise DomainError("alpha0 is undefined at omega = 0")
-        return self.b0 / self.omega
-
-    @property
-    def w(self) -> float:
-        """w0/omega; defined only for omega > 0."""
-        if self.omega <= 0:
-            raise DomainError("w is undefined at omega = 0")
-        return self.w0 / self.omega
-
-    @property
     def k(self) -> float:
         """Field ratio B/B0; defined only for b0 > 0."""
         if self.b0 <= 0:
             raise DomainError("k is undefined at b0 = 0")
         return self.b / self.b0
-
-    @property
-    def is_penning_loop(self) -> bool:
-        """True when w0 = (4/3) b0 (the commensurate static configuration)."""
-        return math.isclose(self.w0, 4.0 * self.b0 / 3.0, rel_tol=1e-12, abs_tol=1e-15)
 
     @classmethod
     def penning_loop(cls, b0: float, b: float = 0.0, omega: float = 0.0) -> "SystemParams":

@@ -6,7 +6,9 @@ imaginary, nonzero and mutually distinct (hence semisimple); Boundary when the
 spectrum is imaginary but degenerate or contains a zero mode; Unconfined when
 any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
-land there.
+land there. This eigenvalue rule (``_unconfined``/``_separated``) is the only
+confinement rule; the Krein sign of a mode guards only against a vanishing
+symplectic form Im(v^H J v), which a simple imaginary eigenvalue never has.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +30,6 @@ __all__ = [
     "ModeSpectrum",
     "NormalModeBasis",
     "classify",
-    "stable_modes",
     "krein_sign",
     "normal_mode_basis",
     "track_modes",
@@ -80,6 +81,17 @@ def _separated(ev: np.ndarray, scale, tol: Tolerances):
     tau = tol.gap_tol(scale)
     gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
     return (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
+
+
+def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
+    """Mask of the stable modes among eigenvalues ev, even at Unconfined
+    points: |Re| within the real-part tolerance, Im beyond the gap tolerance,
+    and no other eigenvalue within the gap tolerance; over the last axis."""
+    tau_re = np.expand_dims(DEFAULT_TOLERANCES.re_tol(scale), -1)
+    tau_gap = np.expand_dims(DEFAULT_TOLERANCES.gap_tol(scale), -1)
+    dist = np.abs(ev[..., :, None] - ev[..., None, :])
+    dist[..., range(6), range(6)] = np.inf
+    return (np.abs(ev.real) <= tau_re) & (ev.imag > tau_gap) & (dist.min(axis=-1) > tau_gap)
 
 
 def _mu_cubic(S: np.ndarray):
@@ -144,17 +156,18 @@ def krein_sign(v: np.ndarray, S) -> int:
     """Energy sign of a stable mode, sign(Re(conj(v)^T S v)).
 
     Well-defined for a simple eigenvector of J S with eigenvalue +i*freq,
-    freq > 0; raises DegeneracyError when the energy form is too close to
-    zero to carry a sign.
+    freq > 0. The energy form equals freq * Im(conj(v)^T J v), so near a zero
+    mode it shrinks like freq^2 while the sign stays definite; the guard
+    therefore tests the symplectic form Im(conj(v)^T J v) against
+    1e-10 |v|^2 and raises DegeneracyError below it (no sign to carry).
     """
     Smat = _as_matrix(S)
     quad = np.conj(v) @ Smat @ v
-    scale = np.linalg.norm(Smat) * float(np.real(np.conj(v) @ v))
     if abs(np.imag(quad)) > 1e-10 * max(abs(quad), 1e-300):
         raise NumericalError("mode energy form is not real; eigenvector suspect")
-    if abs(quad) < 1e-10 * scale:
+    if abs(np.imag(np.conj(v) @ J6 @ v)) < 1e-10 * float(np.real(np.conj(v) @ v)):
         raise DegeneracyError(
-            "mode energy form vanishes (boundary degeneracy); Krein sign undefined"
+            "mode symplectic form vanishes (boundary degeneracy); Krein sign undefined"
         )
     return 1 if np.real(quad) > 0 else -1
 
@@ -198,38 +211,14 @@ def classify(lam) -> ModeSpectrum:
         try:
             sign = krein_sign(v, S)
         except DegeneracyError:
-            # vanishing mode energy form: an imminent Krein collision below
-            # the gap resolution
+            # vanishing symplectic form: a degeneracy below the gap
+            # resolution (safety path; a simple eigenvalue's form is nonzero)
             return ModeSpectrum(Classification.BOUNDARY, (), ev)
         modes.append(Mode(freq=freq, krein_sign=sign, eigvec=v))
     modes.sort(key=lambda m: (-m.freq, -m.krein_sign))
     if len(modes) != 3:  # pragma: no cover - excluded by the gap rule
         raise NumericalError("confined spectrum did not yield three positive modes")
     return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
-
-
-def stable_modes(lam) -> List[Mode]:
-    """Simple purely-imaginary positive-frequency modes, even at Unconfined points.
-
-    Used for tracking the surviving branch through a stability loss; applies
-    the pointwise tolerances and returns modes sorted by descending frequency.
-    """
-    L = _as_lambda(lam)
-    ev, V = _eig_sorted(L)
-    scale = float(np.linalg.norm(L))
-    tau_re = DEFAULT_TOLERANCES.re_tol(scale)
-    tau_gap = DEFAULT_TOLERANCES.gap_tol(scale)
-    S = -J6 @ L
-    out = []
-    for i in range(6):
-        if abs(ev[i].real) > tau_re or ev[i].imag <= tau_gap:
-            continue
-        gaps = np.abs(np.delete(ev, i) - ev[i])
-        if np.min(gaps) <= tau_gap:
-            continue
-        out.append(Mode(freq=float(ev[i].imag), krein_sign=krein_sign(V[:, i], S), eigvec=V[:, i]))
-    out.sort(key=lambda m: (-m.freq, -m.krein_sign))
-    return out
 
 
 @dataclass(frozen=True)

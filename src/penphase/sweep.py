@@ -11,6 +11,10 @@ grid resolution near their roots on the alpha = 0 axis; the pointwise
 classifier keeps its own much tighter spectral tolerances. Both apply the
 same rule from ``spectral``, the grid with its margin as ``gap_floor``.
 
+The 1-D scans (``refine_boundary``, ``find_kcr``) and the Fig. 2 curves apply
+that eigenvalue rule directly to batched eigenvalues of model generators, with
+the pointwise tolerances, and never build normal modes to decide a class.
+
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most cells are certified Confined or Unconfined from
 the closed-form roots of that cubic, with a slack far above rounding. Only
@@ -32,23 +36,15 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import (
-    BINDINGS,
-    J6,
-    PenningQuadrupole,
-    SystemParams,
-    _generator,
-    build_G,
-)
+from .model import BINDINGS, J6, PenningQuadrupole, _generator
 from .phases import _dmodes_perturbative, cos_theta
 from .spectral import (
-    Classification,
+    DEFAULT_TOLERANCES,
     Tolerances,
     _mu_cubic,
     _separated,
+    _simple_imaginary,
     _unconfined,
-    classify,
-    stable_modes,
 )
 
 __all__ = [
@@ -153,6 +149,17 @@ def _certify_cells(S: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, np.ndarr
     return confined, re_lam > slack
 
 
+def _eig_classes(S: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
+    """The eigenvalue rule of ``spectral`` over a stack of generators S of
+    shape (..., 6, 6): the eigenvalues of Lambda = J S, their tolerance scale
+    ||Lambda||_F, and the class codes 'C'/'U'/'B'."""
+    Lam = J6 @ S
+    ev = np.linalg.eigvals(Lam)
+    scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
+    separated = np.where(_separated(ev, scale, tol), "C", "B")
+    return ev, scale, np.where(_unconfined(ev, scale, tol), "U", separated)
+
+
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
     """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
@@ -175,11 +182,7 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
         confined, unconfined = _certify_cells(S, tol)
         chunk = np.where(unconfined, "U", "C")
         rest = ~(confined | unconfined)
-        Lam = J6 @ S[rest]
-        ev = np.linalg.eigvals(Lam)
-        scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
-        separated = np.where(_separated(ev, scale, tol), "C", "B")
-        chunk[rest] = np.where(_unconfined(ev, scale, tol), "U", separated)
+        chunk[rest] = _eig_classes(S[rest], tol)[2]
         codes[lo : lo + len(cell)] = chunk
 
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
@@ -286,9 +289,13 @@ def sweep_fig1(
         extended = True
 
 
-def _loop_confined(b: float, b0: float, omega: float = 1.0) -> bool:
-    params = SystemParams.penning_loop(b0=b0, b=b, omega=omega)
-    return classify(J6 @ build_G(params).S).classification is Classification.CONFINED
+def _loop_confined(b, b0, omega: float = 1.0):
+    """Whether loop points (|b|, |b0|), w0 = 4 |b0| / 3, are Confined by the
+    eigenvalue rule; broadcasts over arrays of b and b0."""
+    b, b0 = np.abs(b), np.abs(b0)
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    S = _generator(b, b0, omega, curvatures, np.broadcast(b, b0).shape)
+    return _eig_classes(S)[2] == "C"
 
 
 def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
@@ -312,27 +319,25 @@ def refine_boundary(
 ) -> Tuple[float, float]:
     """Bisect a segment between a Confined and an Unconfined point.
 
-    The segment is pre-scanned at _PRESCAN_STEPS equal steps for multiple
-    classification flips (a region sliver raises MultiCrossingError;
-    subdivide and retry). Bisection then halves the bracket
-    max(1, ceil(log2(length / tol))) times and returns the midpoint of the
-    final bracket.
+    Points are (alpha, alpha0) on the loop at omega = 1; negative coordinates
+    are folded by abs. The segment is pre-scanned at _PRESCAN_STEPS equal
+    steps, in one batch, for multiple classification flips (a region sliver
+    raises MultiCrossingError; subdivide and retry). Bisection then halves
+    the bracket max(1, ceil(log2(length / tol))) times and returns the
+    midpoint of the final bracket.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
+        raise DomainError("parameters must be finite")
     if not _loop_confined(*p0):
         raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
     if _loop_confined(*p1):
         raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
-    flips = 0
-    prev = True
-    for s in np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)[1:]:
-        confined = _loop_confined(*(p0 + s * (p1 - p0)))
-        if confined != prev:
-            flips += 1
-            prev = confined
+    s = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
+    flips = np.count_nonzero(np.diff(_loop_confined(*(p0 + s[:, None] * (p1 - p0)).T)))
     if flips > 1:
         raise MultiCrossingError(
             f"segment {tuple(p0)} -> {tuple(p1)} crosses {flips} boundaries; subdivide"
@@ -399,8 +404,10 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
 
     `binding` names a kind in ``model.BINDINGS``, built at w0 = 4/3. For the
     loop binding, modes 2 and 3 exist only below the critical ratio; their
-    columns are absent (never fabricated) beyond it. The oscillator binding
-    keeps all three modes for every k.
+    columns are absent (never fabricated) beyond it, and dw1 follows the
+    fastest mode that stays simple and purely imaginary. The oscillator
+    binding keeps all three modes for every k. All k share one generator
+    stack and one batched eigensolve.
     """
     if k_grid is None:
         ks = np.linspace(0.01, 1.0, 500)
@@ -416,22 +423,17 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
             raise DomainError("k grid must be strictly increasing")
     if binding not in BINDINGS:
         raise DomainError(f"unknown binding kind {binding!r}")
-    bind = BINDINGS[binding](4.0 / 3.0)
-    n = len(ks)
-    dw = np.full((n, 3), np.nan)
-    stable23 = np.zeros(n, dtype=bool)
+    curvatures = BINDINGS[binding](4.0 / 3.0).curvatures()
+    S = _generator(ks, 1.0, 0.0, curvatures, ks.shape)
+    ev, scale, codes = _eig_classes(S)
+    stable23 = codes == "C"
+    survivor = np.where(_simple_imaginary(ev, scale), ev.imag, 0.0).max(axis=-1)
+    dw = np.full((len(ks), 3), np.nan)
+    for i in range(len(ks)):
+        if stable23[i]:
+            # the three positive frequencies, descending
+            dw[i] = _dmodes_perturbative(S[i], np.sort(ev[i].imag)[:2:-1])
+        elif survivor[i] > 0:
+            dw[i, 0] = _dmodes_perturbative(S[i], survivor[i : i + 1])[0]
     ct = np.array([cos_theta(k) for k in ks])
-    for i, k in enumerate(ks):
-        params = SystemParams(b=k, b0=1.0, w0=bind.w0, omega=0.0)
-        S = build_G(params, bind).S
-        spec = classify(J6 @ S)
-        if spec.classification is Classification.CONFINED:
-            freqs = spec.freqs
-            dw[i] = _dmodes_perturbative(S, freqs)
-            stable23[i] = True
-        else:
-            survivors = stable_modes(J6 @ S)
-            if survivors:
-                freqs = np.array([survivors[0].freq])
-                dw[i, 0] = _dmodes_perturbative(S, freqs)[0]
     return CurveTable(k=ks, cos_theta=ct, dw=dw, stable23=stable23)

@@ -72,6 +72,17 @@ class TestPhasesCommand:
         assert code == 4
         assert "no cyclic motions" in err
 
+    def test_slow_mode_point_has_no_ladder_basis(self, capsys):
+        # Confined, but the 1.7e-5 mode's normalization pivot is below tolerance
+        point = ["--alpha", "1.4223919813286268", "--alpha0", "0.7499999994924763",
+                 "--w", "0.9999999993233017"]
+        code, out, _ = run(capsys, "classify", *point)
+        assert code == 0
+        assert "classification: Confined" in out
+        code, _, err = run(capsys, "phases", *point)
+        assert code == 3
+        assert "normalization pivot below tolerance" in err
+
 
 class TestSweepCommands:
     def test_fig1_outputs(self, capsys, tmp_path):

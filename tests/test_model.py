@@ -44,17 +44,18 @@ class TestParams:
 
     def test_penning_loop_accessor(self):
         p = make_params_dimensionless(0.1, 0.5, 2.0 / 3.0)
-        assert p.is_penning_loop
+        assert p.w0 == 4.0 * p.b0 / 3.0
         assert p.k == pytest.approx(0.2, abs=0)
         q = make_params_dimensionless(0.7, 0.9, 4.0 * 0.9 / 3.0)
-        assert q.is_penning_loop
-        assert not make_params_dimensionless(0.7, 0.9, 1.0).is_penning_loop
+        assert q.w0 == 4.0 * q.b0 / 3.0
+        loop = SystemParams.penning_loop(b0=-0.9, b=0.7, omega=1.0)
+        assert loop.w0 == 4.0 * loop.b0 / 3.0
 
     def test_adiabatic_factory(self):
         p = make_params_adiabatic(1.0, 0.0)
         assert (p.b, p.b0, p.omega) == (1.0, 1.0, 0.0)
         assert p.w0 == pytest.approx(4.0 / 3.0, abs=0)
-        assert p.is_penning_loop
+        assert p.w0 == 4.0 * p.b0 / 3.0
         with pytest.raises(DomainError):
             make_params_adiabatic(0.0, 0.0)
         with pytest.raises(DomainError):
@@ -64,12 +65,12 @@ class TestParams:
         p = SystemParams(b=-0.4, b0=-1.2, w0=0.5, omega=0.0)
         assert p.b == 0.4 and p.b0 == 1.2
 
-    def test_accessors_require_omega(self):
-        p = SystemParams(b=1.0, b0=1.0, w0=1.0, omega=0.0)
+    def test_k_accessor_requires_axial_field(self):
+        p = SystemParams(b=1.0, b0=0.0, w0=1.0, omega=0.0)
         with pytest.raises(DomainError):
-            _ = p.alpha
+            _ = p.k
         p1 = SystemParams(b=1.0, b0=2.0, w0=1.0, omega=2.0)
-        assert p1.alpha == 0.5 and p1.alpha0 == 1.0 and p1.w == 0.5 and p1.k == 0.5
+        assert p1.k == 0.5
 
 
 class TestBuildG:

@@ -1,8 +1,11 @@
 """Property tests: one generator assembly for points and batches, one
-confinement rule for the pointwise and grid classifiers, grid cells
-certified from the mu-cubic labelled as the eigenvalue rule labels them, the
-mu-cubic's implicit derivative equal to the determinant-based one, and the
-geometric phases' invariance under a change of time unit."""
+confinement rule for the pointwise and grid classifiers and the batched scan
+predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
+rule labels them, the mu-cubic's implicit derivative equal to the
+determinant-based one, and the geometric phases' invariance under a change of
+time unit."""
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,9 +24,10 @@ from penphase import (
 from penphase.model import _generator, build_L3_form
 from penphase.phases import FockLabel, _dmodes_implicit
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
-from penphase.sweep import _classify_grid
+from penphase.sweep import _classify_grid, _loop_confined
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+field = st.floats(min_value=0.0, max_value=3.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,6 +126,44 @@ def test_certified_grid_matches_eig_only_rule(window, floored):
     assert np.array_equal(codes, _eig_only_grid(alphas, alpha0s, gap_floor))
 
 
+#: Critical ratio in closed form: at omega = 0 on the loop, k^2 is the small
+#: positive root of 9 x^3 - 14 x^2 - 119 x + 8.
+K_CR = math.sqrt(min(r.real for r in np.roots([9.0, -14.0, -119.0, 8.0]) if r.real > 0))
+
+
+@st.composite
+def near(draw, centre, lo_exp, hi_exp):
+    """centre plus or minus 10**e, with e drawn from [lo_exp, hi_exp]."""
+    offset = 10.0 ** draw(st.floats(min_value=lo_exp, max_value=hi_exp))
+    return centre + draw(st.sampled_from([-1.0, 1.0])) * offset
+
+
+def _classify_loop(b, b0, omega):
+    params = SystemParams.penning_loop(b0=b0, b=b, omega=omega)
+    return classify(J6 @ build_G(params).S).classification is Classification.CONFINED
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    loop=st.lists(
+        st.tuples(field, st.one_of(field, near(0.75, -10.0, -5.0))), min_size=1, max_size=12
+    ),
+    ks=st.lists(
+        st.one_of(st.floats(min_value=0.01, max_value=1.0), near(K_CR, -9.0, -5.0)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_loop_predicate_matches_classify(loop, ks):
+    # omega = 1 over the plane and beside the alpha0 = 3/4 zero-mode line;
+    # omega = 0 along the k-line b0 = 1 and beside the critical ratio
+    b, b0 = np.array(loop).T
+    got = _loop_confined(b, b0, 1.0)
+    assert got.tolist() == [_classify_loop(*point, 1.0) for point in loop]
+    got = _loop_confined(np.array(ks), 1.0, 0.0)
+    assert got.tolist() == [_classify_loop(k, 1.0, 0.0) for k in ks]
+
+
 _SL3 = build_L3_form().S
 
 
@@ -158,8 +200,6 @@ def _circle_node_implicit(S, freqs):
         out[m] = float((-dD_domega / dD_dlam).imag)
     return out
 
-
-field = st.floats(min_value=0.0, max_value=3.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_confined_loop_points, sample_unconfined_loop_points
+from conftest import (
+    SLOW_MODE_POINT,
+    sample_confined_loop_points,
+    sample_unconfined_loop_points,
+)
 from penphase import (
     Classification,
     DegeneracyError,
@@ -21,11 +25,10 @@ from penphase import (
     normal_mode_basis,
     propagate,
     quasienergy,
-    stable_modes,
     track_modes,
 )
 from penphase.phases import FockLabel
-from penphase.spectral import _mu_cubic
+from penphase.spectral import DEFAULT_TOLERANCES, _mu_cubic, _simple_imaginary
 
 
 def _spectral_propagate(L, u0, t):
@@ -104,6 +107,14 @@ class TestKreinSign:
         # slowest branch is the magnetron-like mode
         assert spec.krein_signs[2] == -1
         assert list(spec.krein_signs) == [1, 1, -1]
+
+    def test_slow_mode_keeps_its_sign(self):
+        # the guard tests the symplectic form, which is first order in the
+        # frequency; the energy form is second order and falls below 1e-10 ||S||
+        spec = classify(loop_lambda(*SLOW_MODE_POINT, 1.0))
+        assert spec.classification is Classification.CONFINED
+        assert list(spec.krein_signs) == [1, 1, -1]
+        assert spec.freqs[2] == pytest.approx(1.7353e-5, rel=1e-4)
 
     def test_degenerate_energy_form_rejected(self):
         S = np.zeros((6, 6))
@@ -267,13 +278,54 @@ class TestBoundednessProbe:
             assert res.bounded == (spec.classification is Classification.CONFINED)
 
 
+def _stable_mode_loop(ev, scale):
+    """Per-eigenvalue reference for ``_simple_imaginary``: the stable-mode
+    rule as the deleted ``stable_modes`` applied it."""
+    tau_re = DEFAULT_TOLERANCES.re_tol(scale)
+    tau_gap = DEFAULT_TOLERANCES.gap_tol(scale)
+    mask = np.zeros(6, dtype=bool)
+    for i in range(6):
+        if abs(ev[i].real) > tau_re or ev[i].imag <= tau_gap:
+            continue
+        if np.min(np.abs(np.delete(ev, i) - ev[i])) <= tau_gap:
+            continue
+        mask[i] = True
+    return mask
+
+
 class TestStableModes:
     def test_survivor_beyond_collision(self):
         L = loop_lambda(0.5, 1.0, 0.0)
-        assert classify(L).classification is Classification.UNCONFINED
-        survivors = stable_modes(L)
+        spec = classify(L)
+        assert spec.classification is Classification.UNCONFINED
+        ev = spec.raw_eigenvalues
+        survivors = ev.imag[_simple_imaginary(ev, np.linalg.norm(L))]
         assert len(survivors) == 1
-        assert survivors[0].freq > 1.5  # the fast branch survives
+        assert survivors[0] > 1.5  # the fast branch survives
+
+    def test_mask_matches_per_eigenvalue_rule(self, rng):
+        # both bindings, omega = 0 and random; at b = b0 = omega = 0 the
+        # oscillator's three modes coincide
+        draws = rng.uniform(0.0, 3.0, (200, 4))
+        draws[:40, 3] = 0.0
+        draws[40:60, [0, 1, 3]] = 0.0
+        stacks = [
+            np.array([build_G(SystemParams(b=b, b0=b0, w0=w0, omega=om), cls(w0)).S
+                      for b, b0, w0, om in draws])
+            for cls in (PenningQuadrupole, IsotropicOscillator)
+        ]
+        # a simple mode at 0.7 gap tolerances: too slow to count as stable
+        S = np.diag([1.0, 4.0, 0.0, 1.0, 1.0, 1.0])
+        S[2, 2] = (0.7 * DEFAULT_TOLERANCES.gap_tol(np.linalg.norm(J6 @ S))) ** 2
+        stacks.append(S[None])
+        for S in stacks:
+            L = J6 @ S
+            ev = np.linalg.eigvals(L)
+            scale = np.sqrt((L**2).sum(axis=(-2, -1)))
+            got = _simple_imaginary(ev, scale)
+            want = np.array([_stable_mode_loop(e, s) for e, s in zip(ev, scale)])
+            assert np.array_equal(got, want)
+            assert 0 < got.sum() < got.size
 
     def test_krein_sum_invariant_along_sweep(self):
         # no sign flips without a Boundary crossing inside (0, k_cr)

@@ -18,6 +18,7 @@ from penphase import (
     refine_boundary,
     sweep_fig1,
 )
+from conftest import SLOW_MODE_POINT
 from penphase import svgplot
 from penphase.sweep import RegionMap, _classify_grid
 
@@ -65,6 +66,12 @@ class TestSweepFig1:
         row = small_map.classes[0, :]
         codes = _classify_grid(small_map.alphas, np.array([0.0]), small_map.gap_floor)
         assert np.array_equal(row, codes[0, :])
+
+    def test_slow_mode_cell_confined(self):
+        alpha, alpha0 = SLOW_MODE_POINT
+        codes = _classify_grid(np.array([alpha]), np.array([alpha0]), 0.0)
+        assert codes[0, 0] == "C"
+        assert loop_classification(alpha, alpha0) is Classification.CONFINED
 
     def test_origin_is_boundary(self, small_map):
         assert small_map.classes[0, 0] == "B"
@@ -189,6 +196,19 @@ class TestRefineBoundary:
     def test_multi_crossing_detected(self):
         with pytest.raises(MultiCrossingError):
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coord", range(4))
+    def test_non_finite_endpoint_rejected(self, coord, value):
+        coords = [0.3, 0.55, 0.3, 0.8]
+        coords[coord] = value
+        with pytest.raises(DomainError, match="parameters must be finite"):
+            refine_boundary(coords[:2], coords[2:], tol=1e-6)
+
+    def test_negative_coordinates_folded(self):
+        point = refine_boundary((0.3, 0.55), (0.3, 0.8), tol=1e-9)
+        mirrored = refine_boundary((-0.3, -0.55), (-0.3, -0.8), tol=1e-9)
+        assert mirrored == (-point[0], -point[1])
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
     def test_bad_tolerance_rejected(self, tol):
