@@ -10,7 +10,6 @@ from .errors import (
     MultiCrossingError,
     NoCyclicStatesError,
     NumericalError,
-    SaturationError,
 )
 from .model import (
     J6,
@@ -21,7 +20,6 @@ from .model import (
     SystemParams,
     build_G,
     build_L3_form,
-    classical_energy,
     make_params_adiabatic,
     make_params_dimensionless,
 )
@@ -30,12 +28,9 @@ from .spectral import (
     Mode,
     ModeSpectrum,
     NormalModeBasis,
-    ProbeResult,
-    boundedness_probe,
     classify,
     krein_sign,
     normal_mode_basis,
-    propagate,
     track_modes,
 )
 from .phases import (
@@ -64,17 +59,16 @@ from .sweep import (
 __all__ = [
     "__version__",
     # errors
-    "DomainError", "NumericalError", "DegeneracyError", "SaturationError",
+    "DomainError", "NumericalError", "DegeneracyError",
     "MultiCrossingError", "NoCyclicStatesError",
     # model
     "J6", "SystemParams", "PenningQuadrupole", "IsotropicOscillator",
     "BindingPotential", "QuadraticForm",
     "make_params_dimensionless", "make_params_adiabatic",
-    "build_G", "build_L3_form", "classical_energy",
+    "build_G", "build_L3_form",
     # spectral
     "Classification", "Mode", "ModeSpectrum", "NormalModeBasis",
     "classify", "krein_sign", "normal_mode_basis", "track_modes",
-    "propagate", "boundedness_probe", "ProbeResult",
     # phases
     "FockLabel", "PhaseReport", "ResonanceShift", "quasienergy",
     "expectation_quadratic", "dmode_domega", "aa_phase", "berry_phase_adiabatic",

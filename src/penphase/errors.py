@@ -13,14 +13,6 @@ class DegeneracyError(NumericalError):
     """A computation hit a (near-)degenerate spectrum where it is ill-defined."""
 
 
-class SaturationError(NumericalError):
-    """Propagation overflowed on an unstable trajectory."""
-
-    def __init__(self, message, growth_exponent=None):
-        super().__init__(message)
-        self.growth_exponent = growth_exponent
-
-
 class MultiCrossingError(NumericalError):
     """A bisection segment crosses more than one region boundary."""
 

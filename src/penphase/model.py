@@ -35,7 +35,6 @@ __all__ = [
     "make_params_adiabatic",
     "build_G",
     "build_L3_form",
-    "classical_energy",
 ]
 
 #: Symplectic unit in the (x, p) block ordering.
@@ -132,9 +131,6 @@ class PenningQuadrupole:
         w2 = self.w0 * self.w0
         return (-0.5 * w2, -0.5 * w2, w2)
 
-    def potential(self, x) -> float:
-        return 0.5 * self.w0**2 * (x[2] ** 2 - (x[0] ** 2 + x[1] ** 2) / 2.0)
-
 
 @dataclass(frozen=True)
 class IsotropicOscillator:
@@ -145,9 +141,6 @@ class IsotropicOscillator:
     def curvatures(self):
         w2 = self.w0 * self.w0
         return (w2, w2, w2)
-
-    def potential(self, x) -> float:
-        return 0.5 * self.w0**2 * (x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
 
 
 BindingPotential = Union[PenningQuadrupole, IsotropicOscillator]
@@ -171,28 +164,10 @@ class QuadraticForm:
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
 
-    def value(self, u) -> float:
-        """Scalar (1/2) u^T S u."""
-        u = np.asarray(u, dtype=float)
-        return 0.5 * float(u @ self.S @ u)
-
 
 def _as_matrix(Q) -> np.ndarray:
     """The coefficient matrix of a QuadraticForm, or an array-like as floats."""
     return Q.S if isinstance(Q, QuadraticForm) else np.asarray(Q, dtype=float)
-
-
-def classical_energy(u, params: SystemParams, binding: BindingPotential) -> float:
-    """Rotating-frame energy evaluated directly from its defining expression.
-
-    Kinetic term for the static field orientation (B, 0, B0), plus the binding
-    potential, minus omega * (x1 p2 - x2 p1). Serves as the independent oracle
-    for the matrix build.
-    """
-    x1, x2, x3, p1, p2, p3 = np.asarray(u, dtype=float)
-    b, b0, om = params.b, params.b0, params.omega
-    kinetic = 0.5 * ((p1 - b0 * x2) ** 2 + (p2 + b0 * x1 - b * x3) ** 2 + (p3 + b * x2) ** 2)
-    return kinetic + binding.potential((x1, x2, x3)) - om * (x1 * p2 - x2 * p1)
 
 
 def build_G(params: SystemParams, binding: BindingPotential | None = None) -> QuadraticForm:
@@ -207,7 +182,9 @@ def build_G(params: SystemParams, binding: BindingPotential | None = None) -> Qu
     Returns
     -------
     QuadraticForm
-        S such that (1/2) u^T S u equals :func:`classical_energy`.
+        S such that (1/2) u^T S u is the rotating-frame energy: the kinetic
+        term for the static field orientation (B, 0, B0), plus the binding
+        potential, minus omega * (x1 p2 - x2 p1).
     """
     if binding is None:
         binding = PenningQuadrupole(params.w0)

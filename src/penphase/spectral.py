@@ -1,5 +1,5 @@
 """Eigenanalysis of the dynamical matrix: stability classification, normal
-modes with Krein signs, mode tracking, and the classical propagator.
+modes with Krein signs and mode tracking.
 
 A parameter point is Confined when all six eigenvalues of Lambda are purely
 imaginary, nonzero and mutually distinct (hence semisimple); Boundary when the
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DegeneracyError, DomainError, NumericalError, SaturationError
+from .errors import DegeneracyError, DomainError, NumericalError
 from .model import J6, _as_matrix
 
 __all__ = [
@@ -33,9 +32,6 @@ __all__ = [
     "krein_sign",
     "normal_mode_basis",
     "track_modes",
-    "propagate",
-    "boundedness_probe",
-    "ProbeResult",
 ]
 
 
@@ -145,13 +141,6 @@ class ModeSpectrum:
         return np.array([m.krein_sign for m in self.modes])
 
 
-def _as_lambda(lam) -> np.ndarray:
-    L = np.asarray(lam, dtype=float)
-    if L.shape != (6, 6):
-        raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
-    return L
-
-
 def krein_sign(v: np.ndarray, S) -> int:
     """Energy sign of a stable mode, sign(Re(conj(v)^T S v)).
 
@@ -172,14 +161,6 @@ def krein_sign(v: np.ndarray, S) -> int:
     return 1 if np.real(quad) > 0 else -1
 
 
-def _eig_sorted(L: np.ndarray):
-    try:
-        ev, V = np.linalg.eig(L)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigensolver failed on Lambda={L!r}") from exc
-    return ev, V
-
-
 def classify(lam) -> ModeSpectrum:
     """Classify a dynamical matrix as Confined / Unconfined / Boundary, with the
     pointwise tolerances (no gap floor).
@@ -188,10 +169,15 @@ def classify(lam) -> ModeSpectrum:
     descending frequency (ties broken by Krein sign, +1 first), each with a
     residual-checked eigenvector.
     """
-    L = _as_lambda(lam)
+    L = np.asarray(lam, dtype=float)
+    if L.shape != (6, 6):
+        raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise DomainError("dynamical matrix must be finite")
-    ev, V = _eig_sorted(L)
+    try:
+        ev, V = np.linalg.eig(L)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigensolver failed on Lambda={L!r}") from exc
     scale = float(np.linalg.norm(L))
     if _unconfined(ev, scale, DEFAULT_TOLERANCES):
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
@@ -302,73 +288,3 @@ def track_modes(prev: ModeSpectrum, nxt: ModeSpectrum) -> Tuple[int, int, int]:
     perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
     scores = [sum(P[i, p[i]] for i in range(3)) for p in perms]
     return perms[int(np.argmax(scores))]
-
-
-def propagate(lam, u0, t: float) -> np.ndarray:
-    """Flow map u(t) = exp(Lambda t) u0, by scaling-and-squaring."""
-    L = _as_lambda(lam)
-    u0 = np.asarray(u0, dtype=float)
-    ev = np.linalg.eigvals(L)
-    growth = float(np.max(ev.real))
-    if growth * t > 500.0:
-        raise SaturationError(
-            f"propagation over t={t} overflows (growth exponent {growth:.3e})",
-            growth_exponent=growth,
-        )
-    return scipy.linalg.expm(L * t) @ u0
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    bounded: bool
-    growth_exponent: float
-    max_ratio: float
-    horizon_periods: int
-
-
-def boundedness_probe(lam, u0, horizon: int = 1000) -> ProbeResult:
-    """Sample ||u(t)|| over `horizon` characteristic periods and decide boundedness.
-
-    A trajectory is reported bounded when the sup-norm ratio stays within 10x
-    of the initial norm, or when the norm envelope shows no sustained growth
-    between the two halves of the horizon (linear phase-mixing transients on
-    confined spectra can overshoot a fixed ratio without any actual growth).
-    The growth exponent is the fitted slope of log||u|| over the second half.
-    """
-    if horizon < 1:
-        raise DomainError("horizon must be >= 1 period")
-    L = _as_lambda(lam)
-    u = np.asarray(u0, dtype=float).copy()
-    rho = float(np.max(np.abs(np.linalg.eigvals(L))))
-    period = 2.0 * math.pi / rho if rho > 1e-12 else 2.0 * math.pi
-    samples_per_period = 4
-    dt = period / samples_per_period
-    step = scipy.linalg.expm(L * dt)
-    n_steps = horizon * samples_per_period
-    norms = np.empty(n_steps + 1)
-    norms[0] = np.linalg.norm(u)
-    if norms[0] == 0:
-        raise DomainError("initial vector must be nonzero")
-    taken = n_steps
-    for i in range(1, n_steps + 1):
-        u = step @ u
-        norms[i] = np.linalg.norm(u)
-        if norms[i] > 1e12 * norms[0]:
-            taken = i
-            break
-    norms = norms[: taken + 1]
-    ratio = float(np.max(norms) / norms[0])
-    half = len(norms) // 2
-    env1 = float(np.max(norms[:half])) if half else norms[0]
-    env2 = float(np.max(norms[half:]))
-    sustained = env2 > 1.2 * env1
-    t = np.arange(len(norms)) * dt
-    sel = slice(half, None)
-    slope = float(np.polyfit(t[sel], np.log(norms[sel]), 1)[0]) if len(norms) - half > 2 else 0.0
-    bounded = (ratio <= 10.0 or not sustained) and taken == n_steps
-    return ProbeResult(
-        bounded=bounded,
-        growth_exponent=0.0 if bounded else slope,
-        max_ratio=ratio,
-        horizon_periods=horizon,
-    )

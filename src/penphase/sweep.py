@@ -21,7 +21,9 @@ the closed-form roots of that cubic, with a slack far above rounding. Only
 the cells the roots leave undecided, near region edges, go through the
 batched eigensolver; the labels equal those of the eigenvalue rule on every
 cell. Grid work runs in fixed-size chunks of cells, so memory stays bounded
-for any grid size, with one thread per CPU the process may use.
+for any grid size, with one thread per CPU the process may use. The map's
+regions are the 4-connected components that ``_label4`` finds, a union-find
+over the runs of each grid row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _generator
@@ -191,9 +192,6 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     return codes.reshape(len(alpha0s), n_cols)
 
 
-_FOUR_CONN = ndimage.generate_binary_structure(2, 1)
-
-
 @dataclass(frozen=True)
 class RegionMap:
     """Cell classification of the (alpha, alpha0) plane with labeled components.
@@ -235,14 +233,53 @@ class RegionMap:
             )
 
 
+def _label4(mask: np.ndarray) -> Tuple[np.ndarray, int]:
+    """4-connected components of a 2-D boolean mask: labels 1..n on the mask,
+    numbered in raster order of each component's first cell, and 0 off it.
+
+    The runs of set cells in each row are the nodes of a union-find; two runs
+    in adjacent rows are joined when their column spans overlap. Runs are
+    indexed in raster order and every union keeps the smaller root, so each
+    component's root is its first run.
+    """
+    rows, cols = mask.shape
+    width = cols + 1
+    steps = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
+    starts = np.flatnonzero(steps == 1)  # row * width + first column of a run
+    ends = np.flatnonzero(steps == -1)  # row * width + one past its last column
+    # the runs of the row above that overlap run j are lo[j]..hi[j] - 1
+    lo = np.searchsorted(ends, starts - width, side="right").tolist()
+    hi = np.searchsorted(starts, ends - width, side="left").tolist()
+    parent = list(range(len(starts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for j in range(len(starts)):
+        for i in range(lo[j], hi[j]):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    roots = np.array([find(i) for i in range(len(starts))], dtype=np.intp)
+    first = roots == np.arange(len(starts))
+    run_labels = np.cumsum(first)[roots]
+    paint = np.zeros(rows * width, dtype=np.int64)
+    paint[starts] = run_labels
+    paint[ends] = -run_labels
+    labels = np.cumsum(paint).reshape(rows, width)[:, :cols]
+    return labels.astype(np.int32), int(first.sum())
+
+
 def _label_regions(codes: np.ndarray) -> Tuple[np.ndarray, int, int]:
     confined = codes == "C"
-    component, n_comp = ndimage.label(confined, structure=_FOUR_CONN)
+    component, n_comp = _label4(confined)
     component = np.where(confined, component, -1).astype(np.int32)
-    complement, _ = ndimage.label(~confined, structure=_FOUR_CONN)
+    complement, _ = _label4(~confined)
     ids = np.unique(complement[codes == "U"])
     n_unconf = int(len(ids[ids > 0]))
-    return component, int(n_comp), n_unconf
+    return component, n_comp, n_unconf
 
 
 def sweep_fig1(

@@ -12,6 +12,7 @@ from conftest import (
     sample_confined_loop_points,
     sample_unconfined_loop_points,
 )
+from dynamics_oracle import boundedness_probe
 from penphase import (
     Classification,
     IsotropicOscillator,
@@ -19,7 +20,6 @@ from penphase import (
     PenningQuadrupole,
     SystemParams,
     aa_phase,
-    boundedness_probe,
     build_G,
     build_L3_form,
     classify,
@@ -97,7 +97,8 @@ def test_criterion_04_fock_oracle_equivalence():
             worst_E = max(worst_E, abs(energy - target))
             got_L3 = oracle.expectation(L3, vec)
             worst_L3 = max(worst_L3, abs(got_L3 - expectation_quadratic(L3, basis, label)))
-            refined = doubled.eigenvalue_near(S, energy)
+            parity = (label.n1 + label.n2 + label.n3) % 2
+            refined = doubled.eigenvalue_near(S, energy, parity)
             worst_double = max(worst_double, abs(refined - energy))
     ok = worst_E <= 1e-6 and worst_L3 <= 1e-6 and worst_double <= 1e-6
     report(4, ok, f"quasienergy dev {worst_E:.2e}, <L3> dev {worst_L3:.2e}, "

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from penphase.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -268,3 +274,33 @@ def test_manifest_replays_every_command(capsys, tmp_path, command):
     assert code == 0
     assert replay_out == first_out
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == produced
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # NumPy is the only runtime dependency: importing the package and running
+    # each command leaves no scipy module loaded
+    script = f"""
+import sys
+import penphase, penphase.cli
+from penphase.cli import main
+for argv in (
+    ["classify", "--k", "0.2"],
+    ["phases", "--k", "0.2", "--omega", "0.01", "--n1", "1"],
+    ["find-kcr"],
+    ["curve-fig2", "--points", "20", "-o", {str(tmp_path / "fig2.csv")!r}],
+    ["sweep-fig1", "--alpha-steps", "20", "--alpha0-steps", "20",
+     "-o", {str(tmp_path / "fig1.csv")!r}],
+):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dynamics_oracle import classical_energy, quadratic_value
 from penphase import (
     DomainError,
     IsotropicOscillator,
@@ -12,7 +13,6 @@ from penphase import (
     SystemParams,
     build_G,
     build_L3_form,
-    classical_energy,
     make_params_adiabatic,
     make_params_dimensionless,
 )
@@ -107,7 +107,7 @@ class TestBuildG:
         for _ in range(100):
             u = rng.normal(size=6)
             direct = classical_energy(u, p, binding)
-            assert G.value(u) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert quadratic_value(G, u) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_quadratic_form_requires_symmetry(self):
         M = np.zeros((6, 6))
@@ -119,9 +119,9 @@ class TestBuildG:
 class TestL3Form:
     def test_scalar_values(self):
         L3 = build_L3_form()
-        assert L3.value([1, 0, 0, 0, 1, 0]) == 1.0
-        assert L3.value([0, 1, 0, 1, 0, 0]) == -1.0
-        assert L3.value([0, 0, 1, 0, 0, 1]) == 0.0
+        assert quadratic_value(L3, [1, 0, 0, 0, 1, 0]) == 1.0
+        assert quadratic_value(L3, [0, 1, 0, 1, 0, 0]) == -1.0
+        assert quadratic_value(L3, [0, 0, 1, 0, 0, 1]) == 0.0
 
     def test_matches_generator_omega_dependence(self):
         # S(omega) = S(0) - omega * S_L3

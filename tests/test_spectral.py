@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ORACLE_POINTS,
     SLOW_MODE_POINT,
     sample_confined_loop_points,
     sample_unconfined_loop_points,
 )
+from dynamics_oracle import SaturationError, boundedness_probe, propagate
 from penphase import (
     Classification,
     DegeneracyError,
@@ -15,15 +17,12 @@ from penphase import (
     IsotropicOscillator,
     J6,
     PenningQuadrupole,
-    SaturationError,
     SystemParams,
-    boundedness_probe,
     build_G,
     classify,
     krein_sign,
     make_params_adiabatic,
     normal_mode_basis,
-    propagate,
     quasienergy,
     track_modes,
 )
@@ -169,6 +168,19 @@ class TestNormalModeBasis:
             energy, _ = oracle.match_level(dense, target)
             gap = energy - oracle.ground_state(dense)[0]
             assert gap == pytest.approx(basis.signs[i] * basis.freqs[i], abs=1e-6)
+
+    @pytest.mark.parametrize("params", ORACLE_POINTS)
+    def test_parity_blocked_spectrum_matches_dense(self, params):
+        from fock_oracle import TruncatedFockOracle, matched_reference
+
+        S = build_G(params).S
+        basis = normal_mode_basis(classify(J6 @ S), S)
+        oracle = TruncatedFockOracle(cutoff=6, omega_ref=matched_reference(basis))
+        blocked = oracle.dense_spectrum(S)
+        G = oracle.matrix(S).toarray()
+        assert np.abs(blocked.energies - np.linalg.eigvalsh(G)).max() <= 1e-12
+        residual = G @ blocked.vectors - blocked.vectors * blocked.energies
+        assert np.abs(residual).max() <= 1e-12
 
 
 class TestTrackModes:

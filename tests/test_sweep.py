@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from penphase import (
     Classification,
@@ -20,7 +23,7 @@ from penphase import (
 )
 from conftest import SLOW_MODE_POINT
 from penphase import svgplot
-from penphase.sweep import RegionMap, _classify_grid
+from penphase.sweep import RegionMap, _classify_grid, _label4
 
 
 def loop_classification(alpha, alpha0):
@@ -160,6 +163,43 @@ def _loop_svg(rm, stream):
     cv.text(cv.width - svgplot._MARGIN_R - 4, svgplot._MARGIN_T - 4,
             "C confined / U unconfined / B boundary", anchor="end", size=10)
     cv.render(stream)
+
+
+def _assert_labels_match_ndimage(mask):
+    labels, n = _label4(mask)
+    want, n_want = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, 1))
+    assert n == n_want
+    assert np.array_equal(labels, want)
+
+
+class TestLabel4:
+    """The region labeller against scipy.ndimage.label with 4-connectivity:
+    the same components, numbered in the same raster order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        cols=st.integers(min_value=1, max_value=40),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_ndimage(self, rows, cols, density, seed):
+        mask = np.random.default_rng(seed).uniform(size=(rows, cols)) < density
+        _assert_labels_match_ndimage(mask)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.zeros((5, 7), dtype=bool),
+            np.ones((5, 7), dtype=bool),
+            np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+            np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool).T,
+            np.indices((8, 9)).sum(axis=0) % 2 == 0,
+        ],
+        ids=["all_false", "all_true", "single_row", "single_column", "checkerboard"],
+    )
+    def test_fixed_masks(self, mask):
+        _assert_labels_match_ndimage(mask)
 
 
 class TestRendering:
