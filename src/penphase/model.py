@@ -15,7 +15,7 @@ assembled here.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -40,6 +40,19 @@ __all__ = [
 #: Symplectic unit in the (x, p) block ordering.
 J6 = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
 J6.setflags(write=False)
+
+#: Largest magnitude accepted for a frequency, field ratio or grid coordinate,
+#: about 1.8e19. The generator's entries are quadratic in these, the
+#: mu-cubic's c0 is cubic in the entries, and the grid's discriminant squares
+#: c0: a polynomial of degree 12. At |x| <= max**(1/16) it stays near
+#: max**(3/4), so no product along the way overflows to inf.
+_MAX_MAGNITUDE = sys.float_info.max ** (1.0 / 16.0)
+
+
+def _check_range(what: str, values) -> None:
+    """Raise DomainError unless every value is finite and at most _MAX_MAGNITUDE."""
+    if not np.all(np.abs(np.asarray(values, dtype=float)) <= _MAX_MAGNITUDE):
+        raise DomainError(f"{what} must be finite and at most {_MAX_MAGNITUDE:.2g} in magnitude")
 
 
 @dataclass(frozen=True)
@@ -77,8 +90,7 @@ class SystemParams:
             raise DomainError(f"binding frequency w0 must be >= 0, got {self.w0}")
         if self.omega < 0:
             raise DomainError(f"rotation frequency omega must be >= 0, got {self.omega}")
-        if not all(math.isfinite(v) for v in (self.b, self.b0, self.w0, self.omega)):
-            raise DomainError("parameters must be finite")
+        _check_range("parameters", (self.b, self.b0, self.w0, self.omega))
 
     @property
     def k(self) -> float:

@@ -5,14 +5,16 @@ Two independent routes to the geometric phase of a cyclic state are
 implemented: 2*pi times the expectation of the axial angular momentum, and
 -2*pi times the omega-derivative of the quasienergy at fixed fields. Their
 agreement (a Hellmann-Feynman identity for the rotating-frame generator) is
-enforced as a runtime invariant.
+enforced as a runtime invariant. The derivative route differentiates the
+closed-form mu-cubic (the characteristic polynomial of the Hamiltonian
+Lambda = J S in mu = lambda^2) implicitly and reads no eigenvectors, so it
+checks the eigenvector-built <L3> route independently.
 
 All omega-derivatives are taken at fixed physical fields (b, b0, w0); the
 generator is affine in omega, so shifted coefficient matrices are formed
-exactly as S - delta * S_L3. The mode-frequency derivative has three
-independent routes: first-order perturbation with left/right eigenvectors,
-implicit differentiation of the closed-form mu-cubic (the characteristic
-polynomial of the Hamiltonian Lambda = J S in mu = lambda^2), and
+exactly as S - delta * S_L3. ``dmode_domega`` offers the mode-frequency
+derivative by three independent routes: implicit differentiation of the
+mu-cubic, first-order perturbation with left/right eigenvectors, and
 Richardson-extrapolated finite differences.
 """
 
@@ -82,15 +84,16 @@ class PhaseReport:
     """Quasienergy and geometric-phase data for one cyclic state.
 
     ``aa_phase_eq7`` is None at omega = 0, where no cyclic motion exists and
-    only the adiabatic (derivative) route is defined. Phases are reported
-    unwrapped; modular reduction is left to callers.
+    only the adiabatic (derivative) route is defined. ``dfreq_domega`` holds
+    d(freq_i)/d(omega) from the implicit mu-cubic route, which ``aa_phase_eq8``
+    is built from. Phases are reported unwrapped; modular reduction is left
+    to callers.
     """
 
     quasienergy: float
     aa_phase_eq7: Optional[float]
     aa_phase_eq8: float
     dfreq_domega: Tuple[float, float, float]
-    method_spread: float
 
 
 def quasienergy(basis: NormalModeBasis, n: FockLabel) -> float:
@@ -115,14 +118,18 @@ def _diagonal_coefficients(Q, basis: NormalModeBasis):
     return q, q0
 
 
+def _expectation(coefficients, n: FockLabel) -> float:
+    q, q0 = coefficients
+    return float(np.sum(q * (n.as_array() + 0.5)) + q0)
+
+
 def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
     """Expectation of a quadratic observable (1/2) u^T Q u in state |n1 n2 n3>.
 
     Exact for any symmetric Q: only the number-conserving ladder products
     survive the diagonal expectation.
     """
-    q, q0 = _diagonal_coefficients(Q, basis)
-    return float(np.sum(q * (n.as_array() + 0.5)) + q0)
+    return _expectation(_diagonal_coefficients(Q, basis), n)
 
 
 def cos_theta(k: float) -> float:
@@ -130,11 +137,6 @@ def cos_theta(k: float) -> float:
     if k < 0:
         raise DomainError(f"field ratio k must be >= 0, got {k}")
     return 1.0 / math.sqrt(1.0 + k * k)
-
-
-def _shifted_lambda(S: np.ndarray, delta_omega: float) -> np.ndarray:
-    # the generator is affine in omega: S(omega + d) = S(omega) - d * S_L3
-    return J6 @ (S - delta_omega * _SL3)
 
 
 def _confined_spectrum(S: np.ndarray, context: str) -> ModeSpectrum:
@@ -181,27 +183,20 @@ def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return dq_domega / (2.0 * freqs * dq_dmu)
 
 
-def _positive_freqs(L: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(L)
-    return np.sort(ev.imag[ev.imag > 0])[::-1]
-
-
 def _dmodes_finite_diff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Central differences of the tracked frequencies, Richardson-extrapolated once."""
+    """Central differences of the tracked frequencies, Richardson-extrapolated once.
+
+    One batched eigensolve covers the four shifted generators
+    S(omega + d) = S - d * S_L3 at d = +-h and +-h/2; each frequency follows
+    the nearest positive one of every shifted spectrum.
+    """
     h = 1e-5
-
-    def diff(step):
-        fp = _positive_freqs(_shifted_lambda(S, step))
-        fm = _positive_freqs(_shifted_lambda(S, -step))
-        out = np.empty(len(freqs))
-        for m, w in enumerate(freqs):
-            wp = fp[np.argmin(np.abs(fp - w))]
-            wm = fm[np.argmin(np.abs(fm - w))]
-            out[m] = (wp - wm) / (2.0 * step)
-        return out
-
-    d_h = diff(h)
-    d_h2 = diff(h / 2.0)
+    steps = np.array([h, -h, h / 2.0, -h / 2.0])
+    im = np.linalg.eigvals(J6 @ (S - steps[:, None, None] * _SL3)).imag
+    dist = np.where(im[:, None] > 0, np.abs(im[:, None] - freqs[:, None]), np.inf)
+    shifted = np.take_along_axis(im, dist.argmin(axis=-1), axis=-1)
+    d_h = (shifted[0] - shifted[1]) / (2.0 * h)
+    d_h2 = (shifted[2] - shifted[3]) / (2.0 * (h / 2.0))
     return (4.0 * d_h2 - d_h) / 3.0
 
 
@@ -232,21 +227,10 @@ def dmode_domega(
     return _DMODE_DISPATCH[method](S, spec.freqs)
 
 
-def _derivative_bundle(S: np.ndarray, freqs: np.ndarray):
-    dp = _dmodes_perturbative(S, freqs)
-    di = _dmodes_implicit(S, freqs)
-    df = _dmodes_finite_diff(S, freqs)
-    spread = 0.0
-    for a, b in ((dp, di), (dp, df), (di, df)):
-        spread = max(spread, float(np.max(np.abs(a - b) / (1.0 + np.abs(dp)))))
-    return dp, spread
-
-
 def _assemble_report(
     basis: NormalModeBasis,
     n: FockLabel,
     dfreq: np.ndarray,
-    spread: float,
     eq7: Optional[float],
 ) -> PhaseReport:
     energy = quasienergy(basis, n)
@@ -261,25 +245,24 @@ def _assemble_report(
         aa_phase_eq7=eq7,
         aa_phase_eq8=eq8,
         dfreq_domega=tuple(float(d) for d in dfreq),
-        method_spread=spread,
     )
 
 
 def _cyclic_data(params: SystemParams, binding: BindingPotential):
-    """Generator, spectrum, ladder basis and derivative bundle shared by every
-    Fock label at one rotating point."""
+    """Generator, spectrum, ladder basis, mode-frequency derivatives and the
+    ladder coefficients of L3, shared by every Fock label at one rotating point."""
     if params.omega <= 0:
         raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
     S = build_G(params, binding).S
     spec = _confined_spectrum(S, f"parameter point {params}")
     basis = normal_mode_basis(spec, S)
-    dfreq, spread = _derivative_bundle(S, spec.freqs)
-    return S, spec, basis, dfreq, spread
+    dfreq = _dmodes_implicit(S, spec.freqs)
+    return S, spec, basis, dfreq, _diagonal_coefficients(_SL3, basis)
 
 
-def _cyclic_report(basis, n: FockLabel, dfreq, spread) -> PhaseReport:
-    eq7 = 2.0 * math.pi * expectation_quadratic(_SL3, basis, n)
-    return _assemble_report(basis, n, dfreq, spread, eq7)
+def _cyclic_report(basis, n: FockLabel, dfreq, l3) -> PhaseReport:
+    eq7 = 2.0 * math.pi * _expectation(l3, n)
+    return _assemble_report(basis, n, dfreq, eq7)
 
 
 def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> PhaseReport:
@@ -290,8 +273,8 @@ def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> P
     the quasienergy; their consistency is enforced. Valid at any rotation
     speed, not only adiabatically.
     """
-    _, _, basis, dfreq, spread = _cyclic_data(params, binding)
-    return _cyclic_report(basis, n, dfreq, spread)
+    _, _, basis, dfreq, l3 = _cyclic_data(params, binding)
+    return _cyclic_report(basis, n, dfreq, l3)
 
 
 def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> PhaseReport:
@@ -299,8 +282,8 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
 
     Only the derivative route exists (no cyclic motion without rotation);
     the <L3> route is reported as absent. The derivative is evaluated
-    directly at omega = 0 through the perturbative formula, not by
-    small-omega extrapolation.
+    directly at omega = 0 by implicit differentiation of the mu-cubic, not
+    by small-omega extrapolation.
     """
     if k <= 0:
         raise DomainError(f"field ratio k must be > 0, got {k}")
@@ -308,8 +291,7 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
     S = build_G(params, binding).S
     spec = _confined_spectrum(S, f"static point k={k}")
     basis = normal_mode_basis(spec, S)
-    dfreq, spread = _derivative_bundle(S, spec.freqs)
-    return _assemble_report(basis, n, dfreq, spread, eq7=None)
+    return _assemble_report(basis, n, _dmodes_implicit(S, spec.freqs), eq7=None)
 
 
 @dataclass(frozen=True)
@@ -338,14 +320,15 @@ def resonance_shift(
 ) -> ResonanceShift:
     """Shift of the resonance peak omega_p = E_n - E_n' under a small rotation change.
 
-    Both labels share one classification, ladder basis and derivative
-    bundle; each label's report still enforces eq7 = eq8.
+    Both labels share one classification, ladder basis, set of mode-frequency
+    derivatives and set of L3 ladder coefficients; each label's report still
+    enforces eq7 = eq8.
     """
     if not math.isfinite(delta_omega):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
-    S, spec, basis, dfreq, spread = _cyclic_data(params, binding)
-    report_n = _cyclic_report(basis, n, dfreq, spread)
-    report_np = _cyclic_report(basis, n_prime, dfreq, spread)
+    S, spec, basis, dfreq, l3 = _cyclic_data(params, binding)
+    report_n = _cyclic_report(basis, n, dfreq, l3)
+    report_np = _cyclic_report(basis, n_prime, dfreq, l3)
     omega_p = report_n.quasienergy - report_np.quasienergy
     beta_n = report_n.aa_phase_eq8
     beta_np = report_np.aa_phase_eq8

@@ -14,6 +14,7 @@ symplectic form Im(v^H J v), which a simple imaginary eigenvalue never has.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Tuple
@@ -260,6 +261,10 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     return basis
 
 
+#: The six pairings of three modes, in lexicographic order.
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+
+
 def track_modes(prev: ModeSpectrum, nxt: ModeSpectrum) -> Tuple[int, int, int]:
     """Pairing of modes between two confined spectra by eigenvector overlap.
 
@@ -272,19 +277,16 @@ def track_modes(prev: ModeSpectrum, nxt: ModeSpectrum) -> Tuple[int, int, int]:
         or nxt.classification is not Classification.CONFINED
     ):
         raise DomainError("mode tracking requires two Confined spectra")
-    P = np.empty((3, 3))
-    for i, mp in enumerate(prev.modes):
-        vp = mp.eigvec / np.linalg.norm(mp.eigvec)
-        for j, mn in enumerate(nxt.modes):
-            vn = mn.eigvec / np.linalg.norm(mn.eigvec)
-            P[i, j] = abs(np.vdot(vp, vn))
-    for i in range(3):
-        best = np.sort(P[i])[::-1]
-        if best[0] - best[1] < 1e-3:
-            raise DegeneracyError(
-                f"ambiguous mode pairing for mode {i} (overlaps {best[0]:.4f}, "
-                f"{best[1]:.4f}); refine the sweep step"
-            )
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    scores = [sum(P[i, p[i]] for i in range(3)) for p in perms]
-    return perms[int(np.argmax(scores))]
+    V = np.array([[m.eigvec for m in spec.modes] for spec in (prev, nxt)])
+    V = V / np.linalg.norm(V, axis=-1, keepdims=True)
+    P = np.abs(np.conj(V[0]) @ V[1].T)
+    best = np.sort(P, axis=1)[:, ::-1]
+    ambiguous = np.flatnonzero(best[:, 0] - best[:, 1] < 1e-3)
+    if len(ambiguous):
+        i = int(ambiguous[0])
+        raise DegeneracyError(
+            f"ambiguous mode pairing for mode {i} (overlaps {best[i, 0]:.4f}, "
+            f"{best[i, 1]:.4f}); refine the sweep step"
+        )
+    scores = P[range(3), _PERMUTATIONS].sum(axis=1)
+    return tuple(int(j) for j in _PERMUTATIONS[int(np.argmax(scores))])

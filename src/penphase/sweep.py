@@ -37,7 +37,7 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import BINDINGS, J6, PenningQuadrupole, _generator
+from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
 from .phases import _dmodes_perturbative, cos_theta
 from .spectral import (
     DEFAULT_TOLERANCES,
@@ -86,8 +86,7 @@ class GridSpec:
 
     def __post_init__(self):
         extents = (self.alpha_min, self.alpha_max, self.alpha0_min, self.alpha0_max)
-        if not all(math.isfinite(x) for x in extents):
-            raise DomainError(f"grid extents must be finite, got {extents}")
+        _check_range("grid extents", extents)
         if self.alpha_steps < 1 or self.alpha0_steps < 1:
             raise DomainError("step counts must be positive")
         if self.alpha_max <= self.alpha_min or self.alpha0_max <= self.alpha0_min:
@@ -367,8 +366,7 @@ def refine_boundary(
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
-    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(p1))):
-        raise DomainError("parameters must be finite")
+    _check_range("parameters", [p0, p1])
     if not _loop_confined(*p0):
         raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
     if _loop_confined(*p1):
@@ -452,8 +450,7 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
         ks = np.asarray(list(k_grid), dtype=float)
         if ks.ndim != 1 or len(ks) == 0:
             raise DomainError("k grid must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(ks)):
-            raise DomainError("k grid must be finite")
+        _check_range("k grid", ks)
         if np.any(ks <= 0):
             raise DomainError("k grid values must be > 0")
         if np.any(np.diff(ks) <= 0):

@@ -8,6 +8,7 @@ from penphase import (
     SystemParams,
     build_G,
     classify,
+    dmode_domega,
     normal_mode_basis,
 )
 
@@ -44,6 +45,19 @@ def sample_confined_loop_points(rng, n, window=3.0, min_gap=0.05, min_freq=0.05)
             continue
         out.append(params)
     return out
+
+
+def route_spread(params, binding):
+    """Largest pairwise disagreement of the three derivative routes of
+    ``dmode_domega``, each difference over (1 + |perturbative|)."""
+    dp, di, df = (
+        dmode_domega(params, binding, method=m)
+        for m in ("perturbative", "implicit", "finite_diff")
+    )
+    return max(
+        float(np.max(np.abs(a - b) / (1.0 + np.abs(dp))))
+        for a, b in ((dp, di), (dp, df), (di, df))
+    )
 
 
 def sample_unconfined_loop_points(rng, n, window=3.0, min_growth=0.01):

@@ -1,12 +1,21 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import route_spread
+from penphase import PenningQuadrupole, cli, make_params_dimensionless
 from penphase.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -64,7 +73,9 @@ class TestPhasesCommand:
         doc = json.loads(out)
         assert doc["aa_phase_eq7"] is not None
         assert abs(doc["aa_phase_eq7"] - doc["aa_phase_eq8"]) <= 1e-6 * (1 + abs(doc["aa_phase_eq8"]))
-        assert doc["method_spread"] < 1e-6
+        assert set(doc) == {"quasienergy", "aa_phase_eq7", "aa_phase_eq8", "dfreq_domega"}
+        params = make_params_dimensionless(0.12, 0.55, 0.55 * 4 / 3)
+        assert route_spread(params, PenningQuadrupole(params.w0)) < 1e-6
 
     def test_adiabatic_point_marks_eq7_absent(self, capsys):
         code, out, _ = run(capsys, "phases", "--k", "0.2", "--omega", "0")
@@ -125,6 +136,16 @@ class TestSweepCommands:
         manifest = (tmp_path / "a.csv.manifest").read_text()
         assert "command=sweep-fig1" in manifest
         assert "artifact_version=" in manifest
+
+    def test_default_fig1_outputs_are_pinned(self, capsys, tmp_path):
+        csv, svg = tmp_path / "fig1.csv", tmp_path / "fig1.svg"
+        assert run(capsys, "sweep-fig1", "-o", str(csv), "--svg", str(svg))[0] == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "5d3e24ff0982e238926030fbdca5f3778f160bcf93ca0a0d0f58c5989fb9c235"
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "7281fd62754eef4ccc5a677973a8572864b0e19837aaa7054ac701ba1ea87351"
+        )
 
     def test_fig2_outputs(self, capsys, tmp_path):
         out_csv = tmp_path / "fig2.csv"
@@ -216,6 +237,9 @@ class TestNonFiniteInput:
          "gap scale"),
         (["curve-fig2", "--k-max", "inf"], "k grid"),
         (["curve-fig2", "--k-max", "nan"], "k grid"),
+        # finite, but the squares of such coordinates overflow
+        (["sweep-fig1", "--alpha-max", "1e200"], "grid extents"),
+        (["classify", "--alpha", "0.1", "--alpha0", "1e100", "--w", "1"], "parameters"),
     ])
     def test_domain_error_exit_code(self, capsys, tmp_path, argv, what):
         out_path = tmp_path / "out"
@@ -223,6 +247,45 @@ class TestNonFiniteInput:
         assert code == 2
         assert f"error: {what} must be finite" in err
         assert out == "" and not out_path.exists()
+
+
+_COMMANDS = ("classify", "phases", "sweep-fig1", "curve-fig2", "find-kcr", "resonance")
+_LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=12
+)
+_CONFIG_KEYS = sorted(
+    {key for c in _COMMANDS for key in vars(cli.build_parser().parse_args([c]))}
+    | {"artifact_version", "gap_factor", "re_factor", "widgets"}
+)
+_CONFIG_VALUES = [*_COMMANDS, "true", "false", "none", "0", "2", "-1", "1e-3", "nan", "1e200"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(_COMMANDS),
+    lines=st.lists(
+        st.one_of(
+            st.tuples(
+                st.one_of(st.sampled_from(_CONFIG_KEYS), _LINE_TEXT),
+                st.one_of(st.sampled_from(_CONFIG_VALUES), _LINE_TEXT),
+            ).map("=".join),
+            _LINE_TEXT,
+        ),
+        max_size=6,
+    ),
+)
+def test_config_text_exits_0_or_2(command, lines):
+    # the commands are stubbed, so only the config layer and argparse run:
+    # any key=value text either parses (0) or is rejected as a domain error (2)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("\n".join(lines), encoding="utf-8")
+        stubs = {c: (lambda args: 0) for c in cli._DISPATCH}
+        with mock.patch.dict(cli._DISPATCH, stubs), contextlib.redirect_stdout(
+            io.StringIO()
+        ), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(cfg)])
+    assert code in (0, 2)
 
 
 _PARAMS = ["--alpha", "0.12", "--alpha0", "0.55", "--w", repr(0.55 * 4 / 3), "--n1", "1"]

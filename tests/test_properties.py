@@ -2,8 +2,9 @@
 confinement rule for the pointwise and grid classifiers and the batched scan
 predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
 rule labels them, the mu-cubic's implicit derivative equal to the
-determinant-based one, and the geometric phases' invariance under a change of
-time unit."""
+determinant-based one and to the other two derivative routes, the ladder
+commutators of the normal-mode basis, and the geometric phases' invariance
+under a change of time unit."""
 
 import math
 
@@ -20,7 +21,9 @@ from penphase import (
     aa_phase,
     build_G,
     classify,
+    normal_mode_basis,
 )
+from conftest import route_spread
 from penphase.model import _generator, build_L3_form
 from penphase.phases import FockLabel, _dmodes_implicit
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
@@ -211,15 +214,32 @@ def _circle_node_implicit(S, freqs):
     binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
 )
 def test_implicit_route_matches_circle_node_reference(b, b0, w0, omega, binding_cls):
-    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    params = SystemParams(b=b, b0=b0, w0=w0, omega=omega)
+    S = build_G(params, binding_cls(w0)).S
     spec = classify(J6 @ S)
     assume(spec.classification is Classification.CONFINED)
     gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
     assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
     got = _dmodes_implicit(S, spec.freqs)
     want = _circle_node_implicit(S, spec.freqs)
-    # relative in the (1 + |d|) sense of the derivative bundle's spread
+    # relative in the (1 + |d|) sense of route_spread
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    assert route_spread(params, binding_cls(w0)) < 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=field, alpha0=field)
+def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
+    S = build_G(SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    basis = normal_mode_basis(spec, S)
+    C, D = basis.ladder_commutators()
+    # [A_i, A_j^dag] = eps_j delta_ij and [A_i, A_j] = 0
+    assert np.abs(C - np.diag(basis.signs)).max() <= 1e-9
+    assert np.abs(D).max() <= 1e-9
 
 
 def _loop_point(alpha, alpha0, c=1.0):

@@ -237,7 +237,8 @@ class TestRefineBoundary:
         with pytest.raises(MultiCrossingError):
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # 1e200 is finite, but its square overflows
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
     @pytest.mark.parametrize("coord", range(4))
     def test_non_finite_endpoint_rejected(self, coord, value):
         coords = [0.3, 0.55, 0.3, 0.8]
