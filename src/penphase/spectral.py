@@ -93,28 +93,27 @@ def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
 
 def _mu_cubic(S: np.ndarray):
     """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
-    in mu = lambda^2, over a stack of generators S = [[K, B], [B^T, I]] with B
-    skew-symmetric (the form every ``model._generator`` output has).
+    in mu = lambda^2, over a stack of generators S = [[K, B], [B^T, I]] with K
+    symmetric and B skew-symmetric (the form every ``model._generator`` output has).
 
-    With g the axial vector of B and M = K + g g^T - |g|^2 I:
+    With g the axial vector of B and M = K + g g^T - |g|^2 I, symmetric:
     c2 = tr M + 4|g|^2, c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is
-    the sum of the principal 2x2 minors of M. Every operation is a polynomial
-    in the entries, so a complex S gives the analytic continuation. Callers:
-    ``sweep._certify_cells`` (grid cells from the roots) and
-    ``phases._dmodes_implicit`` (a complex omega-step for the derivative).
+    the sum of the principal 2x2 minors of M; all from the three entries of g
+    and the six distinct entries of M, each a column over the stack. Every
+    operation is a polynomial in the entries, so a complex S gives the
+    analytic continuation. Callers: ``sweep._certify_cells`` (grid cells from
+    the roots) and ``phases._dmodes_implicit`` (a complex omega-step).
     """
-    K, B = S[..., :3, :3], S[..., :3, 3:]
-    g = np.stack([B[..., 2, 1], B[..., 0, 2], B[..., 1, 0]], axis=-1)
-    gg = (g * g).sum(axis=-1)
-    M = K + g[..., :, None] * g[..., None, :] - gg[..., None, None] * np.eye(3)
-    m00, m01, m02 = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
-    m10, m11, m12 = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
-    m20, m21, m22 = M[..., 2, 0], M[..., 2, 1], M[..., 2, 2]
-    minor0, minor1, minor2 = m11 * m22 - m12 * m21, m00 * m22 - m02 * m20, m00 * m11 - m01 * m10
-    gMg = np.einsum("...i,...ij,...j->...", g, M, g)
+    g0, g1, g2 = S[..., 2, 4], S[..., 0, 5], S[..., 1, 3]
+    g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
+    gg = g00 + g11 + g22
+    m00, m11, m22 = S[..., 0, 0] + g00 - gg, S[..., 1, 1] + g11 - gg, S[..., 2, 2] + g22 - gg
+    m01, m02, m12 = S[..., 0, 1] + g0 * g1, S[..., 0, 2] + g0 * g2, S[..., 1, 2] + g1 * g2
+    minor0, minor1, minor2 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
+    gMg = g00 * m00 + g11 * m11 + g22 * m22 + 2.0 * (g0 * g1 * m01 + g0 * g2 * m02 + g1 * g2 * m12)
     c2 = m00 + m11 + m22 + 4.0 * gg
     c1 = minor0 + minor1 + minor2 + 4.0 * gMg
-    c0 = m00 * minor0 - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
+    c0 = m00 * minor0 - m01 * (m01 * m22 - m12 * m02) + m02 * (m01 * m12 - m11 * m02)
     return c2, c1, c0
 
 

@@ -23,7 +23,8 @@ batched eigensolver; the labels equal those of the eigenvalue rule on every
 cell. Grid work runs in fixed-size chunks of cells, so memory stays bounded
 for any grid size, with one thread per CPU the process may use. The map's
 regions are the 4-connected components that ``_label4`` finds, a union-find
-over the runs of each grid row.
+over the runs of each grid row; the CSV writes each run of equal (class,
+component) in a row with one string join.
 """
 
 from __future__ import annotations
@@ -123,27 +124,30 @@ def _certify_cells(S: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, np.ndarr
     a cell whose roots come out NaN is left uncertified.
     """
     c2, c1, c0 = _mu_cubic(S)
-    scale = np.sqrt((S * S).sum(axis=(-2, -1)))
+    flat = S.reshape(len(S), 36)
+    scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
     q = c0 - shift * (c1 - 2.0 * shift * shift)
-    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    half_q, third_p = 0.5 * q, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = 2.0 * np.sqrt(-p / 3.0)
+        m = 2.0 * np.sqrt(-third_p)
         theta = np.arccos(3.0 * q / (p * m)) / 3.0
-        mu = m[:, None] * np.cos(theta[:, None] - _THIRDS) - shift[:, None]
-        u = np.cbrt(-0.5 * q - np.copysign(np.sqrt(disc), q))
+        mu0, mu1, mu2 = (m * np.cos(theta - t) - shift for t in _THIRDS)
+        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mu1, mu2))
+        separation = np.minimum.reduce([abs(w0 - w1), abs(w1 - w2), abs(w2 - w0), w0, w1, w2])
+        u = np.cbrt(-half_q - np.copysign(np.sqrt(disc), q))
         v = -p / (3.0 * u)
-        mu_pair = (-0.5 * (u + v) - shift) + 0.5j * math.sqrt(3.0) * (u - v)
-        w = np.sqrt(np.maximum(-mu, 0.0))
-        separation = np.minimum(
-            np.abs(w - np.roll(w, 1, axis=1)).min(axis=1), w.min(axis=1)
-        )
+        # Re sqrt(x + iy) of the complex pair x +- iy; for x < 0 the sum cancels, but
+        # its error, about sqrt(eps |x|) <= 1.5e-8 scale, is far below the slack
+        x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
+        re_pair = np.sqrt(0.5 * (np.hypot(x, y) + x))
         re_lam = np.where(
             disc <= 0.0,
-            np.sqrt(np.maximum(mu.max(axis=1), 0.0)),
-            np.maximum(np.sqrt(np.maximum(u + v - shift, 0.0)), np.sqrt(mu_pair).real),
+            np.sqrt(np.maximum(np.maximum.reduce([mu0, mu1, mu2]), 0.0)),
+            np.maximum(np.sqrt(np.maximum(u + v - shift, 0.0)), re_pair),
         )
     confined = (disc <= 0.0) & (separation > tol.gap_tol(scale) + slack)
     return confined, re_lam > slack
@@ -185,7 +189,9 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
         chunk[rest] = _eig_classes(S[rest], tol)[2]
         codes[lo : lo + len(cell)] = chunk
 
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(work, range(0, n_cells, _CHUNK_CELLS)):
             pass
     return codes.reshape(len(alpha0s), n_cols)
@@ -220,16 +226,17 @@ class RegionMap:
         return self.grid.alpha0s
 
     def to_csv(self, stream: IO[str]) -> None:
-        """Rows alpha0-major ascending: header alpha,alpha0,class,component."""
+        """Rows alpha0-major ascending: header alpha,alpha0,class,component. A run
+        of equal (class, component) in a row is one join of its alpha strings."""
         stream.write("alpha,alpha0,class,component\n")
-        alphas = [f"{a:.17g}" for a in self.alphas.tolist()]
-        for alpha0, row_cls, row_comp in zip(
-            self.alpha0s.tolist(), self.classes.tolist(), self.component.tolist()
-        ):
+        alphas = [f"{a:.17g}," for a in self.alphas.tolist()]
+        for alpha0, row_cls, row_comp in zip(self.alpha0s.tolist(), self.classes, self.component):
             a0 = f"{alpha0:.17g}"
-            stream.write(
-                "".join(f"{a},{a0},{c},{k}\n" for a, c, k in zip(alphas, row_cls, row_comp))
-            )
+            change = (row_cls[1:] != row_cls[:-1]) | (row_comp[1:] != row_comp[:-1])
+            bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(alphas)]
+            for j, j_end in zip(bounds[:-1], bounds[1:]):
+                line_end = f"{a0},{row_cls[j]},{row_comp[j]}\n"
+                stream.write(line_end.join(alphas[j:j_end]) + line_end)
 
 
 def _label4(mask: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -357,10 +364,13 @@ def refine_boundary(
 
     Points are (alpha, alpha0) on the loop at omega = 1; negative coordinates
     are folded by abs. The segment is pre-scanned at _PRESCAN_STEPS equal
-    steps, in one batch, for multiple classification flips (a region sliver
-    raises MultiCrossingError; subdivide and retry). Bisection then halves
-    the bracket max(1, ceil(log2(length / tol))) times and returns the
-    midpoint of the final bracket.
+    steps, in one batch: two or more classification flips among the samples
+    raise MultiCrossingError (subdivide and retry). Crossings closer together
+    than length / _PRESCAN_STEPS go undetected, and bisection then returns
+    one of them: refine_boundary((0.3, 0.55), (0.3, 1e6)) returns the edge
+    near alpha0 = 2710.75, though the segment also crosses four edges below
+    alpha0 = 1.5. Bisection halves the bracket max(1, ceil(log2(length /
+    tol))) times and returns the midpoint of the final bracket.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")

@@ -46,6 +46,11 @@ def classical_energy(u, params, binding) -> float:
     return kinetic + potential - om * (x1 * p2 - x2 * p1)
 
 
+def flow_map(lam, t: float) -> np.ndarray:
+    """Flow map exp(Lambda t), by scaling-and-squaring."""
+    return scipy.linalg.expm(np.asarray(lam, dtype=float) * t)
+
+
 def propagate(lam, u0, t: float) -> np.ndarray:
     """Flow map u(t) = exp(Lambda t) u0, by scaling-and-squaring."""
     L = np.asarray(lam, dtype=float)
@@ -57,7 +62,7 @@ def propagate(lam, u0, t: float) -> np.ndarray:
             f"propagation over t={t} overflows (growth exponent {growth:.3e})",
             growth_exponent=growth,
         )
-    return scipy.linalg.expm(L * t) @ u0
+    return flow_map(L, t) @ u0
 
 
 @dataclass(frozen=True)

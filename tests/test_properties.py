@@ -3,13 +3,13 @@ confinement rule for the pointwise and grid classifiers and the batched scan
 predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
 rule labels them, the mu-cubic's implicit derivative equal to the
 determinant-based one and to the other two derivative routes, the ladder
-commutators of the normal-mode basis, and the geometric phases' invariance
-under a change of time unit."""
+commutators of the normal-mode basis, the geometric phases' invariance
+under a change of time unit, and the symplecticity of the oracle's flow map."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from penphase import (
@@ -24,6 +24,7 @@ from penphase import (
     normal_mode_basis,
 )
 from conftest import route_spread
+from dynamics_oracle import flow_map
 from penphase.model import _generator, build_L3_form
 from penphase.phases import FockLabel, _dmodes_implicit
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
@@ -271,3 +272,21 @@ def test_aa_phase_invariant_under_time_unit(alpha, alpha0, n, c):
         assert abs(beta_c - beta) <= 1e-9 * (1.0 + abs(beta))
     energy = c * report.quasienergy
     assert abs(scaled.quasienergy - energy) <= 1e-9 * (1.0 + abs(energy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=field,
+    # alpha0 = 3/4 is the zero-mode line: Boundary for most alpha
+    alpha0=st.one_of(field, st.just(0.75)),
+    t=st.floats(min_value=0.0, max_value=5.0),
+)
+@example(alpha=0.3, alpha0=0.55, t=5.0)  # Confined
+@example(alpha=0.3, alpha0=0.8, t=5.0)  # Unconfined
+@example(alpha=0.0, alpha0=0.0, t=5.0)  # Boundary
+def test_flow_map_is_symplectic(alpha, alpha0, t):
+    # Lambda = J S with S symmetric is Hamiltonian, so M = exp(Lambda t)
+    # keeps the symplectic form at every class of point: M^T J M = J
+    S = build_G(_loop_point(alpha, alpha0)).S
+    M = flow_map(J6 @ S, t)
+    assert np.abs(M.T @ J6 @ M - J6).max() <= 1e-9 * (1.0 + np.linalg.norm(M) ** 2)

@@ -19,6 +19,7 @@ from penphase import (
     PenningQuadrupole,
     SystemParams,
     build_G,
+    build_L3_form,
     classify,
     krein_sign,
     make_params_adiabatic,
@@ -350,16 +351,32 @@ class TestStableModes:
 
 
 class TestMuCubic:
-    @pytest.mark.parametrize("binding_cls", [PenningQuadrupole, IsotropicOscillator])
-    def test_matches_characteristic_polynomial(self, rng, binding_cls):
+    @staticmethod
+    def _assert_matches_poly(S):
+        poly = np.poly(J6 @ S)
+        c2, c1, c0 = _mu_cubic(S)
+        scale = np.abs(poly).max()
+        # odd powers of lambda vanish: the spectrum is symmetric under lambda -> -lambda
+        assert np.abs(poly[1::2]).max() <= 1e-12 * scale
+        assert np.abs(poly[::2] - [1.0, c2, c1, c0]).max() <= 1e-12 * scale
+
+    @staticmethod
+    def _generators(rng, binding_cls):
         draws = rng.uniform(0.0, 3.0, (40, 4))
         draws[:10, 3] = 0.0  # omega = 0
         draws[10:20, 3] = 1.0
         for b, b0, w0, omega in draws:
-            S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
-            poly = np.poly(J6 @ S)
-            c2, c1, c0 = _mu_cubic(S)
-            scale = np.abs(poly).max()
-            # odd powers of lambda vanish: the spectrum is symmetric under lambda -> -lambda
-            assert np.abs(poly[1::2]).max() <= 1e-12 * scale
-            assert np.abs(poly[::2] - [1.0, c2, c1, c0]).max() <= 1e-12 * scale
+            yield build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+
+    @pytest.mark.parametrize("binding_cls", [PenningQuadrupole, IsotropicOscillator])
+    def test_matches_characteristic_polynomial(self, rng, binding_cls):
+        for S in self._generators(rng, binding_cls):
+            self._assert_matches_poly(S)
+
+    @pytest.mark.parametrize("binding_cls", [PenningQuadrupole, IsotropicOscillator])
+    def test_matches_characteristic_polynomial_off_real_axis(self, rng, binding_cls):
+        # S(omega + d) = S - d S_L3 at the complex step d = i h: the analytic
+        # continuation that the implicit derivative route differentiates
+        S_L3 = build_L3_form().S
+        for S in self._generators(rng, binding_cls):
+            self._assert_matches_poly(S - 1j * 1e-3 * S_L3)

@@ -1,9 +1,11 @@
 import io
 import math
+import os
+import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -79,6 +81,20 @@ class TestSweepFig1:
     def test_origin_is_boundary(self, small_map):
         assert small_map.classes[0, 0] == "B"
 
+    def test_pool_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity is missing on macOS and Windows; there the
+        # pool is sized by os.cpu_count
+        grid = GridSpec(alpha_steps=60, alpha0_steps=60)
+        want = io.StringIO()
+        sweep_fig1(grid).to_csv(want)
+        calls = []
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 3)
+        got = io.StringIO()
+        sweep_fig1(grid).to_csv(got)
+        assert calls
+        assert got.getvalue() == want.getvalue()
+
     def test_csv_format(self, small_map):
         buf = io.StringIO()
         small_map.to_csv(buf)
@@ -123,6 +139,30 @@ def _mixed_region_map():
                     alpha0_min=0.0, alpha0_max=1.7, alpha0_steps=4)
     return RegionMap(grid=grid, classes=classes, component=component, n_components=12,
                      n_unconfined_regions=3, auto_extended=False, gap_floor=0.1)
+
+
+def _cells_map(classes, component, alphas, alpha0s):
+    """A RegionMap over the given cells; the renderers read only the sample
+    coordinates of its grid, so any one-row or one-column shape works."""
+    grid = types.SimpleNamespace(alphas=np.asarray(alphas), alpha0s=np.asarray(alpha0s))
+    return RegionMap(grid=grid, classes=np.asarray(classes), component=np.asarray(component),
+                     n_components=0, n_unconfined_regions=0, auto_extended=False, gap_floor=0.0)
+
+
+@st.composite
+def cell_maps(draw):
+    """Small maps whose Confined cells carry ids 1-3, so neighbouring
+    Confined cells often differ only in their component."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    classes = np.array(draw(st.lists(st.sampled_from("CUB"), min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+    ids = np.array(draw(st.lists(st.integers(1, 3), min_size=rows * cols,
+                                 max_size=rows * cols))).reshape(rows, cols)
+    coord = st.floats(min_value=-1e3, max_value=1e3)
+    alphas = draw(st.lists(coord, min_size=cols, max_size=cols))
+    alpha0s = draw(st.lists(coord, min_size=rows, max_size=rows))
+    component = np.where(classes == "C", ids, -1).astype(np.int32)
+    return _cells_map(classes, component, alphas, alpha0s)
 
 
 def _loop_csv(rm, stream):
@@ -212,6 +252,18 @@ class TestRendering:
         got, want = io.StringIO(), io.StringIO()
         render(rm, got)
         reference(rm, want)
+        assert got.getvalue() == want.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rm=cell_maps())
+    # one row whose Confined run breaks on the component alone
+    @example(rm=_cells_map([list("CCCUC")], [[1, 1, 2, -1, 2]], [0.0, 0.1, 0.2, 0.3, 0.4], [1.5]))
+    # one column
+    @example(rm=_cells_map([["C"], ["C"], ["B"]], [[1], [2], [-1]], [0.25], [0.0, 1.0, 2.0]))
+    def test_csv_matches_per_cell_loop_on_random_maps(self, rm):
+        got, want = io.StringIO(), io.StringIO()
+        rm.to_csv(got)
+        _loop_csv(rm, want)
         assert got.getvalue() == want.getvalue()
 
 
