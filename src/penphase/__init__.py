@@ -29,7 +29,6 @@ from .spectral import (
     ModeSpectrum,
     NormalModeBasis,
     classify,
-    krein_sign,
     normal_mode_basis,
     track_modes,
 )
@@ -68,7 +67,7 @@ __all__ = [
     "build_G", "build_L3_form",
     # spectral
     "Classification", "Mode", "ModeSpectrum", "NormalModeBasis",
-    "classify", "krein_sign", "normal_mode_basis", "track_modes",
+    "classify", "normal_mode_basis", "track_modes",
     # phases
     "FockLabel", "PhaseReport", "ResonanceShift", "quasienergy",
     "expectation_quadratic", "dmode_domega", "aa_phase", "berry_phase_adiabatic",

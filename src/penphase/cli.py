@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -188,12 +187,18 @@ def _manifest_text(command: str, args: argparse.Namespace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, render) -> None:
+    """Open `path` for text and call `render` on the open file; an OSError
+    becomes a DomainError (exit 2)."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            render(fh)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def _emit_manifest(command: str, args: argparse.Namespace) -> None:
@@ -276,13 +281,9 @@ def _cmd_phases(args) -> int:
 def _cmd_sweep_fig1(args) -> int:
     grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     rm = sweep_fig1(grid, auto_extend=args.auto_extend, gap_scale=args.gap_scale)
-    buf = io.StringIO()
-    rm.to_csv(buf)
-    _write_text(args.output, buf.getvalue())
+    _write_file(args.output, rm.to_csv)
     if args.svg:
-        svg = io.StringIO()
-        svgplot.region_map_svg(rm, svg)
-        _write_text(args.svg, svg.getvalue())
+        _write_file(args.svg, lambda fh: svgplot.region_map_svg(rm, fh))
     _emit_manifest("sweep-fig1", args)
     print(
         f"confined components: {rm.n_components}; unconfined regions: "
@@ -299,13 +300,9 @@ def _cmd_curve_fig2(args) -> int:
         raise DomainError("k grid must be finite")
     ks = np.linspace(args.k_min, args.k_max, args.points)
     table = curve_fig2(ks, binding=args.binding)
-    buf = io.StringIO()
-    table.to_csv(buf)
-    _write_text(args.output, buf.getvalue())
+    _write_file(args.output, table.to_csv)
     if args.svg:
-        svg = io.StringIO()
-        svgplot.curves_svg(table, svg)
-        _write_text(args.svg, svg.getvalue())
+        _write_file(args.svg, lambda fh: svgplot.curves_svg(table, fh))
     _emit_manifest("curve-fig2", args)
     print(f"rows: {len(table.k)}; stable pair below k = "
           f"{table.k[table.stable23][-1] if table.stable23.any() else float('nan'):g}")

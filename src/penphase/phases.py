@@ -14,7 +14,7 @@ All omega-derivatives are taken at fixed physical fields (b, b0, w0); the
 generator is affine in omega, so shifted coefficient matrices are formed
 exactly as S - delta * S_L3. ``dmode_domega`` offers the mode-frequency
 derivative by three independent routes: implicit differentiation of the
-mu-cubic, first-order perturbation with left/right eigenvectors, and
+mu-cubic, first-order perturbation over each mode's symplectic form, and
 Richardson-extrapolated finite differences.
 """
 
@@ -40,6 +40,7 @@ from .spectral import (
     ModeSpectrum,
     NormalModeBasis,
     _mu_cubic,
+    _symplectic_forms,
     classify,
     normal_mode_basis,
     track_modes,
@@ -101,16 +102,20 @@ def quasienergy(basis: NormalModeBasis, n: FockLabel) -> float:
     return float(np.sum(basis.signs * basis.freqs * (n.as_array() + 0.5)))
 
 
-def _ladder_transform(Q: np.ndarray, basis: NormalModeBasis) -> np.ndarray:
-    """Coefficient matrix of Q in the (A, A^dag) operator basis."""
+def _ladder_inverse(basis: NormalModeBasis) -> np.ndarray:
+    """Inverse of the coefficient rows C = (A, A^dag), in closed form.
+
+    The commutator normalization gives C J C^H = D = diag(-i eps, i eps), so
+    C^-1 = J C^H D^-1 with D^-1 = diag(i eps, -i eps).
+    """
     C = np.vstack([basis.coeffs, np.conj(basis.coeffs)])
-    Cinv = np.linalg.inv(C)
-    return Cinv.T @ Q @ Cinv
+    return J6 @ np.conj(C.T) * np.concatenate([1j * basis.signs, -1j * basis.signs])
 
 
 def _diagonal_coefficients(Q, basis: NormalModeBasis):
     """Per-mode coefficients (q, q0) with <Q> = sum q_i (n_i + 1/2) + q0."""
-    M = _ladder_transform(_as_matrix(Q), basis)
+    Cinv = _ladder_inverse(basis)
+    M = Cinv.T @ _as_matrix(Q) @ Cinv  # Q in the (A, A^dag) operator basis
     d12 = np.diag(M[:3, 3:])
     d21 = np.diag(M[3:, :3])
     q = 0.5 * np.real(d12 + d21)
@@ -152,20 +157,15 @@ def _confined_spectrum(S: np.ndarray, context: str) -> ModeSpectrum:
 
 
 def _dmodes_perturbative(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """First-order eigenvalue shifts via left/right eigenvectors.
+    """First-order eigenvalue shifts from the right eigenvectors alone.
 
-    dlambda_i = w_i^H (dLambda/domega) v_i / (w_i^H v_i) with
-    dLambda/domega = -J S_L3 constant.
+    The left eigenvector of a Hamiltonian matrix J S at +i*w is the transpose
+    of J conj(v), so with dLambda/domega = -J S_L3 constant the shift is
+    dw/domega = -Re(v^H S_L3 v) / Im(v^H J v), over the mode's symplectic form.
     """
-    L = J6 @ S
-    dL = -J6 @ _SL3
-    ev, VR = np.linalg.eig(L)
-    VRi = np.linalg.inv(VR)  # rows are the dual (left) eigenvectors
-    out = np.empty(len(freqs))
-    for m, w in enumerate(freqs):
-        i = int(np.argmin(np.abs(ev - 1j * w)))
-        out[m] = float((VRi[i] @ dL @ VR[:, i]).imag)
-    return out
+    ev, V = np.linalg.eig(J6 @ S)
+    V = V[:, [int(np.argmin(np.abs(ev - 1j * w))) for w in freqs]]
+    return -np.sum(np.conj(V) * (_SL3 @ V), axis=0).real / _symplectic_forms(V)
 
 
 def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:

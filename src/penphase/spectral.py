@@ -7,22 +7,22 @@ spectrum is imaginary but degenerate or contains a zero mode; Unconfined when
 any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
 land there. This eigenvalue rule (``_unconfined``/``_separated``) is the only
-confinement rule; the Krein sign of a mode guards only against a vanishing
-symplectic form Im(v^H J v), which a simple imaginary eigenvalue never has.
+confinement rule. Each stable mode's symplectic form Im(v^H J v) gives its
+Krein sign and its ladder normalisation; the form is guarded only against
+vanishing, which a simple imaginary eigenvalue's form never does.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Tuple
 
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, NumericalError
-from .model import J6, _as_matrix
+from .model import J6
 
 __all__ = [
     "Classification",
@@ -30,7 +30,6 @@ __all__ = [
     "ModeSpectrum",
     "NormalModeBasis",
     "classify",
-    "krein_sign",
     "normal_mode_basis",
     "track_modes",
 ]
@@ -119,7 +118,8 @@ def _mu_cubic(S: np.ndarray):
 
 @dataclass(frozen=True)
 class Mode:
-    """A stable normal mode: eigenvalue +i*freq of Lambda with its energy sign."""
+    """A stable normal mode: eigenvalue +i*freq of Lambda with its Krein sign,
+    the sign of the symplectic form Im(v^H J v) of its eigenvector v."""
 
     freq: float
     krein_sign: int
@@ -141,24 +141,15 @@ class ModeSpectrum:
         return np.array([m.krein_sign for m in self.modes])
 
 
-def krein_sign(v: np.ndarray, S) -> int:
-    """Energy sign of a stable mode, sign(Re(conj(v)^T S v)).
+def _symplectic_forms(V: np.ndarray) -> np.ndarray:
+    """Im(v^H J v) over the columns v of an eigenvector matrix V.
 
-    Well-defined for a simple eigenvector of J S with eigenvalue +i*freq,
-    freq > 0. The energy form equals freq * Im(conj(v)^T J v), so near a zero
-    mode it shrinks like freq^2 while the sign stays definite; the guard
-    therefore tests the symplectic form Im(conj(v)^T J v) against
-    1e-10 |v|^2 and raises DegeneracyError below it (no sign to carry).
+    For J S v = i freq v, S v = -i freq J v, so the energy form v^H S v equals
+    freq * Im(v^H J v): at freq > 0 the sign of the symplectic form is the
+    Krein sign. It is first order in the frequency near a zero mode and
+    vanishes only at a degeneracy, never for a simple imaginary eigenvalue.
     """
-    Smat = _as_matrix(S)
-    quad = np.conj(v) @ Smat @ v
-    if abs(np.imag(quad)) > 1e-10 * max(abs(quad), 1e-300):
-        raise NumericalError("mode energy form is not real; eigenvector suspect")
-    if abs(np.imag(np.conj(v) @ J6 @ v)) < 1e-10 * float(np.real(np.conj(v) @ v)):
-        raise DegeneracyError(
-            "mode symplectic form vanishes (boundary degeneracy); Krein sign undefined"
-        )
-    return 1 if np.real(quad) > 0 else -1
+    return np.sum(np.conj(V) * (J6 @ V), axis=0).imag
 
 
 def classify(lam) -> ModeSpectrum:
@@ -167,7 +158,9 @@ def classify(lam) -> ModeSpectrum:
 
     When Confined, the three positive-frequency modes are returned sorted by
     descending frequency (ties broken by Krein sign, +1 first), each with a
-    residual-checked eigenvector.
+    residual-checked eigenvector. The Krein sign is the sign of the mode's
+    symplectic form; a form below 1e-10 |v|^2 carries no sign and demotes
+    the point to Boundary (a degeneracy below the gap resolution).
     """
     L = np.asarray(lam, dtype=float)
     if L.shape != (6, 6):
@@ -183,27 +176,25 @@ def classify(lam) -> ModeSpectrum:
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
     if not _separated(ev, scale, DEFAULT_TOLERANCES):
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
-    S = -J6 @ L
-    modes = []
-    for i in np.where(ev.imag > 0)[0]:
-        freq = float(ev[i].imag)
-        v = V[:, i]
-        residual = np.linalg.norm(L @ v - 1j * freq * v)
-        if residual > 1e-9 * scale:
-            raise NumericalError(
-                f"eigenvector residual {residual:.2e} too large at freq {freq}; "
-                f"Lambda={L!r}"
-            )
-        try:
-            sign = krein_sign(v, S)
-        except DegeneracyError:
-            # vanishing symplectic form: a degeneracy below the gap
-            # resolution (safety path; a simple eigenvalue's form is nonzero)
-            return ModeSpectrum(Classification.BOUNDARY, (), ev)
-        modes.append(Mode(freq=freq, krein_sign=sign, eigvec=v))
-    modes.sort(key=lambda m: (-m.freq, -m.krein_sign))
-    if len(modes) != 3:  # pragma: no cover - excluded by the gap rule
+    positive = np.flatnonzero(ev.imag > 0)
+    if len(positive) != 3:  # pragma: no cover - excluded by the gap rule
         raise NumericalError("confined spectrum did not yield three positive modes")
+    freqs, Vp = ev.imag[positive], V[:, positive]
+    residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0)
+    i = int(np.argmax(residuals))
+    if residuals[i] > 1e-9 * scale:
+        raise NumericalError(
+            f"eigenvector residual {residuals[i]:.2e} too large at freq {freqs[i]}; "
+            f"Lambda={L!r}"
+        )
+    forms = _symplectic_forms(Vp)
+    if np.any(np.abs(forms) < 1e-10 * np.sum(np.abs(Vp) ** 2, axis=0)):
+        return ModeSpectrum(Classification.BOUNDARY, (), ev)
+    modes = sorted(
+        (Mode(freq=float(f), krein_sign=1 if s > 0 else -1, eigvec=v)
+         for f, s, v in zip(freqs, forms, Vp.T)),
+        key=lambda m: (-m.freq, -m.krein_sign),
+    )
     return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
 
 
@@ -211,9 +202,11 @@ def classify(lam) -> ModeSpectrum:
 class NormalModeBasis:
     """Ladder-operator coefficients A_i = coeffs[i] . u with signature signs.
 
-    The rows satisfy i c_i^T J conj(c_j) = signs[j] delta_ij and
-    i c_i^T J c_j = 0, which is the commutator normalization
-    [A_i, A_j^dag] = eps_j delta_ij, [A_i, A_j] = 0 under [u_a, u_b] = i J_ab.
+    The rows c_i, each -i J v_i / sqrt|Im(v_i^H J v_i)| up to a unit phase,
+    satisfy i c_i^T J conj(c_j) = signs[j] delta_ij and i c_i^T J c_j = 0,
+    which is the commutator normalization [A_i, A_j^dag] = eps_j delta_ij,
+    [A_i, A_j] = 0 under [u_a, u_b] = i J_ab; signs[i] is the sign of
+    Im(v_i^H J v_i).
     """
 
     coeffs: np.ndarray
@@ -230,26 +223,19 @@ class NormalModeBasis:
 def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     """Ladder coefficients for a confined spectrum.
 
-    Each coefficient vector is S v_i rescaled so the commutator normalization
-    holds; the deterministic phase convention makes the largest-magnitude
-    component real positive.
+    Each coefficient vector is -i J v_i scaled by 1/sqrt|Im(v_i^H J v_i)|, the
+    mode's symplectic form, so the commutator normalization holds; the
+    deterministic phase convention makes the largest-magnitude component real
+    positive. The basis needs neither S nor the frequencies: S is accepted for
+    call compatibility and not read.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
-    Smat = _as_matrix(S)
-    rows = []
-    for mode in spectrum.modes:
-        v = mode.eigvec
-        quad = float(np.real(np.conj(v) @ Smat @ v))
-        pivot = mode.freq * abs(quad)
-        if pivot < 1e-12 * (1.0 + np.linalg.norm(Smat)):
-            raise DegeneracyError("normalization pivot below tolerance (degenerate mode)")
-        c = (Smat @ v) / math.sqrt(pivot)
-        p = int(np.argmax(np.abs(c)))
-        c = c * (np.conj(c[p]) / abs(c[p]))
-        rows.append(c)
+    V = np.stack([m.eigvec for m in spectrum.modes], axis=1)
+    rows = (-1j * (J6 @ V) / np.sqrt(np.abs(_symplectic_forms(V)))).T
+    largest = rows[range(3), np.argmax(np.abs(rows), axis=1)]
     basis = NormalModeBasis(
-        coeffs=np.array(rows),
+        coeffs=rows * (np.conj(largest) / np.abs(largest))[:, None],
         signs=spectrum.krein_signs.astype(int),
         freqs=spectrum.freqs,
     )

@@ -367,10 +367,13 @@ def refine_boundary(
     steps, in one batch: two or more classification flips among the samples
     raise MultiCrossingError (subdivide and retry). Crossings closer together
     than length / _PRESCAN_STEPS go undetected, and bisection then returns
-    one of them: refine_boundary((0.3, 0.55), (0.3, 1e6)) returns the edge
-    near alpha0 = 2710.75, though the segment also crosses four edges below
-    alpha0 = 1.5. Bisection halves the bracket max(1, ceil(log2(length /
-    tol))) times and returns the midpoint of the final bracket.
+    one of them: refine_boundary((0.3, 0.55), (0.3, 1e6)) returns alpha0 =
+    2710.75, though the segment also crosses four edges below alpha0 = 1.5.
+    That point is a tolerance edge, not a physical crossing: the smallest
+    gap stays at 1.3114 while the gap tolerance 1e-7 (1 + ||Lambda||_F) grows
+    up to meet it (2710.7 is Confined, 2710.8 Boundary). Bisection halves the
+    bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
+    of the final bracket.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")

@@ -16,8 +16,9 @@ SEED = 20260810
 
 # A Confined loop point (alpha, alpha0) at omega = 1, 5e-10 below the
 # alpha0 = 3/4 zero-mode line: its slow mode has frequency 1.74e-5, 28 times
-# the zero-mode tolerance, an energy form v^H S v of -2.2e-10 (second order
-# in the frequency) and a symplectic form Im(v^H J v) of -1.3e-5.
+# the zero-mode tolerance, and a symplectic form Im(v^H J v) of -1.3e-5 (first
+# order in the frequency), which gives its Krein sign and its ladder
+# normalisation.
 SLOW_MODE_POINT = (1.4223919813286268, 0.7499999994924763)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import route_spread
+from conftest import SLOW_MODE_POINT, route_spread
 from penphase import PenningQuadrupole, cli, make_params_dimensionless
 from penphase.cli import main
 
@@ -53,6 +53,26 @@ class TestClassifyCommand:
         assert len(doc["eigenvalues"]) == 6
         assert len(doc["modes"]) == 3
 
+    @pytest.mark.parametrize("point, digest", [
+        (["--alpha", "0.12", "--alpha0", "0.55", "--w", "0.7333333333333333"],
+         "71a49d3192d435499e04576508ad2f9073fd75fc404e161bf48637c73b5d6e70"),
+        (["--k", "0.2", "--omega", "0"],
+         "68847a85877230bfbff9956e44216d5df166fba31df501b4939f5b8b2baed638"),
+        (["--k", "0.1", "--omega", "0.3"],
+         "8c7cd0aa876a23a67fade4a2aec4562dc97035bdc485a4bde70e8ced13aa78aa"),
+        (["--alpha", "1.4223919813286268", "--alpha0", "0.7499999994924763",
+          "--w", "0.9999999993233017"],
+         "62c258ca00e8823e017b7304e1630917fbfef182c72a1defa119ad380806005c"),
+        (["--k", "0.2", "--omega", "0.3", "--binding", "oscillator"],
+         "f482b0ace2008918d154d0e36bb50fe390589f498f8f6f35b2d7a106f76b0e8e"),
+        (["--k", "0.2", "--omega", "0", "--binding", "oscillator"],
+         "77f5e8bb723c186d10447957d97db4ca188b6fec9c62aef95f02a1e8f89ce837"),
+    ])
+    def test_json_output_is_pinned(self, capsys, point, digest):
+        code, out, _ = run(capsys, "classify", *point, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "classify", "--k", "-0.2", "--omega", "0")
         assert code == 2
@@ -89,16 +109,20 @@ class TestPhasesCommand:
         assert code == 4
         assert "no cyclic motions" in err
 
-    def test_slow_mode_point_has_no_ladder_basis(self, capsys):
-        # Confined, but the 1.7e-5 mode's normalization pivot is below tolerance
-        point = ["--alpha", "1.4223919813286268", "--alpha0", "0.7499999994924763",
-                 "--w", "0.9999999993233017"]
+    @pytest.mark.parametrize("label", [(0, 0, 0), (1, 0, 0), (0, 2, 1)], ids=["000", "100", "021"])
+    def test_slow_mode_point_routes_agree(self, capsys, label):
+        # Confined with a 1.7e-5 mode: the ladder basis is normalised by the
+        # symplectic form, first order in that frequency, so it exists
+        alpha, alpha0 = SLOW_MODE_POINT
+        point = ["--alpha", repr(alpha), "--alpha0", repr(alpha0), "--w", repr(4 / 3 * alpha0)]
         code, out, _ = run(capsys, "classify", *point)
         assert code == 0
         assert "classification: Confined" in out
-        code, _, err = run(capsys, "phases", *point)
-        assert code == 3
-        assert "normalization pivot below tolerance" in err
+        n = [f"--n{i}={k}" for i, k in enumerate(label, start=1)]
+        code, out, _ = run(capsys, "phases", *point, *n)
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["aa_phase_eq7"] - doc["aa_phase_eq8"]) <= 1e-6 * (1 + abs(doc["aa_phase_eq8"]))
 
 
 class TestSweepCommands:

@@ -2,9 +2,11 @@
 confinement rule for the pointwise and grid classifiers and the batched scan
 predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
 rule labels them, the mu-cubic's implicit derivative equal to the
-determinant-based one and to the other two derivative routes, the ladder
-commutators of the normal-mode basis, the geometric phases' invariance
-under a change of time unit, and the symplecticity of the oracle's flow map."""
+determinant-based one and to the other two derivative routes, the
+perturbative route equal to the dual-basis one, the ladder commutators of the
+normal-mode basis and its agreement with the energy-form coefficients, the
+geometric phases' invariance under a change of time unit, and the
+symplecticity of the oracle's flow map."""
 
 import math
 
@@ -26,7 +28,12 @@ from penphase import (
 from conftest import route_spread
 from dynamics_oracle import flow_map
 from penphase.model import _generator, build_L3_form
-from penphase.phases import FockLabel, _dmodes_implicit
+from penphase.phases import (
+    FockLabel,
+    _dmodes_implicit,
+    _dmodes_perturbative,
+    _ladder_inverse,
+)
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
 from penphase.sweep import _classify_grid, _loop_confined
 
@@ -228,6 +235,48 @@ def test_implicit_route_matches_circle_node_reference(b, b0, w0, omega, binding_
     assert route_spread(params, binding_cls(w0)) < 1e-6
 
 
+def _dual_basis_perturbative(S, freqs):
+    """The perturbative route before the symplectic form: left eigenvectors
+    as the rows of the inverse right-eigenvector matrix."""
+    ev, VR = np.linalg.eig(J6 @ S)
+    VRi = np.linalg.inv(VR)
+    dL = -J6 @ _SL3
+    idx = [int(np.argmin(np.abs(ev - 1j * w))) for w in freqs]
+    return np.array([(VRi[i] @ dL @ VR[:, i]).imag for i in idx])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=field,
+    b0=field,
+    w0=field,
+    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
+    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
+)
+def test_perturbative_route_matches_dual_basis_reference(b, b0, w0, omega, binding_cls):
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    got = _dmodes_perturbative(S, spec.freqs)
+    want = _dual_basis_perturbative(S, spec.freqs)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+def _energy_form_coeffs(spec, S):
+    """Ladder rows from the energy form, as ``normal_mode_basis`` built them
+    before the symplectic form: S v / sqrt(freq |v^H S v|), with the largest
+    component made real and positive."""
+    rows = []
+    for mode in spec.modes:
+        v = mode.eigvec
+        c = S @ v / math.sqrt(mode.freq * abs(np.real(np.conj(v) @ S @ v)))
+        p = int(np.argmax(np.abs(c)))
+        rows.append(c * np.conj(c[p]) / abs(c[p]))
+    return np.array(rows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(alpha=field, alpha0=field)
 def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
@@ -241,6 +290,16 @@ def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
     # [A_i, A_j^dag] = eps_j delta_ij and [A_i, A_j] = 0
     assert np.abs(C - np.diag(basis.signs)).max() <= 1e-9
     assert np.abs(D).max() <= 1e-9
+    want = _energy_form_coeffs(spec, S)
+    # where a row's two largest components tie (alpha = 0 is axisymmetric),
+    # rounding picks the phase pivot: compare such rows up to a unit phase
+    top2 = -np.sort(-np.abs(want), axis=1)[:, :2]
+    tied = top2[:, 1] > (1.0 - 1e-9) * top2[:, 0]
+    overlap = np.sum(np.conj(want) * basis.coeffs, axis=1)
+    want[tied] *= (overlap / np.abs(overlap))[tied, None]
+    assert np.abs(basis.coeffs - want).max() <= 1e-11 * np.abs(want).max()
+    want = np.linalg.inv(np.vstack([basis.coeffs, np.conj(basis.coeffs)]))
+    assert np.abs(_ladder_inverse(basis) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _loop_point(alpha, alpha0, c=1.0):

@@ -21,14 +21,18 @@ from penphase import (
     build_G,
     build_L3_form,
     classify,
-    krein_sign,
     make_params_adiabatic,
     normal_mode_basis,
     quasienergy,
     track_modes,
 )
 from penphase.phases import FockLabel
-from penphase.spectral import DEFAULT_TOLERANCES, _mu_cubic, _simple_imaginary
+from penphase.spectral import (
+    DEFAULT_TOLERANCES,
+    _mu_cubic,
+    _simple_imaginary,
+    _symplectic_forms,
+)
 
 
 def _spectral_propagate(L, u0, t):
@@ -109,19 +113,31 @@ class TestKreinSign:
         assert list(spec.krein_signs) == [1, 1, -1]
 
     def test_slow_mode_keeps_its_sign(self):
-        # the guard tests the symplectic form, which is first order in the
-        # frequency; the energy form is second order and falls below 1e-10 ||S||
+        # the sign is read from the symplectic form, which is first order in
+        # the frequency; the energy form is second order and falls below
+        # 1e-10 ||S||
         spec = classify(loop_lambda(*SLOW_MODE_POINT, 1.0))
         assert spec.classification is Classification.CONFINED
         assert list(spec.krein_signs) == [1, 1, -1]
         assert spec.freqs[2] == pytest.approx(1.7353e-5, rel=1e-4)
 
-    def test_degenerate_energy_form_rejected(self):
-        S = np.zeros((6, 6))
-        S[3, 3] = S[4, 4] = S[5, 5] = 1.0  # free particle: v^T S v = 0 modes exist
-        v = np.array([1.0, 0, 0, 0, 0, 0], dtype=complex)
-        with pytest.raises(DegeneracyError):
-            krein_sign(v, S)
+    def test_degenerate_symplectic_form_below_guard(self):
+        # free particle, S = diag(0, 0, 0, 1, 1, 1): the position vector is
+        # a zero mode with v^T S v = 0 and no symplectic form either
+        v = np.array([[1.0, 0, 0, 0, 0, 0]], dtype=complex).T
+        form = _symplectic_forms(v)
+        assert np.abs(form) < 1e-10 * np.sum(np.abs(v) ** 2, axis=0)
+
+    def test_sign_is_the_energy_sign(self, rng):
+        # S v = -i freq J v, so the energy form v^H S v, whose sign is the
+        # Krein sign by definition, equals freq Im(v^H J v)
+        for params in sample_confined_loop_points(rng, 5):
+            S = build_G(params).S
+            spec = classify(J6 @ S)
+            V = np.stack([m.eigvec for m in spec.modes], axis=1)
+            energy = np.real(np.sum(np.conj(V) * (S @ V), axis=0))
+            assert np.allclose(energy, spec.freqs * _symplectic_forms(V), rtol=1e-10, atol=0)
+            assert np.array_equal(np.sign(energy), spec.krein_signs)
 
 
 class TestNormalModeBasis:
