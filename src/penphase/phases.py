@@ -174,9 +174,11 @@ def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     The coefficients of ``spectral._mu_cubic`` are real polynomials in omega
     and S(omega + d) = S - d * S_L3, so one complex step d = i h gives their
     omega-derivatives exact to rounding; dw/domega = q_omega / (2 w q_mu).
+    Over a stack S of shape (..., 6, 6) with freqs of shape (..., m); a NaN
+    frequency gives a NaN derivative.
     """
     h = 1e-20
-    c2, c1, c0 = _mu_cubic(S - 1j * h * _SL3)
+    c2, c1, c0 = (c[..., None] for c in _mu_cubic(S - 1j * h * _SL3))
     mu = -freqs * freqs
     dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / h
     dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real

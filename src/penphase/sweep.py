@@ -11,17 +11,20 @@ grid resolution near their roots on the alpha = 0 axis; the pointwise
 classifier keeps its own much tighter spectral tolerances. Both apply the
 same rule from ``spectral``, the grid with its margin as ``gap_floor``.
 
-The 1-D scans (``refine_boundary``, ``find_kcr``) and the Fig. 2 curves apply
-that eigenvalue rule directly to batched eigenvalues of model generators, with
-the pointwise tolerances, and never build normal modes to decide a class.
-
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
-in mu = lambda^2, and most cells are certified Confined or Unconfined from
+in mu = lambda^2, and most points are certified Confined or Unconfined from
 the closed-form roots of that cubic, with a slack far above rounding. Only
-the cells the roots leave undecided, near region edges, go through the
-batched eigensolver; the labels equal those of the eigenvalue rule on every
-cell. Grid work runs in fixed-size chunks of cells, so memory stays bounded
-for any grid size, with one thread per CPU the process may use. The map's
+the points the roots leave undecided, near region edges, go through the
+batched eigensolver; the labels equal those of the eigenvalue rule at every
+point. ``_loop_codes`` is that one classifier of loop points, for the grid
+(with its margin as ``gap_floor``) and for the 1-D scans ``refine_boundary``
+and ``find_kcr`` (with the pointwise tolerances). The scans bisect in
+rounds: one call classifies every midpoint that up to _ROUND_DEPTH halvings
+can visit, so a scan makes two or three kernel calls, not one per halving.
+The Fig. 2 curves take their classes from one batched eigensolve and their
+derivatives from one implicit mu-cubic call; no scan builds normal modes.
+Grid work runs in fixed-size chunks of cells, so memory stays bounded for
+any grid size, with one thread per CPU the process may use. The map's
 regions are the 4-connected components that ``_label4`` finds, a union-find
 over the runs of each grid row; the CSV writes each run of equal (class,
 component) in a row with one string join.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
-from .phases import _dmodes_perturbative, cos_theta
+from .phases import _dmodes_implicit, cos_theta
 from .spectral import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -66,6 +69,9 @@ GAP_SLOPE_SCALE = 4.0
 
 #: Sample points of the flip pre-scan in ``refine_boundary``.
 _PRESCAN_STEPS = 32
+
+#: Halvings per bisection round; one round classifies up to 2^10 - 1 midpoints.
+_ROUND_DEPTH = 10
 
 #: Cells per certification chunk; one chunk peaks at about 5.4 MB of arrays.
 _CHUNK_CELLS = 8192
@@ -164,14 +170,31 @@ def _eig_classes(S: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
     return ev, scale, np.where(_unconfined(ev, scale, tol), "U", separated)
 
 
+def _loop_codes(b, b0, omega: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
+    eigenvalue rule; b and b0 broadcast to one 1-D stack of points.
+
+    Most points are certified from the closed-form mu-cubic; only the rest
+    (near region edges) go through the batched eigensolver, with the same
+    result either way.
+    """
+    b, b0 = np.broadcast_arrays(np.abs(b), np.abs(b0))
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    S = _generator(b, b0, omega, curvatures, b.shape)
+    confined, unconfined = _certify_cells(S, tol)
+    codes = np.where(unconfined, "U", "C")
+    rest = ~(confined | unconfined)
+    if rest.any():
+        codes[rest] = _eig_classes(S[rest], tol)[2]
+    return codes
+
+
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
     """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
-    Most cells are certified from the closed-form mu-cubic; only the rest
-    (near region edges) go through the batched eigensolver and the
-    eigenvalue rule of ``spectral``, with the same result either way. Cells
-    go alpha0-major in chunks of _CHUNK_CELLS, one thread per usable CPU;
-    NumPy releases the interpreter lock in the heavy calls.
+    Cells go alpha0-major through ``_loop_codes`` in chunks of _CHUNK_CELLS,
+    one thread per usable CPU; NumPy releases the interpreter lock in the
+    heavy calls.
     """
     tol = Tolerances(gap_floor=gap_floor)
     n_cols = len(alphas)
@@ -180,14 +203,9 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
 
     def work(lo):
         cell = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
-        b, b0 = alphas[cell % n_cols], alpha0s[cell // n_cols]
-        curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-        S = _generator(b, b0, 1.0, curvatures, b.shape)
-        confined, unconfined = _certify_cells(S, tol)
-        chunk = np.where(unconfined, "U", "C")
-        rest = ~(confined | unconfined)
-        chunk[rest] = _eig_classes(S[rest], tol)[2]
-        codes[lo : lo + len(cell)] = chunk
+        codes[lo : lo + len(cell)] = _loop_codes(
+            alphas[cell % n_cols], alpha0s[cell // n_cols], 1.0, tol
+        )
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -332,27 +350,50 @@ def sweep_fig1(
         extended = True
 
 
-def _loop_confined(b, b0, omega: float = 1.0):
-    """Whether loop points (|b|, |b0|), w0 = 4 |b0| / 3, are Confined by the
-    eigenvalue rule; broadcasts over arrays of b and b0."""
-    b, b0 = np.abs(b), np.abs(b0)
-    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-    S = _generator(b, b0, omega, curvatures, np.broadcast(b, b0).shape)
-    return _eig_classes(S)[2] == "C"
+def _loop_confined(b, b0, omega: float = 1.0) -> np.ndarray:
+    """Whether loop points (|b|, |b0|) are Confined, over 1-D stacks of b and b0."""
+    return _loop_codes(b, b0, omega) == "C"
 
 
-def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
+def _halvings(lo: float, hi: float, depth: int) -> np.ndarray:
+    """The 2^depth - 1 midpoints that `depth` halvings of [lo, hi] can visit, in
+    bracket order. Each is 0.5 * (a + b) of its own bracket [a, b], formed level
+    by level as a one-halving-at-a-time loop would form it."""
+    edges = np.array([lo, hi])
+    for _ in range(depth):
+        finer = np.empty(2 * len(edges) - 1)
+        finer[0::2] = edges
+        finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        edges = finer
+    return edges[1:-1]
+
+
+def _bisect(confined_at, lo: float, hi: float, length: float, tol: float, first=None):
     """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, keeping
     confined_at(lo) true, where `length` is the bracket's extent in the units
-    of `tol`; returns (lo, hi, iterations)."""
+    of `tol`; returns (lo, hi, iterations).
+
+    The halvings go in the fewest rounds of at most _ROUND_DEPTH, of near-equal
+    depth. A round calls confined_at (the first round `first`, when given) once
+    on all its ``_halvings`` midpoints, then binary-searches their flags, so lo
+    and hi are bit-identical to those of a loop that halves once per call.
+    """
     iterations = max(1, math.ceil(math.log2(length / tol)))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if confined_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi, iterations
+    left = iterations
+    for rounds in range(math.ceil(iterations / _ROUND_DEPTH), 0, -1):
+        depth = math.ceil(left / rounds)
+        mids = _halvings(lo, hi, depth)
+        flags = (first or confined_at)(mids)
+        first, step = None, 2 ** (depth - 1)
+        node = step - 1  # the middle midpoint
+        for _ in range(depth):
+            step //= 2
+            if flags[node]:
+                lo, node = mids[node], node + step
+            else:
+                hi, node = mids[node], node - step
+        left -= depth
+    return float(lo), float(hi), iterations
 
 
 def refine_boundary(
@@ -364,8 +405,8 @@ def refine_boundary(
 
     Points are (alpha, alpha0) on the loop at omega = 1; negative coordinates
     are folded by abs. The segment is pre-scanned at _PRESCAN_STEPS equal
-    steps, in one batch: two or more classification flips among the samples
-    raise MultiCrossingError (subdivide and retry). Crossings closer together
+    steps: two or more classification flips among the samples raise
+    MultiCrossingError (subdivide and retry). Crossings closer together
     than length / _PRESCAN_STEPS go undetected, and bisection then returns
     one of them: refine_boundary((0.3, 0.55), (0.3, 1e6)) returns alpha0 =
     2710.75, though the segment also crosses four edges below alpha0 = 1.5.
@@ -373,25 +414,35 @@ def refine_boundary(
     gap stays at 1.3114 while the gap tolerance 1e-7 (1 + ||Lambda||_F) grows
     up to meet it (2710.7 is Confined, 2710.8 Boundary). Bisection halves the
     bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
-    of the final bracket.
+    of the final bracket. The endpoints, the pre-scan samples and the first
+    bisection round are classified in one batch.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
     _check_range("parameters", [p0, p1])
-    if not _loop_confined(*p0):
-        raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
-    if _loop_confined(*p1):
-        raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
-    s = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
-    flips = np.count_nonzero(np.diff(_loop_confined(*(p0 + s[:, None] * (p1 - p0)).T)))
-    if flips > 1:
-        raise MultiCrossingError(
-            f"segment {tuple(p0)} -> {tuple(p1)} crosses {flips} boundaries; subdivide"
-        )
+    prescan = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
+
+    def confined_at(s):
+        return _loop_confined(*(p0 + s[:, None] * (p1 - p0)).T)
+
+    def first(mids):
+        points = np.vstack([p0, p1, p0 + np.concatenate([prescan, mids])[:, None] * (p1 - p0)])
+        confined = _loop_confined(*points.T)
+        if not confined[0]:
+            raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
+        if confined[1]:
+            raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
+        flips = np.count_nonzero(np.diff(confined[2 : _PRESCAN_STEPS + 3]))
+        if flips > 1:
+            raise MultiCrossingError(
+                f"segment {tuple(p0)} -> {tuple(p1)} crosses {flips} boundaries; subdivide"
+            )
+        return confined[_PRESCAN_STEPS + 3 :]
+
     length = float(np.linalg.norm(p1 - p0))
-    lo, hi, _ = _bisect(lambda s: _loop_confined(*(p0 + s * (p1 - p0))), 0.0, 1.0, length, tol)
+    lo, hi, _ = _bisect(confined_at, 0.0, 1.0, length, tol, first)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))
 
@@ -408,18 +459,28 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     """Critical field ratio where the slow mode pair loses stability at omega = 0.
 
     Bisection of the static loop classification over k in [0.01, 1.0]; the
-    bracket is halved max(1, ceil(log2(range / tol))) times.
+    bracket is halved max(1, ceil(log2(range / tol))) times, in the batched
+    rounds of ``_bisect``. The first round's call also checks the bracket
+    ends.
     """
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got {tol}")
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")
     lo, hi = 0.01, 1.0
-    if not _loop_confined(lo, 1.0, 0.0):
-        raise NumericalError(f"lower bracket k={lo} is not Confined")
-    if _loop_confined(hi, 1.0, 0.0):
-        raise NumericalError(f"upper bracket k={hi} is not Unconfined")
-    lo, hi, iterations = _bisect(lambda k: _loop_confined(k, 1.0, 0.0), lo, hi, hi - lo, tol)
+
+    def confined_at(k):
+        return _loop_confined(k, 1.0, 0.0)
+
+    def first(mids):
+        confined = confined_at(np.concatenate([[lo, hi], mids]))
+        if not confined[0]:
+            raise NumericalError(f"lower bracket k={lo} is not Confined")
+        if confined[1]:
+            raise NumericalError(f"upper bracket k={hi} is not Unconfined")
+        return confined[2:]
+
+    lo, hi, iterations = _bisect(confined_at, lo, hi, hi - lo, tol, first)
     return KcrResult(k_cr=0.5 * (lo + hi), bracket=(lo, hi), tol=tol, iterations=iterations)
 
 
@@ -455,7 +516,7 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
     columns are absent (never fabricated) beyond it, and dw1 follows the
     fastest mode that stays simple and purely imaginary. The oscillator
     binding keeps all three modes for every k. All k share one generator
-    stack and one batched eigensolve.
+    stack, one batched eigensolve and one implicit mu-cubic derivative.
     """
     if k_grid is None:
         ks = np.linspace(0.01, 1.0, 500)
@@ -475,12 +536,11 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
     ev, scale, codes = _eig_classes(S)
     stable23 = codes == "C"
     survivor = np.where(_simple_imaginary(ev, scale), ev.imag, 0.0).max(axis=-1)
-    dw = np.full((len(ks), 3), np.nan)
-    for i in range(len(ks)):
-        if stable23[i]:
-            # the three positive frequencies, descending
-            dw[i] = _dmodes_perturbative(S[i], np.sort(ev[i].imag)[:2:-1])
-        elif survivor[i] > 0:
-            dw[i, 0] = _dmodes_perturbative(S[i], survivor[i : i + 1])[0]
+    freqs = np.full((len(ks), 3), np.nan)
+    # the three positive frequencies, descending
+    freqs[stable23] = np.sort(ev[stable23].imag, axis=-1)[:, :2:-1]
+    alone = ~stable23 & (survivor > 0)
+    freqs[alone, 0] = survivor[alone]
+    dw = _dmodes_implicit(S, freqs)
     ct = np.array([cos_theta(k) for k in ks])
     return CurveTable(k=ks, cos_theta=ct, dw=dw, stable23=stable23)

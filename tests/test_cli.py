@@ -215,6 +215,14 @@ class TestFindKcrCommand:
         assert doc["k_cr"] == pytest.approx(0.25831, abs=5e-4)
         assert doc["bracket"][1] - doc["bracket"][0] <= doc["tol"]
 
+    def test_pinned_output(self, capsys):
+        code, out, _ = run(capsys, "find-kcr", "--tol", "1e-7")
+        assert code == 0
+        assert out == (
+            '{\n  "bracket": [\n    0.2583129024505615,\n    0.25831296145915983\n  ],\n'
+            '  "iterations": 24,\n  "k_cr": 0.25831293195486066,\n  "tol": 1e-07\n}\n'
+        )
+
     def test_underscore_alias(self, capsys):
         code, out, _ = run(capsys, "find_kcr", "--tol", "1e-5")
         assert code == 0

@@ -1,7 +1,8 @@
 """Property tests: one generator assembly for points and batches, one
 confinement rule for the pointwise and grid classifiers and the batched scan
 predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
-rule labels them, the mu-cubic's implicit derivative equal to the
+rule labels them, the batched bisection rounds equal to the
+one-halving-per-call loop, the mu-cubic's implicit derivative equal to the
 determinant-based one and to the other two derivative routes, the
 perturbative route equal to the dual-basis one, the ladder commutators of the
 normal-mode basis and its agreement with the energy-form coefficients, the
@@ -27,6 +28,7 @@ from penphase import (
 )
 from conftest import route_spread
 from dynamics_oracle import flow_map
+from penphase import sweep
 from penphase.model import _generator, build_L3_form
 from penphase.phases import (
     FockLabel,
@@ -35,7 +37,7 @@ from penphase.phases import (
     _ladder_inverse,
 )
 from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
-from penphase.sweep import _classify_grid, _loop_confined
+from penphase.sweep import _bisect, _classify_grid, _loop_confined
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 field = st.floats(min_value=0.0, max_value=3.0)
@@ -173,6 +175,79 @@ def test_loop_predicate_matches_classify(loop, ks):
     assert got.tolist() == [_classify_loop(*point, 1.0) for point in loop]
     got = _loop_confined(np.array(ks), 1.0, 0.0)
     assert got.tolist() == [_classify_loop(k, 1.0, 0.0) for k in ks]
+
+
+def test_loop_codes_fall_back_to_eig_inside_the_uncertified_band(monkeypatch):
+    # this close to the critical ratio the mu-cubic roots certify neither
+    # class, so every point goes through the eigenvalue rule
+    k = K_CR + np.array([-1e-12, -1e-13, 0.0, 1e-13, 1e-12])
+    sizes = []
+    eig_classes = sweep._eig_classes
+    monkeypatch.setattr(
+        sweep, "_eig_classes", lambda S, tol: sizes.append(len(S)) or eig_classes(S, tol)
+    )
+    codes = sweep._loop_codes(k, 1.0, 0.0)
+    assert sizes == [len(k)]
+    S = _generator(k, 1.0, 0.0, PenningQuadrupole(4.0 / 3.0).curvatures(), k.shape)
+    assert codes.tolist() == eig_classes(S)[2].tolist()
+    assert {"C", "U"} <= set(codes.tolist())  # both sides of the collision
+
+
+def _sequential_bisect(confined_at, lo, hi, length, tol):
+    """The one-halving-per-call bisection loop, over a scalar predicate: the
+    reference for the batched rounds of ``sweep._bisect``."""
+    iterations = max(1, math.ceil(math.log2(length / tol)))
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if confined_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, iterations
+
+
+@st.composite
+def predicates(draw):
+    """Scalar boolean predicates: a threshold (monotone), a bit of a seeded
+    hash of the float (no structure at all), or the sign of a sine."""
+    kind = draw(st.sampled_from(["threshold", "hash", "sine"]))
+    a = draw(st.floats(min_value=-1e3, max_value=1e3))
+    if kind == "threshold":
+        return lambda x: x < a
+    if kind == "hash":
+        seed = draw(st.integers(0, 2**32))
+        return lambda x: bool(hash((x, seed)) & 1)
+    freq = draw(st.floats(min_value=1e-3, max_value=1e9))
+    return lambda x: math.sin(freq * x + a) > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    predicate=predicates(),
+    lo=st.floats(min_value=-1e3, max_value=1e3),
+    width=st.floats(min_value=1e-9, max_value=1e3),
+    length=st.floats(min_value=1e-6, max_value=1e6),
+    halvings=st.integers(min_value=1, max_value=40),
+    spread=st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+    with_first=st.booleans(),
+)
+# find_kcr's bracket, which is not dyadic
+@example(predicate=lambda k: k < 0.2583129093, lo=0.01, width=0.99, length=0.99, halvings=24,
+         spread=1.0, with_first=True)
+def test_bisect_rounds_match_sequential_loop(predicate, lo, width, length, halvings, spread,
+                                             with_first):
+    hi = lo + width
+    tol = length * 2.0**-halvings * spread  # about `halvings` halvings
+    seen = []
+
+    def batched(xs):
+        seen.extend(xs.tolist())
+        return np.array([predicate(x) for x in xs.tolist()])
+
+    visited = []
+    want = _sequential_bisect(lambda x: visited.append(x) or predicate(x), lo, hi, length, tol)
+    assert _bisect(batched, lo, hi, length, tol, batched if with_first else None) == want
+    assert set(visited) <= set(seen)
 
 
 _SL3 = build_L3_form().S

@@ -24,7 +24,8 @@ from penphase import (
     sweep_fig1,
 )
 from conftest import SLOW_MODE_POINT
-from penphase import svgplot
+from penphase import svgplot, sweep
+from penphase.phases import _dmodes_perturbative
 from penphase.sweep import RegionMap, _classify_grid, _label4
 
 
@@ -308,6 +309,46 @@ class TestRefineBoundary:
         with pytest.raises(DomainError, match="tolerance"):
             refine_boundary((0.3, 0.55), (0.3, 0.8), tol=tol)
 
+    # Exact results of the sequential one-halving-per-call bisection: the
+    # batched rounds must reproduce them bit for bit. tol = 0.5 bisects once,
+    # the 1e6 segment 40 times (a partial last round); the last two segments
+    # are seeded perfbench ones.
+    @pytest.mark.parametrize("p0, p1, tol, want", [
+        ((0.3, 0.55), (0.3, 0.8), 1e-6, (0.3, 0.750000286102295)),
+        ((0.3, 0.55), (0.3, 0.8), 1e-12, (0.3, 0.7499999999993634)),
+        ((-0.3, -0.55), (-0.3, -0.8), 1e-9, (-0.3, -0.7499999997206033)),
+        ((0.3, 0.55), (0.3, 0.8), 0.5, (0.3, 0.7375)),
+        ((0.3, 0.55), (0.3, 1e6), 1e-6, (0.3, 2710.753478776718)),
+        ((0.9809168298166822, 2.961830530013777), (1.2247436381136185, 2.7018427827122395),
+         1e-6, (1.1042586741386504, 2.8303135385998006)),
+        ((0.5541946705032447, 0.5815936467129321), (0.6983194004446276, 0.24169361424808444),
+         1e-6, (0.6525210218434404, 0.3497033248627176)),
+    ])
+    def test_pinned_results(self, p0, p1, tol, want):
+        assert refine_boundary(p0, p1, tol=tol) == want
+
+
+class TestScanKernelCalls:
+    """Each bisection round classifies all its midpoints in one certified
+    mu-cubic call, so a scan makes a few kernel calls, not one per halving."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        sizes = []
+        certify = sweep._certify_cells
+        monkeypatch.setattr(
+            sweep, "_certify_cells", lambda S, tol: sizes.append(len(S)) or certify(S, tol)
+        )
+        return sizes
+
+    def test_refine_boundary(self, calls):
+        refine_boundary((0.3, 0.55), (0.3, 0.8), tol=1e-6)
+        assert 1 <= len(calls) <= 2
+
+    def test_find_kcr(self, calls):
+        find_kcr(tol=1e-7)
+        assert 1 <= len(calls) <= 3
+
 
 class TestFindKcr:
     def test_value_and_bracket(self):
@@ -345,6 +386,15 @@ class TestFindKcr:
         gaps = {(i, j): abs(freqs[i] - freqs[j]) for i in range(3) for j in range(i + 1, 3)}
         (i, j) = min(gaps, key=gaps.get)
         assert signs[i] * signs[j] == -1
+
+    @pytest.mark.parametrize("tol, k_cr, bracket, iterations", [
+        (1e-7, 0.25831293195486066, (0.2583129024505615, 0.25831296145915983), 24),
+        (1e-9, 0.25831290936563167, (0.258312908904627, 0.2583129098266363), 30),
+        (100, 0.2575, (0.01, 0.505), 1),
+    ])
+    def test_pinned_result(self, tol, k_cr, bracket, iterations):
+        res = find_kcr(tol=tol)
+        assert (res.k_cr, res.bracket, res.iterations) == (k_cr, bracket, iterations)
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
@@ -384,6 +434,15 @@ class TestCurveFig2:
             first = np.abs(np.diff(d))
             second = np.abs(np.diff(d, 2))
             assert np.all(second <= 10.0 * np.maximum(first[:-1], first[1:]) + 1e-12)
+
+    def test_stable_rows_match_perturbative_route(self, loop_table):
+        # one implicit mu-cubic call over the stack against a per-row
+        # eigenvector route
+        t = loop_table
+        for i in np.flatnonzero(t.stable23):
+            S = build_G(SystemParams.penning_loop(b0=1.0, b=t.k[i], omega=0.0)).S
+            want = _dmodes_perturbative(S, np.sort(np.linalg.eigvals(J6 @ S).imag)[:2:-1])
+            assert np.abs(t.dw[i] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
     def test_oscillator_columns_proportional_to_cosine(self):
         t = curve_fig2(np.linspace(0.05, 3.0, 60), binding="oscillator")
