@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -188,11 +189,20 @@ def _manifest_text(command: str, args: argparse.Namespace) -> str:
 
 
 def _write_file(path: str, render) -> None:
-    """Open `path` for text and call `render` on the open file; an OSError
-    becomes a DomainError (exit 2)."""
+    """Call `render` on a new text file next to `path`, then move it over `path`,
+    so `path` never holds a partial file. On any exception the new file is
+    removed and an existing `path` keeps its bytes; an OSError becomes a
+    DomainError (exit 2)."""
+    partial = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            render(fh)
+        fh = open(partial, "x", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                render(fh)
+            os.replace(partial, path)
+        except BaseException:
+            os.remove(partial)
+            raise
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 

@@ -203,25 +203,42 @@ def build_G(params: SystemParams, binding: BindingPotential | None = None) -> Qu
     return QuadraticForm(_generator(params.b, params.b0, params.omega, binding.curvatures()))
 
 
-def _generator(b, b0, omega, curvatures, shape=()) -> np.ndarray:
-    """Entries of S, broadcast over a stack of the given shape.
+def _generator_entries(b, b0, omega, curvatures):
+    """The nine distinct entries of S = [[K, B], [B^T, I]]: the axial vector
+    (g0, g1, g2) = (S[2, 4], S[0, 5], S[1, 3]) of the skew block B, then
+    (K00, K11, K22, K01, K02, K12).
 
-    Scalars give one 6x6 matrix; arrays of ``shape`` (e.g. the cells of a
-    grid) give ``shape + (6, 6)``, each slice bit-identical to the scalar
-    build at that point. Squares are written as products because a float's
+    This is the one place the entry formulas are written. Arguments broadcast
+    elementwise; g1, K01 and K12 vanish for the field (B, 0, B0) and come back
+    as the scalar 0.0. Squares are written as products because a float's
     ``x**2`` calls C ``pow``, which can differ from NumPy's array square in
     the last bit.
     """
     k1, k2, k3 = curvatures
+    b_sq, b0_sq = b * b, b0 * b0
+    return (-b, 0.0, omega - b0, b0_sq + k1, b0_sq + b_sq + k2, b_sq + k3, 0.0, -b * b0, 0.0)
+
+
+def _generator(b, b0, omega, curvatures, shape=()) -> np.ndarray:
+    """S scattered from ``_generator_entries``, over a stack of the given shape.
+
+    Scalars give one 6x6 matrix; arrays of ``shape`` (e.g. the cells of a
+    grid) give ``shape + (6, 6)``, each slice bit-identical to the scalar
+    build at that point.
+    """
+    g0, g1, g2, k00, k11, k22, k01, k02, k12 = _generator_entries(b, b0, omega, curvatures)
     S = np.zeros(shape + (6, 6))
-    S[..., 0, 0] = b0 * b0 + k1
-    S[..., 1, 1] = b0 * b0 + b * b + k2
-    S[..., 2, 2] = b * b + k3
-    S[..., 0, 2] = S[..., 2, 0] = -b * b0
-    S[..., 0, 4] = S[..., 4, 0] = b0 - omega
-    S[..., 1, 3] = S[..., 3, 1] = omega - b0
-    S[..., 1, 5] = S[..., 5, 1] = b
-    S[..., 2, 4] = S[..., 4, 2] = -b
+    S[..., 0, 0], S[..., 1, 1], S[..., 2, 2] = k00, k11, k22
+    S[..., 0, 1] = S[..., 1, 0] = k01
+    S[..., 0, 2] = S[..., 2, 0] = k02
+    S[..., 1, 2] = S[..., 2, 1] = k12
+    # B has rows (0, -g2, g1), (g2, 0, -g0), (-g1, g0, 0); 0.0 - g keeps a zero +0.0
+    S[..., 2, 4] = S[..., 4, 2] = g0
+    S[..., 0, 5] = S[..., 5, 0] = g1
+    S[..., 1, 3] = S[..., 3, 1] = g2
+    S[..., 1, 5] = S[..., 5, 1] = 0.0 - g0
+    S[..., 2, 3] = S[..., 3, 2] = 0.0 - g1
+    S[..., 0, 4] = S[..., 4, 0] = 0.0 - g2
     S[..., 3, 3] = S[..., 4, 4] = S[..., 5, 5] = 1.0
     return S
 

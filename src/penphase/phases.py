@@ -40,6 +40,7 @@ from .spectral import (
     ModeSpectrum,
     NormalModeBasis,
     _mu_cubic,
+    _stack_entries,
     _symplectic_forms,
     classify,
     normal_mode_basis,
@@ -178,7 +179,7 @@ def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     frequency gives a NaN derivative.
     """
     h = 1e-20
-    c2, c1, c0 = (c[..., None] for c in _mu_cubic(S - 1j * h * _SL3))
+    c2, c1, c0 = (c[..., None] for c in _mu_cubic(*_stack_entries(S - 1j * h * _SL3)))
     mu = -freqs * freqs
     dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / h
     dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real

@@ -90,24 +90,31 @@ def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
     return (np.abs(ev.real) <= tau_re) & (ev.imag > tau_gap) & (dist.min(axis=-1) > tau_gap)
 
 
-def _mu_cubic(S: np.ndarray):
-    """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
-    in mu = lambda^2, over a stack of generators S = [[K, B], [B^T, I]] with K
-    symmetric and B skew-symmetric (the form every ``model._generator`` output has).
+def _stack_entries(S: np.ndarray):
+    """The nine entries ``model._generator_entries`` gives, read off a stack of
+    generators S of shape (..., 6, 6)."""
+    return (S[..., 2, 4], S[..., 0, 5], S[..., 1, 3], S[..., 0, 0], S[..., 1, 1],
+            S[..., 2, 2], S[..., 0, 1], S[..., 0, 2], S[..., 1, 2])
 
-    With g the axial vector of B and M = K + g g^T - |g|^2 I, symmetric:
-    c2 = tr M + 4|g|^2, c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is
-    the sum of the principal 2x2 minors of M; all from the three entries of g
-    and the six distinct entries of M, each a column over the stack. Every
-    operation is a polynomial in the entries, so a complex S gives the
-    analytic continuation. Callers: ``sweep._certify_cells`` (grid cells from
-    the roots) and ``phases._dmodes_implicit`` (a complex omega-step).
+
+def _mu_cubic(g0, g1, g2, k00, k11, k22, k01, k02, k12):
+    """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
+    in mu = lambda^2, for generators S = [[K, B], [B^T, I]] with K symmetric and
+    B skew-symmetric (the form every ``model._generator`` output has), given by
+    the axial vector g of B and the six distinct entries of K, each a column
+    over the stack (the order of ``model._generator_entries``).
+
+    With M = K + g g^T - |g|^2 I, symmetric: c2 = tr M + 4|g|^2,
+    c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
+    2x2 minors of M. Every operation is a polynomial in the entries, so a
+    complex S gives the analytic continuation. Callers: ``sweep._loop_codes``
+    (from ``_generator_entries``, no stack) and ``phases._dmodes_implicit``
+    (``_stack_entries`` of its complex omega-step).
     """
-    g0, g1, g2 = S[..., 2, 4], S[..., 0, 5], S[..., 1, 3]
     g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
     gg = g00 + g11 + g22
-    m00, m11, m22 = S[..., 0, 0] + g00 - gg, S[..., 1, 1] + g11 - gg, S[..., 2, 2] + g22 - gg
-    m01, m02, m12 = S[..., 0, 1] + g0 * g1, S[..., 0, 2] + g0 * g2, S[..., 1, 2] + g1 * g2
+    m00, m11, m22 = k00 + g00 - gg, k11 + g11 - gg, k22 + g22 - gg
+    m01, m02, m12 = k01 + g0 * g1, k02 + g0 * g2, k12 + g1 * g2
     minor0, minor1, minor2 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
     gMg = g00 * m00 + g11 * m11 + g22 * m22 + 2.0 * (g0 * g1 * m01 + g0 * g2 * m02 + g1 * g2 * m12)
     c2 = m00 + m11 + m22 + 4.0 * gg
@@ -225,15 +232,19 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
 
     Each coefficient vector is -i J v_i scaled by 1/sqrt|Im(v_i^H J v_i)|, the
     mode's symplectic form, so the commutator normalization holds; the
-    deterministic phase convention makes the largest-magnitude component real
-    positive. The basis needs neither S nor the frequencies: S is accepted for
-    call compatibility and not read.
+    deterministic phase convention makes the first component within a relative
+    1e-9 of the row's largest magnitude real positive, so components that tie
+    (as at axisymmetric points) do not leave the choice to rounding. The basis
+    needs neither S nor the frequencies: S is accepted for call compatibility
+    and not read.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
     V = np.stack([m.eigvec for m in spectrum.modes], axis=1)
     rows = (-1j * (J6 @ V) / np.sqrt(np.abs(_symplectic_forms(V)))).T
-    largest = rows[range(3), np.argmax(np.abs(rows), axis=1)]
+    size = np.abs(rows)
+    pivot = np.argmax(size >= (1.0 - 1e-9) * size.max(axis=1, keepdims=True), axis=1)
+    largest = rows[range(3), pivot]
     basis = NormalModeBasis(
         coeffs=rows * (np.conj(largest) / np.abs(largest))[:, None],
         signs=spectrum.krein_signs.astype(int),

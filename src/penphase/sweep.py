@@ -13,21 +13,23 @@ same rule from ``spectral``, the grid with its margin as ``gap_floor``.
 
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most points are certified Confined or Unconfined from
-the closed-form roots of that cubic, with a slack far above rounding. Only
-the points the roots leave undecided, near region edges, go through the
-batched eigensolver; the labels equal those of the eigenvalue rule at every
-point. ``_loop_codes`` is that one classifier of loop points, for the grid
-(with its margin as ``gap_floor``) and for the 1-D scans ``refine_boundary``
-and ``find_kcr`` (with the pointwise tolerances). The scans bisect in
-rounds: one call classifies every midpoint that up to _ROUND_DEPTH halvings
-can visit, so a scan makes two or three kernel calls, not one per halving.
-The Fig. 2 curves take their classes from one batched eigensolve and their
-derivatives from one implicit mu-cubic call; no scan builds normal modes.
-Grid work runs in fixed-size chunks of cells, so memory stays bounded for
-any grid size, with one thread per CPU the process may use. The map's
-regions are the 4-connected components that ``_label4`` finds, a union-find
-over the runs of each grid row; the CSV writes each run of equal (class,
-component) in a row with one string join.
+the closed-form roots of that cubic, with a slack far above rounding. The
+cubic and the tolerance scale ||S||_F come from the generator's nine distinct
+entries (``model._generator_entries``), one column each. Only the points the
+roots leave undecided, near region edges, are built as 6x6 generators and go
+through the batched eigensolver; the labels equal those of the eigenvalue
+rule at every point. ``_loop_codes`` is that one classifier of loop points,
+for the grid (with its margin as ``gap_floor``) and for the 1-D scans
+``refine_boundary`` and ``find_kcr`` (with the pointwise tolerances). The
+scans bisect in rounds: one call classifies every midpoint that up to
+_ROUND_DEPTH halvings can visit, so a scan makes two or three kernel calls,
+not one per halving. The Fig. 2 curves take their classes from one batched
+eigensolve and their derivatives from one implicit mu-cubic call; no scan
+builds normal modes. Grid work runs in fixed-size chunks of cells, so memory
+stays bounded for any grid size, with one thread per CPU the process may
+use. The map's regions are the 4-connected components that ``_label4``
+finds, a union-find over the runs of each grid row; the CSV writes each run
+of equal (class, component) in a row with one string join.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
+from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator, _generator_entries
 from .phases import _dmodes_implicit, cos_theta
 from .spectral import (
     DEFAULT_TOLERANCES,
@@ -73,7 +75,7 @@ _PRESCAN_STEPS = 32
 #: Halvings per bisection round; one round classifies up to 2^10 - 1 midpoints.
 _ROUND_DEPTH = 10
 
-#: Cells per certification chunk; one chunk peaks at about 5.4 MB of arrays.
+#: Cells per certification chunk; one chunk peaks at about 2.5 MB of arrays.
 _CHUNK_CELLS = 8192
 
 #: Phase offsets 0, 2 pi/3, 4 pi/3 of the trigonometric cubic roots.
@@ -117,9 +119,20 @@ class GridSpec:
         )
 
 
-def _certify_cells(S: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
+def _frobenius(g0, g1, g2, k00, k11, k22, k01, k02, k12):
+    """||S||_F of S = [[K, B], [B^T, I]] from its nine entries (the order of
+    ``model._generator_entries``): ||S||_F^2 = sum K_ii^2 + 2 sum_{i<j} K_ij^2
+    + 4 |g|^2 + 3, as ||B||_F^2 = 2 |g|^2."""
+    return np.sqrt(
+        k00 * k00 + k11 * k11 + k22 * k22 + 2.0 * (k01 * k01 + k02 * k02 + k12 * k12)
+        + 4.0 * (g0 * g0 + g1 * g1 + g2 * g2) + 3.0
+    )
+
+
+def _certify_cells(c2, c1, c0, scale, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
     """Masks (confined, unconfined) of the cells the mu-cubic decides without eig,
-    over a stack S of shape (n, 6, 6).
+    from 1-D columns of its coefficients (``_mu_cubic``) and of the cells'
+    ||S||_F, which equals the eigenvalue rule's scale ||Lambda||_F.
 
     The roots mu = lambda^2 come in closed form: trigonometric when all three
     are real, Cardano's otherwise. A cell is certified Confined when all three
@@ -129,9 +142,6 @@ def _certify_cells(S: np.ndarray, tol: Tolerances) -> Tuple[np.ndarray, np.ndarr
     so a certified cell gets the class the eigenvalue rule would give it;
     a cell whose roots come out NaN is left uncertified.
     """
-    c2, c1, c0 = _mu_cubic(S)
-    flat = S.reshape(len(S), 36)
-    scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
@@ -174,18 +184,19 @@ def _loop_codes(b, b0, omega: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np
     """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
     eigenvalue rule; b and b0 broadcast to one 1-D stack of points.
 
-    Most points are certified from the closed-form mu-cubic; only the rest
-    (near region edges) go through the batched eigensolver, with the same
-    result either way.
+    Most points are certified from the closed-form mu-cubic of the generator's
+    nine entries; only the rest (near region edges) get a 6x6 stack and go
+    through the batched eigensolver, with the same result either way.
     """
     b, b0 = np.broadcast_arrays(np.abs(b), np.abs(b0))
-    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-    S = _generator(b, b0, omega, curvatures, b.shape)
-    confined, unconfined = _certify_cells(S, tol)
+    entries = _generator_entries(b, b0, omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures())
+    confined, unconfined = _certify_cells(*_mu_cubic(*entries), _frobenius(*entries), tol)
     codes = np.where(unconfined, "U", "C")
     rest = ~(confined | unconfined)
     if rest.any():
-        codes[rest] = _eig_classes(S[rest], tol)[2]
+        b, b0 = b[rest], b0[rest]
+        curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+        codes[rest] = _eig_classes(_generator(b, b0, omega, curvatures, b.shape), tol)[2]
     return codes
 
 

@@ -171,6 +171,15 @@ class TestSweepCommands:
             "7281fd62754eef4ccc5a677973a8572864b0e19837aaa7054ac701ba1ea87351"
         )
 
+    @pytest.mark.parametrize("binding, digest", [
+        ("penning", "7b25f72d3a086d377b302e523469789de457b4c7cb1bf8c09f9d8f3ccfb185cd"),
+        ("oscillator", "7953ac85b63a780814a488a4d7681785a90ae48e27611c401daf2b8c4b250e88"),
+    ])
+    def test_default_fig2_csv_is_pinned(self, capsys, tmp_path, binding, digest):
+        csv = tmp_path / "fig2.csv"
+        assert run(capsys, "curve-fig2", "--binding", binding, "-o", str(csv))[0] == 0
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
+
     def test_fig2_outputs(self, capsys, tmp_path):
         out_csv = tmp_path / "fig2.csv"
         out_svg = tmp_path / "fig2.svg"
@@ -279,6 +288,35 @@ class TestNonFiniteInput:
         assert code == 2
         assert f"error: {what} must be finite" in err
         assert out == "" and not out_path.exists()
+
+
+class TestWriteFile:
+    def test_failed_render_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,bytes\n")
+
+        def render(fh):
+            fh.write("half a new file")
+            raise RuntimeError("render failed")
+
+        with pytest.raises(RuntimeError, match="render failed"):
+            cli._write_file(str(path), render)
+        assert path.read_bytes() == b"old,bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_render_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old,bytes\n")
+        cli._write_file(str(path), lambda fh: fh.write("new\n"))
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_unwritable_path_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "fig2.csv"
+        code, _, err = run(capsys, "curve-fig2", "--points", "5", "-o", str(out))
+        assert code == 2
+        assert "cannot write" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 _COMMANDS = ("classify", "phases", "sweep-fig1", "curve-fig2", "find-kcr", "resonance")

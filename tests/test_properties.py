@@ -1,17 +1,21 @@
-"""Property tests: one generator assembly for points and batches, one
-confinement rule for the pointwise and grid classifiers and the batched scan
-predicate, grid cells certified from the mu-cubic labelled as the eigenvalue
-rule labels them, the batched bisection rounds equal to the
-one-halving-per-call loop, the mu-cubic's implicit derivative equal to the
-determinant-based one and to the other two derivative routes, the
-perturbative route equal to the dual-basis one, the ladder commutators of the
-normal-mode basis and its agreement with the energy-form coefficients, the
-geometric phases' invariance under a change of time unit, and the
-symplecticity of the oracle's flow map."""
+"""Property tests: one generator assembly for points and batches, the
+mu-cubic and norm from the generator's nine entries equal to those read off
+its 6x6 stack, one confinement rule for the pointwise and grid classifiers
+and the batched scan predicate, grid cells certified from the mu-cubic
+labelled as the eigenvalue rule labels them, the batched bisection rounds
+equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
+equal to the determinant-based one and to the other two derivative routes,
+the perturbative route equal to the dual-basis one, the ladder commutators of
+the normal-mode basis, its agreement with the energy-form coefficients and its
+phase convention's indifference to eigenvector phases, the geometric phases'
+invariance under a change of time unit, and the symplecticity of the oracle's
+flow map."""
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,14 +33,21 @@ from penphase import (
 from conftest import route_spread
 from dynamics_oracle import flow_map
 from penphase import sweep
-from penphase.model import _generator, build_L3_form
+from penphase.model import _generator, _generator_entries, build_L3_form
 from penphase.phases import (
     FockLabel,
     _dmodes_implicit,
     _dmodes_perturbative,
     _ladder_inverse,
 )
-from penphase.spectral import DEFAULT_TOLERANCES, Tolerances, _separated, _unconfined
+from penphase.spectral import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    _mu_cubic,
+    _separated,
+    _stack_entries,
+    _unconfined,
+)
 from penphase.sweep import _bisect, _classify_grid, _loop_confined
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -59,6 +70,30 @@ def test_broadcast_generator_matches_build_G(points, seed, binding_cls):
     for i, (bi, b0i, w0i, omegai) in enumerate(table.tolist()):
         params = SystemParams(b=bi, b0=b0i, w0=w0i, omega=omegai)
         assert np.array_equal(stack[i], build_G(params, binding_cls(w0i)).S)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(frequency, frequency, frequency, frequency), max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
+)
+def test_entries_give_the_stack_mu_cubic_and_norm(points, seed, binding_cls):
+    # b = 0, b0 = 0 and omega = b0 make the entries' zeros and cancellations
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(0.0, 10.0, (128, 4))
+    uniform[:16, 0] = 0.0
+    uniform[16:32, 1] = 0.0
+    uniform[32:48, 3] = uniform[32:48, 1]
+    table = np.vstack([np.reshape(points, (-1, 4)), uniform])
+    b, b0, w0, omega = table.T
+    entries = _generator_entries(b, b0, omega, binding_cls(w0).curvatures())
+    S = _generator(b, b0, omega, binding_cls(w0).curvatures(), b.shape)
+    for got, want in zip(_mu_cubic(*entries), _mu_cubic(*_stack_entries(S))):
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+    norm = np.linalg.norm(S, axis=(-2, -1))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(sweep._frobenius(*entries) - norm) <= 4.0 * eps * (1.0 + norm))
 
 
 def _expected_cell(alpha, alpha0, gap_floor):
@@ -191,6 +226,41 @@ def test_loop_codes_fall_back_to_eig_inside_the_uncertified_band(monkeypatch):
     S = _generator(k, 1.0, 0.0, PenningQuadrupole(4.0 / 3.0).curvatures(), k.shape)
     assert codes.tolist() == eig_classes(S)[2].tolist()
     assert {"C", "U"} <= set(codes.tolist())  # both sides of the collision
+
+
+@pytest.fixture
+def kernel_counts(monkeypatch):
+    """Rows of every 6x6 stack ``_loop_codes`` builds, and the points each of
+    its certificates leaves undecided."""
+    rows, uncertified = [], []
+    generator, certify = sweep._generator, sweep._certify_cells
+
+    def counted_generator(*args):
+        S = generator(*args)
+        rows.append(len(S))
+        return S
+
+    def counted_certify(*args):
+        confined, unconfined = certify(*args)
+        uncertified.append(int(np.count_nonzero(~(confined | unconfined))))
+        return confined, unconfined
+
+    monkeypatch.setattr(sweep, "_generator", counted_generator)
+    monkeypatch.setattr(sweep, "_certify_cells", counted_certify)
+    return rows, uncertified
+
+
+def test_loop_codes_stack_only_the_uncertified_points(kernel_counts):
+    rows, uncertified = kernel_counts
+    k = np.concatenate([np.linspace(0.05, 0.5, 40), K_CR + np.array([-1e-13, 0.0, 1e-13])])
+    sweep._loop_codes(k, 1.0, 0.0)
+    assert uncertified[0] >= 3
+    assert rows == uncertified
+    rows.clear()
+    uncertified.clear()
+    sweep._loop_codes(np.linspace(0.05, 0.2, 100), 1.0, 0.0)
+    assert uncertified == [0]
+    assert rows == []
 
 
 def _sequential_bisect(confined_at, lo, hi, length, tol):
@@ -375,6 +445,28 @@ def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
     assert np.abs(basis.coeffs - want).max() <= 1e-11 * np.abs(want).max()
     want = np.linalg.inv(np.vstack([basis.coeffs, np.conj(basis.coeffs)]))
     assert np.abs(_ladder_inverse(basis) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha0=field, seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(alpha0=2.0, seed=0)
+@example(alpha0=1.3, seed=1)
+@example(alpha0=0.4, seed=2)
+def test_normal_mode_basis_ignores_eigenvector_phases(alpha0, seed):
+    # at alpha = 0 (axisymmetric) two components of a row tie in magnitude;
+    # the phase pivot must not let rounding choose between them
+    S = build_G(SystemParams.penning_loop(b0=alpha0, b=0.0, omega=1.0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    turns = np.exp(2j * np.pi * np.random.default_rng(seed).uniform(size=3))
+    turned = dataclasses.replace(spec, modes=tuple(
+        dataclasses.replace(mode, eigvec=mode.eigvec * turn)
+        for mode, turn in zip(spec.modes, turns)
+    ))
+    want = normal_mode_basis(spec, S).coeffs
+    assert np.abs(normal_mode_basis(turned, S).coeffs - want).max() <= 1e-12
 
 
 def _loop_point(alpha, alpha0, c=1.0):

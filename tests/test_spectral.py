@@ -31,6 +31,7 @@ from penphase.spectral import (
     DEFAULT_TOLERANCES,
     _mu_cubic,
     _simple_imaginary,
+    _stack_entries,
     _symplectic_forms,
 )
 
@@ -370,7 +371,7 @@ class TestMuCubic:
     @staticmethod
     def _assert_matches_poly(S):
         poly = np.poly(J6 @ S)
-        c2, c1, c0 = _mu_cubic(S)
+        c2, c1, c0 = _mu_cubic(*_stack_entries(S))
         scale = np.abs(poly).max()
         # odd powers of lambda vanish: the spectrum is symmetric under lambda -> -lambda
         assert np.abs(poly[1::2]).max() <= 1e-12 * scale

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import tracemalloc
 import types
 
 import numpy as np
@@ -26,6 +27,7 @@ from penphase import (
 from conftest import SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
+from penphase.spectral import Tolerances
 from penphase.sweep import RegionMap, _classify_grid, _label4
 
 
@@ -337,7 +339,9 @@ class TestScanKernelCalls:
         sizes = []
         certify = sweep._certify_cells
         monkeypatch.setattr(
-            sweep, "_certify_cells", lambda S, tol: sizes.append(len(S)) or certify(S, tol)
+            sweep,
+            "_certify_cells",
+            lambda c2, c1, c0, scale, tol: sizes.append(len(c2)) or certify(c2, c1, c0, scale, tol),
         )
         return sizes
 
@@ -348,6 +352,23 @@ class TestScanKernelCalls:
     def test_find_kcr(self, calls):
         find_kcr(tol=1e-7)
         assert 1 <= len(calls) <= 3
+
+
+def test_loop_codes_chunk_memory_per_cell():
+    # the certificate works from the generator's nine entries: no 6x6 stack
+    # (288 B per cell) for the cells it decides
+    grid = GridSpec()
+    cell = np.arange(sweep._CHUNK_CELLS)
+    n_cols = len(grid.alphas)
+    alphas, alpha0s = grid.alphas[cell % n_cols], grid.alpha0s[cell // n_cols]
+    tol = Tolerances(gap_floor=sweep.GAP_SLOPE_SCALE * grid.max_step)
+    tracemalloc.start()
+    try:
+        sweep._loop_codes(alphas, alpha0s, 1.0, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 450 * len(cell)
 
 
 class TestFindKcr:
