@@ -2,13 +2,14 @@
 derivatives with respect to the rotation frequency.
 
 Two independent routes to the geometric phase of a cyclic state are
-implemented: 2*pi times the expectation of the axial angular momentum, and
--2*pi times the omega-derivative of the quasienergy at fixed fields. Their
-agreement (a Hellmann-Feynman identity for the rotating-frame generator) is
-enforced as a runtime invariant. The derivative route differentiates the
-closed-form mu-cubic (the characteristic polynomial of the Hamiltonian
-Lambda = J S in mu = lambda^2) implicitly and reads no eigenvectors, so it
-checks the eigenvector-built <L3> route independently.
+implemented: eq. 7, 2*pi <L3>, from one quadratic form per mode read off the
+ladder basis (the weight Re(v^H S_L3 v) / |Im(v^H J v)| is -eps times the
+perturbative derivative), and eq. 8, -2*pi times the omega-derivative of the
+quasienergy at fixed fields. Their agreement (a Hellmann-Feynman identity for
+the rotating-frame generator) is enforced as a runtime invariant. The
+derivative route differentiates the closed-form mu-cubic (the characteristic
+polynomial of Lambda = J S in mu = lambda^2) implicitly and reads no
+eigenvectors, so it checks the <L3> route independently.
 
 All omega-derivatives are taken at fixed physical fields (b, b0, w0); the
 generator is affine in omega, so shifted coefficient matrices are formed
@@ -39,9 +40,9 @@ from .spectral import (
     Classification,
     ModeSpectrum,
     NormalModeBasis,
+    _forms,
     _mu_cubic,
     _stack_entries,
-    _symplectic_forms,
     classify,
     normal_mode_basis,
     track_modes,
@@ -103,39 +104,21 @@ def quasienergy(basis: NormalModeBasis, n: FockLabel) -> float:
     return float(np.sum(basis.signs * basis.freqs * (n.as_array() + 0.5)))
 
 
-def _ladder_inverse(basis: NormalModeBasis) -> np.ndarray:
-    """Inverse of the coefficient rows C = (A, A^dag), in closed form.
-
-    The commutator normalization gives C J C^H = D = diag(-i eps, i eps), so
-    C^-1 = J C^H D^-1 with D^-1 = diag(i eps, -i eps).
-    """
-    C = np.vstack([basis.coeffs, np.conj(basis.coeffs)])
-    return J6 @ np.conj(C.T) * np.concatenate([1j * basis.signs, -1j * basis.signs])
-
-
-def _diagonal_coefficients(Q, basis: NormalModeBasis):
-    """Per-mode coefficients (q, q0) with <Q> = sum q_i (n_i + 1/2) + q0."""
-    Cinv = _ladder_inverse(basis)
-    M = Cinv.T @ _as_matrix(Q) @ Cinv  # Q in the (A, A^dag) operator basis
-    d12 = np.diag(M[:3, 3:])
-    d21 = np.diag(M[3:, :3])
-    q = 0.5 * np.real(d12 + d21)
-    q0 = float(np.sum(basis.signs * np.real(d12 - d21)) / 4.0)
-    return q, q0
-
-
-def _expectation(coefficients, n: FockLabel) -> float:
-    q, q0 = coefficients
-    return float(np.sum(q * (n.as_array() + 0.5)) + q0)
+def _mode_weights(Q, basis: NormalModeBasis) -> np.ndarray:
+    """Per-mode weights q_i = Re((J c_i)^H Q (J c_i)) of (1/2) u^T Q u, read off
+    the ladder rows c_i; equal to Re(v_i^H Q v_i) / |Im(v_i^H J v_i)|."""
+    return _forms(_as_matrix(Q), J6 @ basis.coeffs.T).real
 
 
 def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
     """Expectation of a quadratic observable (1/2) u^T Q u in state |n1 n2 n3>.
 
-    Exact for any symmetric Q: only the number-conserving ladder products
-    survive the diagonal expectation.
+    <Q> = sum_i q_i (n_i + 1/2), q_i = Re(w_i^H Q w_i) with w_i = J c_i for the
+    ladder rows c_i. Exact for any symmetric Q: u = sum_i i eps_i (conj(w_i) A_i
+    - w_i A_i^dag), only A_i A_i^dag and A_i^dag A_i survive the diagonal
+    expectation, and for either Krein sign they sum to q_i (n_i + 1/2).
     """
-    return _expectation(_diagonal_coefficients(Q, basis), n)
+    return float(np.sum(_mode_weights(Q, basis) * (n.as_array() + 0.5)))
 
 
 def cos_theta(k: float) -> float:
@@ -166,7 +149,7 @@ def _dmodes_perturbative(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """
     ev, V = np.linalg.eig(J6 @ S)
     V = V[:, [int(np.argmin(np.abs(ev - 1j * w))) for w in freqs]]
-    return -np.sum(np.conj(V) * (_SL3 @ V), axis=0).real / _symplectic_forms(V)
+    return -_forms(_SL3, V).real / _forms(J6, V).imag
 
 
 def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -234,17 +217,21 @@ def _assemble_report(
     basis: NormalModeBasis,
     n: FockLabel,
     dfreq: np.ndarray,
-    eq7: Optional[float],
+    l3: Optional[np.ndarray] = None,
 ) -> PhaseReport:
-    energy = quasienergy(basis, n)
-    eq8 = -2.0 * math.pi * float(np.sum(basis.signs * (n.as_array() + 0.5) * dfreq))
+    """Report for label n: eq8 from the mu-cubic derivatives dfreq and, when the
+    per-mode L3 weights l3 are given, eq7 = 2 pi sum l3_i (n_i + 1/2), checked
+    against eq8."""
+    occupation = n.as_array() + 0.5
+    eq8 = -2.0 * math.pi * float(np.sum(basis.signs * occupation * dfreq))
+    eq7 = None if l3 is None else 2.0 * math.pi * float(np.sum(l3 * occupation))
     if eq7 is not None and abs(eq7 - eq8) > 1e-6 * (1.0 + abs(eq8)):
         raise NumericalError(
             f"geometric-phase routes disagree: <L3> route {eq7:.12g} vs "
             f"derivative route {eq8:.12g}"
         )
     return PhaseReport(
-        quasienergy=energy,
+        quasienergy=quasienergy(basis, n),
         aa_phase_eq7=eq7,
         aa_phase_eq8=eq8,
         dfreq_domega=tuple(float(d) for d in dfreq),
@@ -253,31 +240,26 @@ def _assemble_report(
 
 def _cyclic_data(params: SystemParams, binding: BindingPotential):
     """Generator, spectrum, ladder basis, mode-frequency derivatives and the
-    ladder coefficients of L3, shared by every Fock label at one rotating point."""
+    per-mode L3 weights, shared by every Fock label at one rotating point."""
     if params.omega <= 0:
         raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
     S = build_G(params, binding).S
     spec = _confined_spectrum(S, f"parameter point {params}")
     basis = normal_mode_basis(spec, S)
     dfreq = _dmodes_implicit(S, spec.freqs)
-    return S, spec, basis, dfreq, _diagonal_coefficients(_SL3, basis)
-
-
-def _cyclic_report(basis, n: FockLabel, dfreq, l3) -> PhaseReport:
-    eq7 = 2.0 * math.pi * _expectation(l3, n)
-    return _assemble_report(basis, n, dfreq, eq7)
+    return S, spec, basis, dfreq, _mode_weights(_SL3, basis)
 
 
 def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> PhaseReport:
     """Geometric phase of the cyclic state |n1 n2 n3> at rotation frequency omega > 0.
 
-    Both routes are computed: 2*pi <L3> through the ladder-basis expectation,
-    and -2*pi sum eps_i (n_i + 1/2) d(freq_i)/d(omega) from the derivative of
-    the quasienergy; their consistency is enforced. Valid at any rotation
-    speed, not only adiabatically.
+    Both routes are computed: eq. 7, 2*pi sum l3_i (n_i + 1/2) with the
+    per-mode L3 weight l3_i = Re(v_i^H S_L3 v_i) / |Im(v_i^H J v_i)|, and eq. 8,
+    -2*pi sum eps_i (n_i + 1/2) d(freq_i)/d(omega) from the mu-cubic; their
+    consistency is enforced. Valid at any rotation speed, not only adiabatically.
     """
     _, _, basis, dfreq, l3 = _cyclic_data(params, binding)
-    return _cyclic_report(basis, n, dfreq, l3)
+    return _assemble_report(basis, n, dfreq, l3)
 
 
 def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> PhaseReport:
@@ -294,7 +276,7 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
     S = build_G(params, binding).S
     spec = _confined_spectrum(S, f"static point k={k}")
     basis = normal_mode_basis(spec, S)
-    return _assemble_report(basis, n, _dmodes_implicit(S, spec.freqs), eq7=None)
+    return _assemble_report(basis, n, _dmodes_implicit(S, spec.freqs))
 
 
 @dataclass(frozen=True)
@@ -324,14 +306,14 @@ def resonance_shift(
     """Shift of the resonance peak omega_p = E_n - E_n' under a small rotation change.
 
     Both labels share one classification, ladder basis, set of mode-frequency
-    derivatives and set of L3 ladder coefficients; each label's report still
+    derivatives and set of per-mode L3 weights; each label's report still
     enforces eq7 = eq8.
     """
     if not math.isfinite(delta_omega):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
     S, spec, basis, dfreq, l3 = _cyclic_data(params, binding)
-    report_n = _cyclic_report(basis, n, dfreq, l3)
-    report_np = _cyclic_report(basis, n_prime, dfreq, l3)
+    report_n = _assemble_report(basis, n, dfreq, l3)
+    report_np = _assemble_report(basis, n_prime, dfreq, l3)
     omega_p = report_n.quasienergy - report_np.quasienergy
     beta_n = report_n.aa_phase_eq8
     beta_np = report_np.aa_phase_eq8

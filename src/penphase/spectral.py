@@ -7,9 +7,9 @@ spectrum is imaginary but degenerate or contains a zero mode; Unconfined when
 any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
 land there. This eigenvalue rule (``_unconfined``/``_separated``) is the only
-confinement rule. Each stable mode's symplectic form Im(v^H J v) gives its
-Krein sign and its ladder normalisation; the form is guarded only against
-vanishing, which a simple imaginary eigenvalue's form never does.
+confinement rule. Each stable mode's symplectic form Im(v^H J v) (``_forms``)
+gives its Krein sign and its ladder normalisation; the form is guarded only
+against vanishing, which a simple imaginary eigenvalue's form never does.
 """
 
 from __future__ import annotations
@@ -148,15 +148,16 @@ class ModeSpectrum:
         return np.array([m.krein_sign for m in self.modes])
 
 
-def _symplectic_forms(V: np.ndarray) -> np.ndarray:
-    """Im(v^H J v) over the columns v of an eigenvector matrix V.
+def _forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v^H M v over the columns v of V.
 
-    For J S v = i freq v, S v = -i freq J v, so the energy form v^H S v equals
+    With M = J the imaginary part is the symplectic form Im(v^H J v). For
+    J S v = i freq v, S v = -i freq J v, so the energy form v^H S v equals
     freq * Im(v^H J v): at freq > 0 the sign of the symplectic form is the
     Krein sign. It is first order in the frequency near a zero mode and
     vanishes only at a degeneracy, never for a simple imaginary eigenvalue.
     """
-    return np.sum(np.conj(V) * (J6 @ V), axis=0).imag
+    return np.sum(np.conj(V) * (M @ V), axis=0)
 
 
 def classify(lam) -> ModeSpectrum:
@@ -194,7 +195,7 @@ def classify(lam) -> ModeSpectrum:
             f"eigenvector residual {residuals[i]:.2e} too large at freq {freqs[i]}; "
             f"Lambda={L!r}"
         )
-    forms = _symplectic_forms(Vp)
+    forms = _forms(J6, Vp).imag
     if np.any(np.abs(forms) < 1e-10 * np.sum(np.abs(Vp) ** 2, axis=0)):
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
     modes = sorted(
@@ -213,7 +214,8 @@ class NormalModeBasis:
     satisfy i c_i^T J conj(c_j) = signs[j] delta_ij and i c_i^T J c_j = 0,
     which is the commutator normalization [A_i, A_j^dag] = eps_j delta_ij,
     [A_i, A_j] = 0 under [u_a, u_b] = i J_ab; signs[i] is the sign of
-    Im(v_i^H J v_i).
+    Im(v_i^H J v_i). J c_i = i v_i / sqrt|Im(v_i^H J v_i)| up to that phase is
+    the vector each mode's quadratic form is read from (``expectation_quadratic``).
     """
 
     coeffs: np.ndarray
@@ -236,12 +238,14 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     1e-9 of the row's largest magnitude real positive, so components that tie
     (as at axisymmetric points) do not leave the choice to rounding. The basis
     needs neither S nor the frequencies: S is accepted for call compatibility
-    and not read.
+    and not read. A commutator entry off by more than 1e-9 raises NumericalError
+    naming its modes (1-based, as in the Fock label), their forms and |v_i^H J v_j|.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
     V = np.stack([m.eigvec for m in spectrum.modes], axis=1)
-    rows = (-1j * (J6 @ V) / np.sqrt(np.abs(_symplectic_forms(V)))).T
+    forms = _forms(J6, V).imag
+    rows = (-1j * (J6 @ V) / np.sqrt(np.abs(forms))).T
     size = np.abs(rows)
     pivot = np.argmax(size >= (1.0 - 1e-9) * size.max(axis=1, keepdims=True), axis=1)
     largest = rows[range(3), pivot]
@@ -251,9 +255,16 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
         freqs=spectrum.freqs,
     )
     C, D = basis.ladder_commutators()
-    err = max(np.abs(C - np.diag(basis.signs)).max(), np.abs(D).max())
+    dev = np.maximum(np.abs(C - np.diag(basis.signs)), np.abs(D))
+    err = dev.max()
     if err > 1e-9:
-        raise NumericalError(f"ladder commutator normalization failed (err={err:.2e})")
+        i, j = sorted(np.unravel_index(np.argmax(dev), dev.shape))
+        cross = abs(np.conj(V[:, i]) @ J6 @ V[:, j])
+        raise NumericalError(
+            f"ladder commutator normalization failed (err={err:.2e}) at modes "
+            f"{i + 1} and {j + 1}: symplectic forms {forms[i]:.3g} and {forms[j]:.3g}, "
+            f"cross form {cross:.3g}"
+        )
     return basis
 
 

@@ -433,6 +433,9 @@ def refine_boundary(
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
     _check_range("parameters", [p0, p1])
+    length = float(np.linalg.norm(p1 - p0))
+    if length == 0.0:
+        raise DomainError(f"segment {p0.tolist()} -> {p1.tolist()} has zero length")
     prescan = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
 
     def confined_at(s):
@@ -442,17 +445,16 @@ def refine_boundary(
         points = np.vstack([p0, p1, p0 + np.concatenate([prescan, mids])[:, None] * (p1 - p0)])
         confined = _loop_confined(*points.T)
         if not confined[0]:
-            raise DomainError(f"first endpoint {tuple(p0)} is not Confined")
+            raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
         if confined[1]:
-            raise DomainError(f"second endpoint {tuple(p1)} is not Unconfined/Boundary")
+            raise DomainError(f"second endpoint {p1.tolist()} is not Unconfined/Boundary")
         flips = np.count_nonzero(np.diff(confined[2 : _PRESCAN_STEPS + 3]))
         if flips > 1:
             raise MultiCrossingError(
-                f"segment {tuple(p0)} -> {tuple(p1)} crosses {flips} boundaries; subdivide"
+                f"segment {p0.tolist()} -> {p1.tolist()} crosses {flips} boundaries; subdivide"
             )
         return confined[_PRESCAN_STEPS + 3 :]
 
-    length = float(np.linalg.norm(p1 - p0))
     lo, hi, _ = _bisect(confined_at, 0.0, 1.0, length, tol, first)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))

@@ -109,6 +109,15 @@ class TestPhasesCommand:
         assert code == 4
         assert "no cyclic motions" in err
 
+    def test_adiabatic_output_is_pinned(self, capsys):
+        # no aa_phase_eq7 at omega = 0: the output reads only eq8 and the
+        # mu-cubic derivatives
+        code, out, _ = run(capsys, "phases", "--k", "0.2", "--omega", "0", "--n1", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e90f67ba3dcef5f0d9ea1a6936fa9dc47444faa3685b2bf9311313bb18602f54"
+        )
+
     @pytest.mark.parametrize("label", [(0, 0, 0), (1, 0, 0), (0, 2, 1)], ids=["000", "100", "021"])
     def test_slow_mode_point_routes_agree(self, capsys, label):
         # Confined with a 1.7e-5 mode: the ladder basis is normalised by the
@@ -249,6 +258,19 @@ class TestResonanceCommand:
         assert set(doc) == {"omega_p", "omega_p_linear", "omega_p_exact",
                             "beta_n", "beta_n_prime", "delta_omega"}
         assert doc["omega_p_linear"] == pytest.approx(doc["omega_p_exact"], abs=1e-6)
+
+    # every field comes from quasienergies and eq8, none from eq7
+    @pytest.mark.parametrize("point, digest", [
+        (["--alpha", "0.3", "--alpha0", "1.0", "--w", "1.3333333333333333"],
+         "893417f5869c5440ccc1db1b4bd436a913bcd03188c0c4921539c23427982592"),
+        (["--alpha", "0.5", "--alpha0", "0.6", "--w", "0.7999999999999999"],
+         "09bda280d78c0d15b63e1792f7bdeebf7431b5d9924b2358b8855a57fcbd450c"),
+    ])
+    def test_report_is_pinned(self, capsys, point, digest):
+        code, out, _ = run(capsys, "resonance", *point, "--n1", "1", "--np3", "2",
+                           "--delta-omega", "1e-3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_delta_rejected(self, capsys):
         code, _, err = run(capsys, "resonance", "--k", "0.1", "--omega", "0.3")

@@ -7,9 +7,9 @@ equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
 the perturbative route equal to the dual-basis one, the ladder commutators of
 the normal-mode basis, its agreement with the energy-form coefficients and its
-phase convention's indifference to eigenvector phases, the geometric phases'
-invariance under a change of time unit, and the symplecticity of the oracle's
-flow map."""
+phase convention's indifference to eigenvector phases, the per-mode quadratic
+forms equal to the operator-basis ones, the geometric phases' invariance under
+a change of time unit, and the symplecticity of the oracle's flow map."""
 
 import dataclasses
 import math
@@ -38,7 +38,7 @@ from penphase.phases import (
     FockLabel,
     _dmodes_implicit,
     _dmodes_perturbative,
-    _ladder_inverse,
+    _mode_weights,
 )
 from penphase.spectral import (
     DEFAULT_TOLERANCES,
@@ -443,8 +443,43 @@ def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
     overlap = np.sum(np.conj(want) * basis.coeffs, axis=1)
     want[tied] *= (overlap / np.abs(overlap))[tied, None]
     assert np.abs(basis.coeffs - want).max() <= 1e-11 * np.abs(want).max()
-    want = np.linalg.inv(np.vstack([basis.coeffs, np.conj(basis.coeffs)]))
-    assert np.abs(_ladder_inverse(basis) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _operator_basis_coefficients(Q, basis):
+    """Per-mode coefficients (q, q0) of <Q> = sum q_i (n_i + 1/2) + q0 as
+    ``phases`` formed them before the per-mode form: Q in the (A, A^dag)
+    operator basis, Cinv^T Q Cinv, with Cinv the inverse of the ladder rows."""
+    Cinv = np.linalg.inv(np.vstack([basis.coeffs, np.conj(basis.coeffs)]))
+    M = Cinv.T @ Q @ Cinv
+    d12, d21 = np.diag(M[:3, 3:]), np.diag(M[3:, :3])
+    return 0.5 * np.real(d12 + d21), float(np.sum(basis.signs * np.real(d12 - d21)) / 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=field,
+    b0=field,
+    w0=field,
+    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
+    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
+    observable=st.sampled_from(["L3", "S", "random"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mode_weights_match_operator_basis_reference(b, b0, w0, omega, binding_cls,
+                                                     observable, seed):
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    basis = normal_mode_basis(spec, S)
+    A = np.random.default_rng(seed).normal(size=(6, 6))
+    Q = {"L3": _SL3, "S": S, "random": A + A.T}[observable]
+    q = _mode_weights(Q, basis)
+    want, q0 = _operator_basis_coefficients(Q, basis)
+    assert np.all(np.abs(q - want) <= 1e-12 * (1.0 + np.abs(q)))
+    # the constant term the operator basis leaves vanishes for symmetric Q
+    assert abs(q0) <= 1e-13 * (1.0 + np.abs(q).sum())
 
 
 @settings(max_examples=50, deadline=None)

@@ -21,7 +21,9 @@ from penphase import (
     build_G,
     build_L3_form,
     classify,
+    NumericalError,
     make_params_adiabatic,
+    make_params_dimensionless,
     normal_mode_basis,
     quasienergy,
     track_modes,
@@ -31,8 +33,8 @@ from penphase.spectral import (
     DEFAULT_TOLERANCES,
     _mu_cubic,
     _simple_imaginary,
+    _forms,
     _stack_entries,
-    _symplectic_forms,
 )
 
 
@@ -126,7 +128,7 @@ class TestKreinSign:
         # free particle, S = diag(0, 0, 0, 1, 1, 1): the position vector is
         # a zero mode with v^T S v = 0 and no symplectic form either
         v = np.array([[1.0, 0, 0, 0, 0, 0]], dtype=complex).T
-        form = _symplectic_forms(v)
+        form = _forms(J6, v).imag
         assert np.abs(form) < 1e-10 * np.sum(np.abs(v) ** 2, axis=0)
 
     def test_sign_is_the_energy_sign(self, rng):
@@ -137,7 +139,7 @@ class TestKreinSign:
             spec = classify(J6 @ S)
             V = np.stack([m.eigvec for m in spec.modes], axis=1)
             energy = np.real(np.sum(np.conj(V) * (S @ V), axis=0))
-            assert np.allclose(energy, spec.freqs * _symplectic_forms(V), rtol=1e-10, atol=0)
+            assert np.allclose(energy, spec.freqs * _forms(J6, V).imag, rtol=1e-10, atol=0)
             assert np.array_equal(np.sign(energy), spec.krein_signs)
 
 
@@ -164,6 +166,22 @@ class TestNormalModeBasis:
             C, D = basis.ladder_commutators()
             assert np.abs(C - np.diag(basis.signs)).max() < 1e-9
             assert np.abs(D).max() < 1e-9
+
+    def test_near_krein_collision_names_modes_and_forms(self):
+        # alpha = 0, alpha0 = 1e-5, w = 4 alpha0 / 3: the two fast modes, of
+        # Krein signs +1 and -1, have symplectic forms +-6.67e-6 and a cross
+        # form 2.08e-14, whose ratio breaks the 1e-9 commutator check
+        S = build_G(make_params_dimensionless(0.0, 1e-5, 1.3333333333333333e-05)).S
+        spec = classify(J6 @ S)
+        assert spec.classification is Classification.CONFINED
+        assert list(spec.krein_signs[:2]) == [1, -1]
+        with pytest.raises(NumericalError) as info:
+            normal_mode_basis(spec, S)
+        message = str(info.value)
+        assert "err=3.12e-09" in message
+        assert "at modes 1 and 2" in message
+        assert "symplectic forms 6.67e-06 and -6.67e-06" in message
+        assert "cross form 2.08e-14" in message
 
     def test_requires_confined(self):
         p = SystemParams(b=0, b0=0, w0=1.0, omega=0)

@@ -288,6 +288,12 @@ class TestRefineBoundary:
         with pytest.raises(DomainError):
             refine_boundary((0.3, 0.8), (0.3, 0.55), tol=1e-6)
 
+    @pytest.mark.parametrize("point", [(0.3, 0.55), (0.0, 0.0)])
+    def test_coincident_endpoints_rejected(self, point):
+        # a segment of length 0 has no crossing to bisect toward
+        with pytest.raises(DomainError, match="zero length"):
+            refine_boundary(point, point, tol=1e-6)
+
     def test_multi_crossing_detected(self):
         with pytest.raises(MultiCrossingError):
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
