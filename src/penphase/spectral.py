@@ -6,10 +6,12 @@ imaginary, nonzero and mutually distinct (hence semisimple); Boundary when the
 spectrum is imaginary but degenerate or contains a zero mode; Unconfined when
 any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
-land there. This eigenvalue rule (``_unconfined``/``_separated``) is the only
-confinement rule. Each stable mode's symplectic form Im(v^H J v) (``_forms``)
-gives its Krein sign and its ladder normalisation; the form is guarded only
-against vanishing, which a simple imaginary eigenvalue's form never does.
+land there. This eigenvalue rule, ``_rule``, is the only confinement rule,
+and the two factors RE_FACTOR and GAP_FACTOR (applied in ``_rule`` and
+``_gap_tol``) are its only tolerance source. Each stable mode's symplectic
+form Im(v^H J v) (``_forms``) gives its Krein sign and its ladder
+normalisation; the form is guarded only against vanishing, which a simple
+imaginary eigenvalue's form never does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,50 +43,35 @@ class Classification(enum.Enum):
     BOUNDARY = "B"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Classification tolerances, scaled by (1 + ||Lambda||_F).
-
-    The factors are constants. ``gap_floor`` is an absolute lower bound on
-    the gap tolerance: grid sweeps set it to their resolution margin, below
-    which a cell's spectral gap or smallest eigenvalue cannot certify
-    Confined; the default 0 leaves the pointwise rule unchanged.
-    ``re_tol``/``gap_tol`` take a norm or an array.
-    """
-
-    re_factor: ClassVar[float] = 1e-9
-    gap_factor: ClassVar[float] = 1e-7
-    gap_floor: float = 0.0
-
-    def re_tol(self, scale):
-        return self.re_factor * (1.0 + scale)
-
-    def gap_tol(self, scale):
-        return np.maximum(self.gap_factor * (1.0 + scale), self.gap_floor)
+#: Tolerance factors, each times (1 + ||Lambda||_F): |Re lambda| beyond RE_FACTOR
+#: (1 + scale) is Unconfined; gaps and |lambda| within GAP_FACTOR (1 + scale), Boundary.
+RE_FACTOR, GAP_FACTOR = 1e-9, 1e-7
 
 
-DEFAULT_TOLERANCES = Tolerances()
+def _gap_tol(scale, gap_floor=0.0):
+    """The gap tolerance for a norm or an array of norms. Grid sweeps set
+    ``gap_floor`` to their resolution margin, below which a cell's gap or
+    smallest |lambda| cannot certify Confined; 0 is the pointwise rule."""
+    return np.maximum(GAP_FACTOR * (1.0 + scale), gap_floor)
 
 
-def _unconfined(ev: np.ndarray, scale, tol: Tolerances):
-    """Some eigenvalue has |Re| beyond the tolerance; over the last axis of ev."""
-    return np.abs(ev.real).max(axis=-1) > tol.re_tol(scale)
-
-
-def _separated(ev: np.ndarray, scale, tol: Tolerances):
-    """Every gap between sorted imaginary parts, and every |lambda|, exceeds the
-    gap tolerance; over the last axis of ev."""
-    tau = tol.gap_tol(scale)
+def _rule(ev: np.ndarray, scale, gap_floor=0.0):
+    """The eigenvalue rule over the last axis of ev: masks (unconfined,
+    separated). Unconfined: some |Re lambda| beyond the real-part tolerance.
+    Separated: every gap between sorted imaginary parts, and every |lambda|,
+    beyond the gap tolerance. Confined is separated and not unconfined."""
+    tau = _gap_tol(scale, gap_floor)
     gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
-    return (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
+    unconfined = np.abs(ev.real).max(axis=-1) > RE_FACTOR * (1.0 + scale)
+    return unconfined, (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
 
 
 def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
     """Mask of the stable modes among eigenvalues ev, even at Unconfined
     points: |Re| within the real-part tolerance, Im beyond the gap tolerance,
     and no other eigenvalue within the gap tolerance; over the last axis."""
-    tau_re = np.expand_dims(DEFAULT_TOLERANCES.re_tol(scale), -1)
-    tau_gap = np.expand_dims(DEFAULT_TOLERANCES.gap_tol(scale), -1)
+    tau_re = np.expand_dims(RE_FACTOR * (1.0 + scale), -1)
+    tau_gap = np.expand_dims(_gap_tol(scale), -1)
     dist = np.abs(ev[..., :, None] - ev[..., None, :])
     dist[..., range(6), range(6)] = np.inf
     return (np.abs(ev.real) <= tau_re) & (ev.imag > tau_gap) & (dist.min(axis=-1) > tau_gap)
@@ -180,9 +167,10 @@ def classify(lam) -> ModeSpectrum:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver failed on Lambda={L!r}") from exc
     scale = float(np.linalg.norm(L))
-    if _unconfined(ev, scale, DEFAULT_TOLERANCES):
+    unconfined, separated = _rule(ev, scale)
+    if unconfined:
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
-    if not _separated(ev, scale, DEFAULT_TOLERANCES):
+    if not separated:
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
     positive = np.flatnonzero(ev.imag > 0)
     if len(positive) != 3:  # pragma: no cover - excluded by the gap rule

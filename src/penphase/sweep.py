@@ -9,7 +9,8 @@ recorded as Boundary. This keeps the cell labeling faithful to the true open
 confined regions, whose separating collision curves pinch below any fixed
 grid resolution near their roots on the alpha = 0 axis; the pointwise
 classifier keeps its own much tighter spectral tolerances. Both apply the
-same rule from ``spectral``, the grid with its margin as ``gap_floor``.
+one eigenvalue rule ``spectral._rule``, the grid with its margin as
+``gap_floor`` and the pointwise classifier with none.
 
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most points are certified Confined or Unconfined from
@@ -20,16 +21,17 @@ roots leave undecided, near region edges, are built as 6x6 generators and go
 through the batched eigensolver; the labels equal those of the eigenvalue
 rule at every point. ``_loop_codes`` is that one classifier of loop points,
 for the grid (with its margin as ``gap_floor``) and for the 1-D scans
-``refine_boundary`` and ``find_kcr`` (with the pointwise tolerances). The
-scans bisect in rounds: one call classifies every midpoint that up to
-_ROUND_DEPTH halvings can visit, so a scan makes two or three kernel calls,
-not one per halving. The Fig. 2 curves take their classes from one batched
-eigensolve and their derivatives from one implicit mu-cubic call; no scan
-builds normal modes. Grid work runs in fixed-size chunks of cells, so memory
-stays bounded for any grid size, with one thread per CPU the process may
-use. The map's regions are the 4-connected components that ``_label4``
-finds, a union-find over the runs of each grid row; the CSV writes each run
-of equal (class, component) in a row with one string join.
+``refine_boundary`` and ``find_kcr`` (with gap_floor 0, the pointwise
+tolerances), whose confined test is its code 'C'. The scans bisect in
+rounds: one call classifies every midpoint that up to _ROUND_DEPTH halvings
+can visit, so a scan makes two or three kernel calls, not one per halving.
+The Fig. 2 curves take their classes from one batched eigensolve and their
+derivatives from one implicit mu-cubic call; no scan builds normal modes.
+Grid work runs in fixed-size chunks of cells, so memory stays bounded for
+any grid size, with one thread per CPU the process may use. The map's
+regions are the 4-connected components that ``_label4`` finds, a union-find
+over the runs of each grid row; the CSV writes each run of equal (class,
+component) in a row with one string join.
 """
 
 from __future__ import annotations
@@ -45,14 +47,7 @@ import numpy as np
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator, _generator_entries
 from .phases import _dmodes_implicit, cos_theta
-from .spectral import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    _mu_cubic,
-    _separated,
-    _simple_imaginary,
-    _unconfined,
-)
+from .spectral import _gap_tol, _mu_cubic, _rule, _simple_imaginary
 
 __all__ = [
     "GridSpec",
@@ -129,7 +124,7 @@ def _frobenius(g0, g1, g2, k00, k11, k22, k01, k02, k12):
     )
 
 
-def _certify_cells(c2, c1, c0, scale, tol: Tolerances) -> Tuple[np.ndarray, np.ndarray]:
+def _certify_cells(c2, c1, c0, scale, gap_floor: float) -> Tuple[np.ndarray, np.ndarray]:
     """Masks (confined, unconfined) of the cells the mu-cubic decides without eig,
     from 1-D columns of its coefficients (``_mu_cubic``) and of the cells'
     ||S||_F, which equals the eigenvalue rule's scale ||Lambda||_F.
@@ -165,22 +160,22 @@ def _certify_cells(c2, c1, c0, scale, tol: Tolerances) -> Tuple[np.ndarray, np.n
             np.sqrt(np.maximum(np.maximum.reduce([mu0, mu1, mu2]), 0.0)),
             np.maximum(np.sqrt(np.maximum(u + v - shift, 0.0)), re_pair),
         )
-    confined = (disc <= 0.0) & (separation > tol.gap_tol(scale) + slack)
+    confined = (disc <= 0.0) & (separation > _gap_tol(scale, gap_floor) + slack)
     return confined, re_lam > slack
 
 
-def _eig_classes(S: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES):
-    """The eigenvalue rule of ``spectral`` over a stack of generators S of
+def _eig_classes(S: np.ndarray, gap_floor: float = 0.0):
+    """The eigenvalue rule ``spectral._rule`` over a stack of generators S of
     shape (..., 6, 6): the eigenvalues of Lambda = J S, their tolerance scale
     ||Lambda||_F, and the class codes 'C'/'U'/'B'."""
     Lam = J6 @ S
     ev = np.linalg.eigvals(Lam)
     scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
-    separated = np.where(_separated(ev, scale, tol), "C", "B")
-    return ev, scale, np.where(_unconfined(ev, scale, tol), "U", separated)
+    unconfined, separated = _rule(ev, scale, gap_floor)
+    return ev, scale, np.where(unconfined, "U", np.where(separated, "C", "B"))
 
 
-def _loop_codes(b, b0, omega: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
     eigenvalue rule; b and b0 broadcast to one 1-D stack of points.
 
@@ -190,13 +185,13 @@ def _loop_codes(b, b0, omega: float, tol: Tolerances = DEFAULT_TOLERANCES) -> np
     """
     b, b0 = np.broadcast_arrays(np.abs(b), np.abs(b0))
     entries = _generator_entries(b, b0, omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures())
-    confined, unconfined = _certify_cells(*_mu_cubic(*entries), _frobenius(*entries), tol)
+    confined, unconfined = _certify_cells(*_mu_cubic(*entries), _frobenius(*entries), gap_floor)
     codes = np.where(unconfined, "U", "C")
     rest = ~(confined | unconfined)
     if rest.any():
         b, b0 = b[rest], b0[rest]
         curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-        codes[rest] = _eig_classes(_generator(b, b0, omega, curvatures, b.shape), tol)[2]
+        codes[rest] = _eig_classes(_generator(b, b0, omega, curvatures, b.shape), gap_floor)[2]
     return codes
 
 
@@ -207,7 +202,6 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     one thread per usable CPU; NumPy releases the interpreter lock in the
     heavy calls.
     """
-    tol = Tolerances(gap_floor=gap_floor)
     n_cols = len(alphas)
     n_cells = len(alpha0s) * n_cols
     codes = np.empty(n_cells, dtype="<U1")
@@ -215,7 +209,7 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     def work(lo):
         cell = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
         codes[lo : lo + len(cell)] = _loop_codes(
-            alphas[cell % n_cols], alpha0s[cell // n_cols], 1.0, tol
+            alphas[cell % n_cols], alpha0s[cell // n_cols], 1.0, gap_floor
         )
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
@@ -317,6 +311,13 @@ def _label_regions(codes: np.ndarray) -> Tuple[np.ndarray, int, int]:
     return component, n_comp, n_unconf
 
 
+def _grown(lo: float, hi: float, steps: int) -> Tuple[float, float, int]:
+    """An axis (lo, hi, steps) with hi grown by 50%, capped at 10 and never
+    lowered, at the axis's own step."""
+    new_hi = max(hi, min(1.5 * hi, 10.0))
+    return lo, new_hi, int(round((new_hi - lo) / ((hi - lo) / steps)))
+
+
 def sweep_fig1(
     grid: Optional[GridSpec] = None,
     auto_extend: bool = True,
@@ -325,9 +326,9 @@ def sweep_fig1(
     """Region map of the (alpha, alpha0) plane at omega = 1, w = 4 alpha0 / 3.
 
     The default window is [0, 3]^2 at 600 steps per axis. When fewer than four
-    confined components are found and auto_extend is on, the window grows by
-    50% increments (same cell size) up to [0, 10]^2, then the result is
-    reported as-is.
+    confined components are found and auto_extend is on, each axis maximum
+    below 10 grows by 50% increments, capped at 10, at that axis's own cell
+    size; once no axis grows the result is reported as-is.
     """
     if not (math.isfinite(gap_scale) and gap_scale >= 0):
         raise DomainError(f"gap scale must be finite and >= 0, got {gap_scale}")
@@ -337,7 +338,11 @@ def sweep_fig1(
         gap_floor = gap_scale * spec.max_step
         codes = _classify_grid(spec.alphas, spec.alpha0s, gap_floor)
         component, n_comp, n_unconf = _label_regions(codes)
-        if not auto_extend or n_comp >= 4 or spec.alpha_max >= 10.0:
+        grown = spec
+        if auto_extend and n_comp < 4:
+            grown = GridSpec(*_grown(spec.alpha_min, spec.alpha_max, spec.alpha_steps),
+                             *_grown(spec.alpha0_min, spec.alpha0_max, spec.alpha0_steps))
+        if grown == spec:
             return RegionMap(
                 grid=spec,
                 classes=codes,
@@ -347,23 +352,7 @@ def sweep_fig1(
                 auto_extended=extended,
                 gap_floor=gap_floor,
             )
-        step = spec.max_step
-        new_max = min(spec.alpha_max * 1.5, 10.0)
-        new_max0 = min(spec.alpha0_max * 1.5, 10.0)
-        spec = GridSpec(
-            alpha_min=spec.alpha_min,
-            alpha_max=new_max,
-            alpha_steps=int(round((new_max - spec.alpha_min) / step)),
-            alpha0_min=spec.alpha0_min,
-            alpha0_max=new_max0,
-            alpha0_steps=int(round((new_max0 - spec.alpha0_min) / step)),
-        )
-        extended = True
-
-
-def _loop_confined(b, b0, omega: float = 1.0) -> np.ndarray:
-    """Whether loop points (|b|, |b0|) are Confined, over 1-D stacks of b and b0."""
-    return _loop_codes(b, b0, omega) == "C"
+        spec, extended = grown, True
 
 
 def _halvings(lo: float, hi: float, depth: int) -> np.ndarray:
@@ -422,9 +411,9 @@ def refine_boundary(
     one of them: refine_boundary((0.3, 0.55), (0.3, 1e6)) returns alpha0 =
     2710.75, though the segment also crosses four edges below alpha0 = 1.5.
     That point is a tolerance edge, not a physical crossing: the smallest
-    gap stays at 1.3114 while the gap tolerance 1e-7 (1 + ||Lambda||_F) grows
-    up to meet it (2710.7 is Confined, 2710.8 Boundary). Bisection halves the
-    bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
+    gap stays at 1.3114 while the gap tolerance GAP_FACTOR (1 + ||Lambda||_F)
+    grows up to meet it (2710.7 is Confined, 2710.8 Boundary). Bisection halves
+    the bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
     of the final bracket. The endpoints, the pre-scan samples and the first
     bisection round are classified in one batch.
     """
@@ -439,11 +428,11 @@ def refine_boundary(
     prescan = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
 
     def confined_at(s):
-        return _loop_confined(*(p0 + s[:, None] * (p1 - p0)).T)
+        return _loop_codes(*(p0 + s[:, None] * (p1 - p0)).T, 1.0) == "C"
 
     def first(mids):
         points = np.vstack([p0, p1, p0 + np.concatenate([prescan, mids])[:, None] * (p1 - p0)])
-        confined = _loop_confined(*points.T)
+        confined = _loop_codes(*points.T, 1.0) == "C"
         if not confined[0]:
             raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
         if confined[1]:
@@ -483,7 +472,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     lo, hi = 0.01, 1.0
 
     def confined_at(k):
-        return _loop_confined(k, 1.0, 0.0)
+        return _loop_codes(k, 1.0, 0.0) == "C"
 
     def first(mids):
         confined = confined_at(np.concatenate([[lo, hi], mids]))

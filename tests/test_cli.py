@@ -180,6 +180,39 @@ class TestSweepCommands:
             "7281fd62754eef4ccc5a677973a8572864b0e19837aaa7054ac701ba1ea87351"
         )
 
+    def test_auto_extended_square_map_is_pinned(self, capsys, tmp_path):
+        # [0, 1]^2 holds fewer than four components and grows twice, to [0, 2.25]^2
+        csv = tmp_path / "sq.csv"
+        code, out, _ = run(capsys, "sweep-fig1", "--alpha-max", "1", "--alpha0-max", "1",
+                           "--alpha-steps", "40", "--alpha0-steps", "40", "-o", str(csv))
+        assert code == 0
+        assert "auto-extended: true" in out
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "108bacff18bbf7abd3be606496e6a1cdad1a153016b6f563c1e6c7904ab8b6fc"
+        )
+
+    @pytest.mark.parametrize("window, alpha_axis, alpha0_axis", [
+        # alpha grows 3 -> 4.5 -> 6.75 -> 10; alpha0 starts beyond 10 and stays
+        (["--alpha-max", "3", "--alpha0-min", "12", "--alpha0-max", "20",
+          "--alpha-steps", "30", "--alpha0-steps", "80"], (0, 10, 101), (12, 20, 80)),
+        (["--alpha-max", "3", "--alpha0-max", "20", "--alpha-steps", "30",
+          "--alpha0-steps", "100"], (0, 10, 101), (0, 20, 100)),
+        # each axis keeps its own step: alpha0 stays at 0.05, not alpha's 0.1
+        (["--alpha-max", "2", "--alpha0-max", "3", "--alpha-steps", "20",
+          "--alpha0-steps", "60"], (0, 10, 101), (0, 10, 200)),
+    ])
+    def test_auto_extension_grows_each_axis_at_its_own_step(
+        self, capsys, tmp_path, window, alpha_axis, alpha0_axis
+    ):
+        csv = tmp_path / "map.csv"
+        code, out, _ = run(capsys, "sweep-fig1", *window, "-o", str(csv))
+        assert code == 0
+        assert "auto-extended: true" in out
+        rows = [line.split(",")[:2] for line in csv.read_text().splitlines()[1:]]
+        for column, (lo, hi, steps) in zip(zip(*rows), (alpha_axis, alpha0_axis)):
+            want = {f"{x:.17g}" for x in np.linspace(lo, hi, steps + 1).tolist()}
+            assert set(column) == want
+
     @pytest.mark.parametrize("binding, digest", [
         ("penning", "7b25f72d3a086d377b302e523469789de457b4c7cb1bf8c09f9d8f3ccfb185cd"),
         ("oscillator", "7953ac85b63a780814a488a4d7681785a90ae48e27611c401daf2b8c4b250e88"),

@@ -1,8 +1,9 @@
 """Property tests: one generator assembly for points and batches, the
 mu-cubic and norm from the generator's nine entries equal to those read off
-its 6x6 stack, one confinement rule for the pointwise and grid classifiers
-and the batched scan predicate, grid cells certified from the mu-cubic
-labelled as the eigenvalue rule labels them, the batched bisection rounds
+its 6x6 stack, the eigenvalue rule equal bit for bit to reference
+predicates written apart from it, one confinement rule for the pointwise and
+grid classifiers and the batched scan predicate, grid cells certified from
+the mu-cubic labelled as the eigenvalue rule labels them, the batched bisection rounds
 equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
 the perturbative route equal to the dual-basis one, the ladder commutators of
@@ -41,14 +42,14 @@ from penphase.phases import (
     _mode_weights,
 )
 from penphase.spectral import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    GAP_FACTOR,
+    RE_FACTOR,
+    _gap_tol,
     _mu_cubic,
-    _separated,
+    _rule,
     _stack_entries,
-    _unconfined,
 )
-from penphase.sweep import _bisect, _classify_grid, _loop_confined
+from penphase.sweep import _bisect, _classify_grid, _loop_codes
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 field = st.floats(min_value=0.0, max_value=3.0)
@@ -108,7 +109,7 @@ def _expected_cell(alpha, alpha0, gap_floor):
     spec = classify(L)
     ev = spec.raw_eigenvalues
     scale = np.linalg.norm(L)
-    re_tol, gap_tol = DEFAULT_TOLERANCES.re_tol(scale), DEFAULT_TOLERANCES.gap_tol(scale)
+    re_tol, gap_tol = RE_FACTOR * (1 + scale), _gap_tol(scale)
     remax = np.abs(ev.real).max()
     if remax > 2.0 * re_tol:
         return "U"
@@ -138,16 +139,57 @@ def test_grid_agrees_with_pointwise_outside_margin(alphas, alpha0s, gap_floor):
                 assert codes[i, j] == want, (alpha, alpha0, gap_floor)
 
 
+def _unconfined(ev, scale):
+    """Reference for ``spectral._rule``'s first mask, written out apart from it:
+    some |Re lambda| beyond the real-part tolerance, over the last axis of ev."""
+    return np.abs(ev.real).max(axis=-1) > RE_FACTOR * (1.0 + scale)
+
+
+def _separated(ev, scale, gap_floor):
+    """Reference for ``spectral._rule``'s second mask: every gap between sorted
+    imaginary parts, and every |lambda|, beyond the gap tolerance."""
+    tau = np.maximum(GAP_FACTOR * (1.0 + scale), gap_floor)
+    gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
+    return (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.one_of(st.none(), st.integers(min_value=1, max_value=16)),
+    floored=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_rule_matches_reference_predicates(rows, floored, seed):
+    # rows None is one spectrum of shape (6,) with a float scale. Spectra are
+    # +-i w with w1, w2 - w1 and w3 - w2 at 0.5 to 2 gap tolerances, and the
+    # nonzero |Re lambda| at 0.5 to 2 real-part tolerances, so both sides of
+    # every comparison occur
+    rng = np.random.default_rng(seed)
+    n = rows or 1
+    scale = rng.uniform(0.0, 100.0, n)
+    gap_floor = rng.uniform(0.0, 4.0) * GAP_FACTOR * (1.0 + scale.max()) if floored else 0.0
+    tau_gap = np.maximum(GAP_FACTOR * (1.0 + scale), gap_floor)[:, None]
+    tau_re = RE_FACTOR * (1.0 + scale)[:, None]
+    w = np.cumsum(rng.uniform(0.5, 2.0, (n, 3)) * tau_gap, axis=1)
+    real = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (n, 6)) * rng.uniform(0.5, 2.0, (n, 6)) * tau_re
+    ev = rng.permuted(real + 1j * np.hstack([w, -w]), axis=1)
+    if rows is None:
+        ev, scale = ev[0], float(scale[0])
+    unconfined, separated = _rule(ev, scale, gap_floor)
+    assert np.shape(unconfined) == np.shape(separated) == np.shape(scale)
+    assert np.array_equal(unconfined, _unconfined(ev, scale))
+    assert np.array_equal(separated, _separated(ev, scale, gap_floor))
+
+
 def _eig_only_grid(alphas, alpha0s, gap_floor):
     """The grid classifier before cubic certification: every cell through
-    the batched eigensolver and the eigenvalue rule."""
-    tol = Tolerances(gap_floor=gap_floor)
+    the batched eigensolver and the reference predicates."""
     b0, b = (x.ravel() for x in np.meshgrid(alpha0s, alphas, indexing="ij"))
     Lam = J6 @ _generator(b, b0, 1.0, PenningQuadrupole(4.0 * b0 / 3.0).curvatures(), b.shape)
     ev = np.linalg.eigvals(Lam)
     scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
-    confined = np.where(_separated(ev, scale, tol), "C", "B")
-    codes = np.where(_unconfined(ev, scale, tol), "U", confined)
+    confined = np.where(_separated(ev, scale, gap_floor), "C", "B")
+    codes = np.where(_unconfined(ev, scale), "U", confined)
     return codes.reshape(len(alpha0s), len(alphas))
 
 
@@ -206,9 +248,9 @@ def test_loop_predicate_matches_classify(loop, ks):
     # omega = 1 over the plane and beside the alpha0 = 3/4 zero-mode line;
     # omega = 0 along the k-line b0 = 1 and beside the critical ratio
     b, b0 = np.array(loop).T
-    got = _loop_confined(b, b0, 1.0)
+    got = _loop_codes(b, b0, 1.0) == "C"
     assert got.tolist() == [_classify_loop(*point, 1.0) for point in loop]
-    got = _loop_confined(np.array(ks), 1.0, 0.0)
+    got = _loop_codes(np.array(ks), 1.0, 0.0) == "C"
     assert got.tolist() == [_classify_loop(k, 1.0, 0.0) for k in ks]
 
 
@@ -219,7 +261,9 @@ def test_loop_codes_fall_back_to_eig_inside_the_uncertified_band(monkeypatch):
     sizes = []
     eig_classes = sweep._eig_classes
     monkeypatch.setattr(
-        sweep, "_eig_classes", lambda S, tol: sizes.append(len(S)) or eig_classes(S, tol)
+        sweep,
+        "_eig_classes",
+        lambda S, gap_floor: sizes.append(len(S)) or eig_classes(S, gap_floor),
     )
     codes = sweep._loop_codes(k, 1.0, 0.0)
     assert sizes == [len(k)]

@@ -30,7 +30,8 @@ from penphase import (
 )
 from penphase.phases import FockLabel
 from penphase.spectral import (
-    DEFAULT_TOLERANCES,
+    RE_FACTOR,
+    _gap_tol,
     _mu_cubic,
     _simple_imaginary,
     _forms,
@@ -329,8 +330,8 @@ class TestBoundednessProbe:
 def _stable_mode_loop(ev, scale):
     """Per-eigenvalue reference for ``_simple_imaginary``: the stable-mode
     rule as the deleted ``stable_modes`` applied it."""
-    tau_re = DEFAULT_TOLERANCES.re_tol(scale)
-    tau_gap = DEFAULT_TOLERANCES.gap_tol(scale)
+    tau_re = RE_FACTOR * (1 + scale)
+    tau_gap = _gap_tol(scale)
     mask = np.zeros(6, dtype=bool)
     for i in range(6):
         if abs(ev[i].real) > tau_re or ev[i].imag <= tau_gap:
@@ -364,7 +365,7 @@ class TestStableModes:
         ]
         # a simple mode at 0.7 gap tolerances: too slow to count as stable
         S = np.diag([1.0, 4.0, 0.0, 1.0, 1.0, 1.0])
-        S[2, 2] = (0.7 * DEFAULT_TOLERANCES.gap_tol(np.linalg.norm(J6 @ S))) ** 2
+        S[2, 2] = (0.7 * _gap_tol(np.linalg.norm(J6 @ S))) ** 2
         stacks.append(S[None])
         for S in stacks:
             L = J6 @ S

@@ -27,7 +27,6 @@ from penphase import (
 from conftest import SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
-from penphase.spectral import Tolerances
 from penphase.sweep import RegionMap, _classify_grid, _label4
 
 
@@ -113,6 +112,12 @@ class TestSweepFig1:
             GridSpec(alpha_steps=0)
         with pytest.raises(DomainError):
             GridSpec(alpha_min=2.0, alpha_max=1.0)
+
+    def test_auto_extension_grows_alpha0_after_alpha_reaches_ten(self):
+        rm = sweep_fig1(GridSpec(alpha_max=10.0, alpha_steps=50, alpha0_max=2.0, alpha0_steps=10))
+        assert rm.auto_extended and rm.n_components < 4
+        assert (rm.grid.alpha_max, rm.grid.alpha_steps) == (10.0, 50)
+        assert rm.grid.alpha0_max == 10.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["alpha_min", "alpha_max", "alpha0_min", "alpha0_max"])
@@ -347,7 +352,9 @@ class TestScanKernelCalls:
         monkeypatch.setattr(
             sweep,
             "_certify_cells",
-            lambda c2, c1, c0, scale, tol: sizes.append(len(c2)) or certify(c2, c1, c0, scale, tol),
+            lambda c2, c1, c0, scale, gap_floor: (
+                sizes.append(len(c2)) or certify(c2, c1, c0, scale, gap_floor)
+            ),
         )
         return sizes
 
@@ -367,10 +374,10 @@ def test_loop_codes_chunk_memory_per_cell():
     cell = np.arange(sweep._CHUNK_CELLS)
     n_cols = len(grid.alphas)
     alphas, alpha0s = grid.alphas[cell % n_cols], grid.alpha0s[cell // n_cols]
-    tol = Tolerances(gap_floor=sweep.GAP_SLOPE_SCALE * grid.max_step)
+    gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
     tracemalloc.start()
     try:
-        sweep._loop_codes(alphas, alpha0s, 1.0, tol)
+        sweep._loop_codes(alphas, alpha0s, 1.0, gap_floor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
