@@ -293,9 +293,11 @@ def _cmd_sweep_fig1(args) -> int:
     if args.svg:
         _write_file(args.svg, lambda fh: svgplot.region_map_svg(rm, fh))
     _emit_manifest("sweep-fig1", args)
+    g = rm.grid
     print(
         f"confined components: {rm.n_components}; unconfined regions: "
-        f"{rm.n_unconfined_regions}; window alpha<={rm.grid.alpha_max:g} "
+        f"{rm.n_unconfined_regions}; window alpha in [{g.alpha_min:g}, {g.alpha_max:g}], "
+        f"alpha0 in [{g.alpha0_min:g}, {g.alpha0_max:g}] "
         f"(auto-extended: {str(rm.auto_extended).lower()})"
     )
     return 0

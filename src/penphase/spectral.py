@@ -220,6 +220,10 @@ class NormalModeBasis:
 def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     """Ladder coefficients for a confined spectrum.
 
+    The eigenvectors are first J-orthogonalised in mode order (symplectic
+    Gram-Schmidt, v_j <- v_j - sum_{i<j} v_i (v_i^H J v_j) / (v_i^H J v_i)),
+    which removes the eigensolver's rounding from the cross forms; without it
+    a near Krein collision, where two forms are small, fails the check below.
     Each coefficient vector is -i J v_i scaled by 1/sqrt|Im(v_i^H J v_i)|, the
     mode's symplectic form, so the commutator normalization holds; the
     deterministic phase convention makes the first component within a relative
@@ -227,13 +231,24 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     (as at axisymmetric points) do not leave the choice to rounding. The basis
     needs neither S nor the frequencies: S is accepted for call compatibility
     and not read. A commutator entry off by more than 1e-9 raises NumericalError
-    naming its modes (1-based, as in the Fock label), their forms and |v_i^H J v_j|.
+    naming its modes (1-based, as in the Fock label), their forms and the
+    remaining |v_i^H J v_j|.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
     V = np.stack([m.eigvec for m in spectrum.modes], axis=1)
-    forms = _forms(J6, V).imag
-    rows = (-1j * (J6 @ V) / np.sqrt(np.abs(forms))).T
+    JV = J6 @ V
+    # Gram-Schmidt in closed form from the Gram matrix V^H J V, as V T with T
+    # unit upper triangular: w1 = v1 - c01 v0, w2 = v2 - a v0 - c12 v1, whose
+    # forms are w_j^H J w_j = v_j^H J w_j
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = (np.conj(V.T) @ JV).tolist()
+    c01, c02 = g01 / g00, g02 / g00
+    f1 = g11 - c01 * g10
+    c12 = (g12 - c01.conjugate() * g02) / f1
+    a = c02 - c12 * c01
+    T = np.array([[1.0, -c01, -a], [0.0, 1.0, -c12], [0.0, 0.0, 1.0]])
+    forms = np.array([g00.imag, f1.imag, (g22 - a * g20 - c12 * g21).imag])
+    rows = (-1j * (JV @ T) / np.sqrt(np.abs(forms))).T
     size = np.abs(rows)
     pivot = np.argmax(size >= (1.0 - 1e-9) * size.max(axis=1, keepdims=True), axis=1)
     largest = rows[range(3), pivot]
@@ -247,7 +262,8 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     err = dev.max()
     if err > 1e-9:
         i, j = sorted(np.unravel_index(np.argmax(dev), dev.shape))
-        cross = abs(np.conj(V[:, i]) @ J6 @ V[:, j])
+        W = V @ T
+        cross = abs(np.conj(W[:, i]) @ J6 @ W[:, j])
         raise NumericalError(
             f"ladder commutator normalization failed (err={err:.2e}) at modes "
             f"{i + 1} and {j + 1}: symplectic forms {forms[i]:.3g} and {forms[j]:.3g}, "

@@ -13,18 +13,23 @@ one eigenvalue rule ``spectral._rule``, the grid with its margin as
 ``gap_floor`` and the pointwise classifier with none.
 
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
-in mu = lambda^2, and most points are certified Confined or Unconfined from
-the closed-form roots of that cubic, with a slack far above rounding. The
-cubic and the tolerance scale ||S||_F come from the generator's nine distinct
-entries (``model._generator_entries``), one column each. Only the points the
-roots leave undecided, near region edges, are built as 6x6 generators and go
-through the batched eigensolver; the labels equal those of the eigenvalue
-rule at every point. ``_loop_codes`` is that one classifier of loop points,
-for the grid (with its margin as ``gap_floor``) and for the 1-D scans
-``refine_boundary`` and ``find_kcr`` (with gap_floor 0, the pointwise
-tolerances), whose confined test is its code 'C'. The scans bisect in
-rounds: one call classifies every midpoint that up to _ROUND_DEPTH halvings
-can visit, so a scan makes two or three kernel calls, not one per halving.
+in mu = lambda^2, and most points are certified Confined, Unconfined or
+(under a grid's margin) Boundary from the closed-form roots of that cubic,
+with a slack far above rounding. The cubic and the tolerance scale ||S||_F
+come from the generator's nine distinct entries (``model._generator_entries``),
+one column each. Only the points the roots leave undecided are built as 6x6
+generators and go through the batched eigensolver: those within the slack of
+a tolerance, of a mode collision or of a zero mode. At a zero mode Lambda has
+a Jordan block, and whether eig reports its split eigenvalues as real or
+imaginary is decided by rounding, so no closed form can predict its class
+there. The labels equal those of the eigenvalue rule at every point.
+``_loop_codes`` is that one classifier of loop points, for the grid (with its
+margin as ``gap_floor``) and for the 1-D scans ``refine_boundary`` and
+``find_kcr`` (with gap_floor 0, the pointwise tolerances, under which no
+point is certified Boundary), whose confined test is its code 'C'. The scans
+bisect in rounds: one call classifies every midpoint that up to _ROUND_DEPTH
+halvings can visit, so a scan makes two or three kernel calls, not one per
+halving.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
 Grid work runs in fixed-size chunks of cells, so memory stays bounded for
@@ -73,10 +78,6 @@ _ROUND_DEPTH = 10
 #: Cells per certification chunk; one chunk peaks at about 2.5 MB of arrays.
 _CHUNK_CELLS = 8192
 
-#: Phase offsets 0, 2 pi/3, 4 pi/3 of the trigonometric cubic roots.
-_THIRDS = 2.0 * np.pi / 3.0 * np.arange(3)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular grid; `steps` counts intervals, so samples = steps + 1."""
@@ -124,18 +125,27 @@ def _frobenius(g0, g1, g2, k00, k11, k22, k01, k02, k12):
     )
 
 
-def _certify_cells(c2, c1, c0, scale, gap_floor: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Masks (confined, unconfined) of the cells the mu-cubic decides without eig,
-    from 1-D columns of its coefficients (``_mu_cubic``) and of the cells'
-    ||S||_F, which equals the eigenvalue rule's scale ||Lambda||_F.
+def _certify_cells(
+    c2, c1, c0, scale, gap_floor: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks (confined, unconfined, boundary) of the cells the mu-cubic decides
+    without eig, from 1-D columns of its coefficients (``_mu_cubic``) and of the
+    cells' ||S||_F, which equals the eigenvalue rule's scale ||Lambda||_F.
 
     The roots mu = lambda^2 come in closed form: trigonometric when all three
-    are real, Cardano's otherwise. A cell is certified Confined when all three
-    mu are negative and the frequencies w = sqrt(-mu) clear the gap tolerance
-    by ``slack``, pairwise and from zero; Unconfined when some |Re lambda|
-    exceeds ``slack``. The slack dwarfs both the roots' and eig's rounding,
-    so a certified cell gets the class the eigenvalue rule would give it;
-    a cell whose roots come out NaN is left uncertified.
+    are real (one cosine; they come out ordered mu0 >= mu1 >= mu2, so the
+    frequencies w = sqrt(-mu) ascend), Cardano's otherwise. With all mu real,
+    the separation min(w1 - w0, w2 - w1, w0) is the smallest gap and |lambda|
+    the eigenvalue rule sees. A cell is certified Confined when the separation
+    clears the gap tolerance by ``slack``; Boundary when it clears the
+    pointwise tolerance by ``slack`` but stays ``slack`` below the grid's
+    ``gap_floor``; Unconfined when some |Re lambda| exceeds ``slack``. The
+    slack dwarfs both the roots' and eig's rounding once every gap clears
+    the pointwise tolerance, so a certified cell gets the class the
+    eigenvalue rule would give it. With gap_floor 0 no cell is certified
+    Boundary. Cells near a zero mode or a collision, where eig's class turns
+    on its own rounding (inside a Jordan block at a zero mode), and cells
+    whose roots come out NaN are left uncertified.
     """
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
@@ -145,23 +155,28 @@ def _certify_cells(c2, c1, c0, scale, gap_floor: float) -> Tuple[np.ndarray, np.
     disc = half_q * half_q + third_p * third_p * third_p
     with np.errstate(invalid="ignore", divide="ignore"):
         m = 2.0 * np.sqrt(-third_p)
-        theta = np.arccos(3.0 * q / (p * m)) / 3.0
-        mu0, mu1, mu2 = (m * np.cos(theta - t) - shift for t in _THIRDS)
-        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mu1, mu2))
-        separation = np.minimum.reduce([abs(w0 - w1), abs(w1 - w2), abs(w2 - w0), w0, w1, w2])
+        # theta in [0, pi/3], so sqrt(3) sin(theta) = sqrt(3 (1 - cos^2)) >= 0
+        cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)
+        half_m = 0.5 * m
+        mid, side = -half_m * cos - shift, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
+        mu0 = m * cos - shift
+        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
+        separation = np.minimum(np.minimum(w1 - w0, w2 - w1), w0)
         u = np.cbrt(-half_q - np.copysign(np.sqrt(disc), q))
         v = -p / (3.0 * u)
-        # Re sqrt(x + iy) of the complex pair x +- iy; for x < 0 the sum cancels, but
-        # its error, about sqrt(eps |x|) <= 1.5e-8 scale, is far below the slack
+        # (Re lambda)^2 is the largest real mu or, for the complex pair
+        # mu = x +- iy, (|mu| + x) / 2; for x < 0 the sum cancels, but its
+        # error, about eps |x| <= 2e-16 scale^2, is far below slack^2, and
+        # _MAX_MAGNITUDE keeps x^2 + y^2 finite
         x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
-        re_pair = np.sqrt(0.5 * (np.hypot(x, y) + x))
-        re_lam = np.where(
-            disc <= 0.0,
-            np.sqrt(np.maximum(np.maximum.reduce([mu0, mu1, mu2]), 0.0)),
-            np.maximum(np.sqrt(np.maximum(u + v - shift, 0.0)), re_pair),
+        real = disc <= 0.0
+        re_squared = np.where(
+            real, mu0, np.maximum(u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x))
         )
-    confined = (disc <= 0.0) & (separation > _gap_tol(scale, gap_floor) + slack)
-    return confined, re_lam > slack
+    tau = _gap_tol(scale, gap_floor)
+    confined = real & (separation > tau + slack)
+    boundary = real & (separation > _gap_tol(scale) + slack) & (separation < tau - slack)
+    return confined, re_squared > slack * slack, boundary
 
 
 def _eig_classes(S: np.ndarray, gap_floor: float = 0.0):
@@ -179,15 +194,20 @@ def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
     eigenvalue rule; b and b0 broadcast to one 1-D stack of points.
 
-    Most points are certified from the closed-form mu-cubic of the generator's
-    nine entries; only the rest (near region edges) get a 6x6 stack and go
-    through the batched eigensolver, with the same result either way.
+    Most points are certified Confined, Unconfined or, inside the band that
+    ``gap_floor`` adds above the pointwise gap tolerance, Boundary from the
+    closed-form mu-cubic of the generator's nine entries (``_certify_cells``);
+    only the rest (beside a tolerance edge, a mode collision or a zero mode)
+    get a 6x6 stack and go through the batched eigensolver, with the same
+    result either way.
     """
     b, b0 = np.broadcast_arrays(np.abs(b), np.abs(b0))
     entries = _generator_entries(b, b0, omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures())
-    confined, unconfined = _certify_cells(*_mu_cubic(*entries), _frobenius(*entries), gap_floor)
-    codes = np.where(unconfined, "U", "C")
-    rest = ~(confined | unconfined)
+    confined, unconfined, boundary = _certify_cells(
+        *_mu_cubic(*entries), _frobenius(*entries), gap_floor
+    )
+    codes = np.where(unconfined, "U", np.where(boundary, "B", "C"))
+    rest = ~(confined | unconfined | boundary)
     if rest.any():
         b, b0 = b[rest], b0[rest]
         curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
@@ -207,10 +227,8 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     codes = np.empty(n_cells, dtype="<U1")
 
     def work(lo):
-        cell = np.arange(lo, min(lo + _CHUNK_CELLS, n_cells))
-        codes[lo : lo + len(cell)] = _loop_codes(
-            alphas[cell % n_cols], alpha0s[cell // n_cols], 1.0, gap_floor
-        )
+        row, col = np.divmod(np.arange(lo, min(lo + _CHUNK_CELLS, n_cells)), n_cols)
+        codes[lo : lo + len(row)] = _loop_codes(alphas[col], alpha0s[row], 1.0, gap_floor)
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1

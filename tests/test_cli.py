@@ -213,6 +213,18 @@ class TestSweepCommands:
             want = {f"{x:.17g}" for x in np.linspace(lo, hi, steps + 1).tolist()}
             assert set(column) == want
 
+    def test_summary_names_the_final_window(self, capsys, tmp_path):
+        # alpha grows to 10 while the alpha0 window [12, 20] is kept; the
+        # summary says where both axes ended
+        code, out, _ = run(capsys, "sweep-fig1", "--alpha-max", "3", "--alpha0-min", "12",
+                           "--alpha0-max", "20", "--alpha-steps", "30", "--alpha0-steps", "80",
+                           "-o", str(tmp_path / "map.csv"))
+        assert code == 0
+        assert out.startswith("confined components: ")
+        assert out.rstrip().endswith(
+            "; window alpha in [0, 10], alpha0 in [12, 20] (auto-extended: true)"
+        )
+
     @pytest.mark.parametrize("binding, digest", [
         ("penning", "7b25f72d3a086d377b302e523469789de457b4c7cb1bf8c09f9d8f3ccfb185cd"),
         ("oscillator", "7953ac85b63a780814a488a4d7681785a90ae48e27611c401daf2b8c4b250e88"),

@@ -285,9 +285,9 @@ def kernel_counts(monkeypatch):
         return S
 
     def counted_certify(*args):
-        confined, unconfined = certify(*args)
-        uncertified.append(int(np.count_nonzero(~(confined | unconfined))))
-        return confined, unconfined
+        confined, unconfined, boundary = certify(*args)
+        uncertified.append(int(np.count_nonzero(~(confined | unconfined | boundary))))
+        return confined, unconfined, boundary
 
     monkeypatch.setattr(sweep, "_generator", counted_generator)
     monkeypatch.setattr(sweep, "_certify_cells", counted_certify)
@@ -305,6 +305,48 @@ def test_loop_codes_stack_only_the_uncertified_points(kernel_counts):
     sweep._loop_codes(np.linspace(0.05, 0.2, 100), 1.0, 0.0)
     assert uncertified == [0]
     assert rows == []
+
+
+def test_default_grid_stacks_only_zero_mode_and_collision_cells(kernel_counts):
+    # with the CLI's resolution margin, the cells the margin alone makes
+    # Boundary are certified too; only cells beside a zero mode or a mode
+    # collision (797 of 361,201) reach the eigensolver
+    rows, _ = kernel_counts
+    grid = sweep.GridSpec()
+    gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
+    sweep._classify_grid(grid.alphas, grid.alpha0s, gap_floor)
+    assert 0 < sum(rows) < 1000
+    b0, b = (x.ravel() for x in np.meshgrid(grid.alpha0s, grid.alphas, indexing="ij"))
+    n_boundary = 0
+    for lo in range(0, len(b), sweep._CHUNK_CELLS):
+        b_c, b0_c = b[lo : lo + sweep._CHUNK_CELLS], b0[lo : lo + sweep._CHUNK_CELLS]
+        curvatures = PenningQuadrupole(4.0 * b0_c / 3.0).curvatures()
+        entries = _generator_entries(b_c, b0_c, 1.0, curvatures)
+        boundary = sweep._certify_cells(
+            *_mu_cubic(*entries), sweep._frobenius(*entries), gap_floor
+        )[2]
+        b_c, b0_c = b_c[boundary], b0_c[boundary]
+        curvatures = PenningQuadrupole(4.0 * b0_c / 3.0).curvatures()
+        S = _generator(b_c, b0_c, 1.0, curvatures, b_c.shape)
+        assert set(sweep._eig_classes(S, gap_floor)[2].tolist()) <= {"B"}
+        n_boundary += len(b_c)
+    assert n_boundary > 1000
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    b=st.floats(min_value=0.0, max_value=10.0),
+    b0=st.floats(min_value=0.0, max_value=10.0),
+    omega=st.sampled_from([0.0, 1.0]),
+)
+def test_pointwise_margin_certifies_no_boundary(b, b0, omega):
+    # with gap_floor 0 the Boundary certificate's band is empty, so the scans
+    # keep deciding every Boundary point through the eigensolver
+    entries = _generator_entries(
+        np.array([b]), np.array([b0]), omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    )
+    boundary = sweep._certify_cells(*_mu_cubic(*entries), sweep._frobenius(*entries), 0.0)[2]
+    assert not boundary.any()
 
 
 def _sequential_bisect(confined_at, lo, hi, length, tol):
@@ -546,6 +588,32 @@ def test_normal_mode_basis_ignores_eigenvector_phases(alpha0, seed):
     ))
     want = normal_mode_basis(spec, S).coeffs
     assert np.abs(normal_mode_basis(turned, S).coeffs - want).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(min_value=-7.0, max_value=0.5).map(lambda e: 10.0**e)),
+    alpha0=st.floats(min_value=-7.0, max_value=-4.0).map(lambda e: 10.0**e),
+    n=st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+)
+@example(alpha=0.0, alpha0=1e-5, n=(1, 0, 0))
+def test_fast_rotation_corner_has_a_basis_and_phases(alpha, alpha0, n):
+    # for alpha0 <= 1e-4 the two fast modes sit at 1 +- O(alpha0) with
+    # opposite Krein signs and symplectic forms of O(alpha0): the eigensolver's
+    # cross form between them, divided by theirs, broke the commutator check
+    # until the modes were J-orthogonalised
+    params = _loop_point(alpha, alpha0)
+    S = build_G(params).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    basis = normal_mode_basis(spec, S)
+    C, D = basis.ladder_commutators()
+    assert np.abs(C - np.diag(basis.signs)).max() <= 1e-9
+    assert np.abs(D).max() <= 1e-9
+    # aa_phase raises unless eq7 = eq8 within 1e-6 (1 + |eq8|)
+    report = aa_phase(params, PenningQuadrupole(params.w0), FockLabel(*n))
+    eq7, eq8 = report.aa_phase_eq7, report.aa_phase_eq8
+    assert abs(eq7 - eq8) <= 1e-6 * (1.0 + abs(eq8))
 
 
 def _loop_point(alpha, alpha0, c=1.0):

@@ -18,10 +18,10 @@ from penphase import (
     J6,
     PenningQuadrupole,
     SystemParams,
+    aa_phase,
     build_G,
     build_L3_form,
     classify,
-    NumericalError,
     make_params_adiabatic,
     make_params_dimensionless,
     normal_mode_basis,
@@ -168,21 +168,26 @@ class TestNormalModeBasis:
             assert np.abs(C - np.diag(basis.signs)).max() < 1e-9
             assert np.abs(D).max() < 1e-9
 
-    def test_near_krein_collision_names_modes_and_forms(self):
+    def test_near_krein_collision_gets_a_basis(self):
         # alpha = 0, alpha0 = 1e-5, w = 4 alpha0 / 3: the two fast modes, of
-        # Krein signs +1 and -1, have symplectic forms +-6.67e-6 and a cross
-        # form 2.08e-14, whose ratio breaks the 1e-9 commutator check
-        S = build_G(make_params_dimensionless(0.0, 1e-5, 1.3333333333333333e-05)).S
+        # Krein signs +1 and -1, have symplectic forms +-6.67e-6; the
+        # eigensolver's cross form between them (1e-14 to 1e-13) divided by
+        # those forms broke the 1e-9 commutator check before the modes were
+        # J-orthogonalised
+        params = make_params_dimensionless(0.0, 1e-5, 1.3333333333333333e-05)
+        S = build_G(params).S
         spec = classify(J6 @ S)
         assert spec.classification is Classification.CONFINED
         assert list(spec.krein_signs[:2]) == [1, -1]
-        with pytest.raises(NumericalError) as info:
-            normal_mode_basis(spec, S)
-        message = str(info.value)
-        assert "err=3.12e-09" in message
-        assert "at modes 1 and 2" in message
-        assert "symplectic forms 6.67e-06 and -6.67e-06" in message
-        assert "cross form 2.08e-14" in message
+        basis = normal_mode_basis(spec, S)
+        C, D = basis.ladder_commutators()
+        assert np.abs(C - np.diag(basis.signs)).max() <= 1e-9
+        assert np.abs(D).max() <= 1e-9
+        # aa_phase raises unless eq7 = eq8 within 1e-6 (1 + |eq8|)
+        report = aa_phase(params, PenningQuadrupole(params.w0), FockLabel(1, 0, 0))
+        eq7, eq8 = report.aa_phase_eq7, report.aa_phase_eq8
+        assert abs(eq7 - eq8) <= 1e-6 * (1.0 + abs(eq8))
+        assert eq7 == pytest.approx(-2.0 * math.pi, abs=1e-9)
 
     def test_requires_confined(self):
         p = SystemParams(b=0, b0=0, w0=1.0, omega=0)
