@@ -11,6 +11,8 @@ from typing import IO
 
 import numpy as np
 
+from .sweep import _runs
+
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 56, 16, 18, 40
 _CLASS_COLORS = {"C": "#6699cc", "U": "#f2f2f2", "B": "#333333"}
 _CURVE_COLORS = ("#1f4e79", "#c0392b", "#1e8449", "#7d3c98")
@@ -88,32 +90,22 @@ def _axes(cv: _Canvas, xlo, xhi, ylo, yhi, xlabel, ylabel):
 
 
 def region_map_svg(region_map, stream: IO[str]) -> None:
-    """Render the class grid as run-length colored rows with axes, 640x640 px."""
+    """Render the class grid with axes, 640x640 px: one colored rect per run of
+    equal class in a row (``sweep._runs``), placed from each column's x and
+    each row's y, mapped once per axis."""
     cv = _Canvas(640, 640)
     alphas = region_map.alphas
     alpha0s = region_map.alpha0s
-    to_px = _axes(
-        cv, alphas[0], alphas[-1], alpha0s[0], alpha0s[-1], "alpha", "alpha0"
-    )
-    x_left, _ = to_px(alphas[0], alpha0s[0])
-    x_right, _ = to_px(alphas[-1], alpha0s[0])
-    cell_w = (x_right - x_left) / max(len(alphas) - 1, 1)
-    _, y_bot = to_px(alphas[0], alpha0s[0])
-    _, y_top = to_px(alphas[0], alpha0s[-1])
-    cell_h = (y_bot - y_top) / max(len(alpha0s) - 1, 1)
-    for i in range(len(alpha0s)):
-        row = region_map.classes[i]
-        _, y = to_px(alphas[0], alpha0s[i])
-        starts = np.flatnonzero(row[1:] != row[:-1]) + 1
-        for j, j_end in zip([0, *starts.tolist()], [*starts.tolist(), len(row)]):
-            x, _ = to_px(alphas[j], alpha0s[i])
-            cv.rect(
-                x - cell_w / 2,
-                y - cell_h / 2,
-                cell_w * (j_end - j),
-                cell_h,
-                _CLASS_COLORS[str(row[j])],
-            )
+    to_px = _axes(cv, alphas[0], alphas[-1], alpha0s[0], alpha0s[-1], "alpha", "alpha0")
+    xs = to_px(alphas, alpha0s[0])[0].tolist()
+    ys = to_px(alphas[0], alpha0s)[1].tolist()
+    cell_w = (xs[-1] - xs[0]) / max(len(alphas) - 1, 1)
+    cell_h = (ys[0] - ys[-1]) / max(len(alpha0s) - 1, 1)
+    row, start, end = _runs(region_map.classes)
+    for i, j, j_end, cls in zip(row.tolist(), start.tolist(), end.tolist(),
+                                region_map.classes[row, start].tolist()):
+        cv.rect(xs[j] - cell_w / 2, ys[i] - cell_h / 2, cell_w * (j_end - j), cell_h,
+                _CLASS_COLORS[cls])
     cv.text(cv.width - _MARGIN_R - 4, _MARGIN_T - 4, "C confined / U unconfined / B boundary",
             anchor="end", size=10)
     cv.render(stream)

@@ -33,10 +33,10 @@ halving.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
 Grid work runs in fixed-size chunks of cells, so memory stays bounded for
-any grid size, with one thread per CPU the process may use. The map's
-regions are the 4-connected components that ``_label4`` finds, a union-find
-over the runs of each grid row; the CSV writes each run of equal (class,
-component) in a row with one string join.
+any grid size, with one thread per CPU the process may use. The labeller,
+the CSV and the SVG read each grid row as runs of equal values (``_runs``):
+the 4-connected regions are one union-find over the class runs, so no cell
+is labelled twice, and a CSV run or SVG rect is one string per run.
 """
 
 from __future__ import annotations
@@ -267,73 +267,79 @@ class RegionMap:
         return self.grid.alpha0s
 
     def to_csv(self, stream: IO[str]) -> None:
-        """Rows alpha0-major ascending: header alpha,alpha0,class,component. A run
-        of equal (class, component) in a row is one join of its alpha strings."""
+        """Rows alpha0-major ascending: header alpha,alpha0,class,component. Each
+        run of equal (class, component) in a row (``_runs``) is one string join."""
         stream.write("alpha,alpha0,class,component\n")
         alphas = [f"{a:.17g}," for a in self.alphas.tolist()]
-        for alpha0, row_cls, row_comp in zip(self.alpha0s.tolist(), self.classes, self.component):
-            a0 = f"{alpha0:.17g}"
-            change = (row_cls[1:] != row_cls[:-1]) | (row_comp[1:] != row_comp[:-1])
-            bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(alphas)]
-            for j, j_end in zip(bounds[:-1], bounds[1:]):
-                line_end = f"{a0},{row_cls[j]},{row_comp[j]}\n"
-                stream.write(line_end.join(alphas[j:j_end]) + line_end)
+        alpha0s = [f"{a:.17g}" for a in self.alpha0s.tolist()]
+        row, start, end = _runs(self.classes, self.component)
+        for i, j, j_end, cls, comp in zip(
+            row.tolist(), start.tolist(), end.tolist(),
+            self.classes[row, start].tolist(), self.component[row, start].tolist(),
+        ):
+            line_end = f"{alpha0s[i]},{cls},{comp}\n"
+            stream.write(line_end.join(alphas[j:j_end]) + line_end)
 
 
-def _label4(mask: np.ndarray) -> Tuple[np.ndarray, int]:
-    """4-connected components of a 2-D boolean mask: labels 1..n on the mask,
-    numbered in raster order of each component's first cell, and 0 off it.
+def _runs(*arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, start and end (one past the last column) of each maximal run of
+    equal values in a row of the same-shaped 2-D arrays, in raster order; a
+    run breaks where any of the arrays changes. The runs tile the grid."""
+    rows, cols = arrays[0].shape
+    first = np.arange(0, rows * cols, cols)  # flat index of each run's first cell
+    for a in arrays:
+        flat = a.ravel()
+        first = np.concatenate([first, np.flatnonzero(flat[1:] != flat[:-1]) + 1])
+    first = np.sort(first)
+    first = first[np.diff(first, prepend=-1) > 0]
+    row, start = np.divmod(first, cols)
+    return row, start, np.append(first[1:], rows * cols) - row * cols
 
-    The runs of set cells in each row are the nodes of a union-find; two runs
-    in adjacent rows are joined when their column spans overlap. Runs are
-    indexed in raster order and every union keeps the smaller root, so each
-    component's root is its first run.
-    """
-    rows, cols = mask.shape
-    width = cols + 1
-    steps = np.diff(np.pad(mask.astype(np.int8), ((0, 0), (1, 1))), axis=1)
-    starts = np.flatnonzero(steps == 1)  # row * width + first column of a run
-    ends = np.flatnonzero(steps == -1)  # row * width + one past its last column
-    # the runs of the row above that overlap run j are lo[j]..hi[j] - 1
-    lo = np.searchsorted(ends, starts - width, side="right").tolist()
-    hi = np.searchsorted(starts, ends - width, side="left").tolist()
-    parent = list(range(len(starts)))
+
+def _label_regions(codes: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """(component, n_components, n_unconfined_regions) of a grid of class codes,
+    under the rules of ``RegionMap``: one union-find over the class runs of each
+    row (``_runs``) in raster order. A run joins the overlapping runs of the row
+    above when both or neither are Confined, and a non-Confined run the one
+    beside it; each union keeps the smaller root, so Confined components are
+    numbered in raster order of their first cells."""
+    row, start, end = _runs(codes)
+    cls = codes[row, start]
+    confined = cls == "C"
+    cols = codes.shape[1]
+    at = row * cols  # flat index of the first cell of each run's row
+    # run j overlaps runs lo[j] .. lo[j] + n_above[j] - 1 of the row above;
+    # it is paired with those of its own kind, Confined or not
+    lo = np.searchsorted(at + end, at + start - cols, side="right")
+    n_above = np.searchsorted(at + start, at + end - cols, side="left") - lo
+    j = np.repeat(np.arange(len(row)), n_above)
+    i = np.arange(len(j)) + np.repeat(lo - np.cumsum(n_above) + n_above, n_above)
+    keep = confined[i] == confined[j]
+    # non-Confined runs side by side in a row (U beside B)
+    beside = np.flatnonzero(~confined[1:] & ~confined[:-1] & (row[1:] == row[:-1]))
+    parent = list(range(len(row)))
 
     def find(i):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for j in range(len(starts)):
-        for i in range(lo[j], hi[j]):
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    roots = np.array([find(i) for i in range(len(starts))], dtype=np.intp)
-    first = roots == np.arange(len(starts))
-    run_labels = np.cumsum(first)[roots]
-    paint = np.zeros(rows * width, dtype=np.int64)
-    paint[starts] = run_labels
-    paint[ends] = -run_labels
-    labels = np.cumsum(paint).reshape(rows, width)[:, :cols]
-    return labels.astype(np.int32), int(first.sum())
+    for i, j in zip(np.append(i[keep], beside).tolist(), np.append(j[keep], beside + 1).tolist()):
+        a, b = find(i), find(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    roots = np.array([find(i) for i in range(len(row))], dtype=np.intp)
+    first = confined & (roots == np.arange(len(row)))
+    ids = np.where(confined, np.cumsum(first)[roots], -1).astype(np.int32)
+    component = np.repeat(ids, end - start).reshape(codes.shape)
+    return component, int(first.sum()), int(np.count_nonzero(np.bincount(roots[cls == "U"])))
 
 
-def _label_regions(codes: np.ndarray) -> Tuple[np.ndarray, int, int]:
-    confined = codes == "C"
-    component, n_comp = _label4(confined)
-    component = np.where(confined, component, -1).astype(np.int32)
-    complement, _ = _label4(~confined)
-    ids = np.unique(complement[codes == "U"])
-    n_unconf = int(len(ids[ids > 0]))
-    return component, n_comp, n_unconf
-
-
-def _grown(lo: float, hi: float, steps: int) -> Tuple[float, float, int]:
+def _grown(lo: float, hi: float, step: float) -> Tuple[float, float, int]:
     """An axis (lo, hi, steps) with hi grown by 50%, capped at 10 and never
-    lowered, at the axis's own step."""
+    lowered, at the step the caller asked for, so rounding never compounds."""
     new_hi = max(hi, min(1.5 * hi, 10.0))
-    return lo, new_hi, int(round((new_hi - lo) / ((hi - lo) / steps)))
+    return lo, new_hi, int(round((new_hi - lo) / step))
 
 
 def sweep_fig1(
@@ -345,12 +351,14 @@ def sweep_fig1(
 
     The default window is [0, 3]^2 at 600 steps per axis. When fewer than four
     confined components are found and auto_extend is on, each axis maximum
-    below 10 grows by 50% increments, capped at 10, at that axis's own cell
-    size; once no axis grows the result is reported as-is.
+    below 10 grows by 50% increments, capped at 10, at the cell size asked for
+    on that axis; once no axis grows the result is reported as-is.
     """
     if not (math.isfinite(gap_scale) and gap_scale >= 0):
         raise DomainError(f"gap scale must be finite and >= 0, got {gap_scale}")
     spec = grid or GridSpec()
+    steps = ((spec.alpha_max - spec.alpha_min) / spec.alpha_steps,
+             (spec.alpha0_max - spec.alpha0_min) / spec.alpha0_steps)
     extended = False
     while True:
         gap_floor = gap_scale * spec.max_step
@@ -358,8 +366,8 @@ def sweep_fig1(
         component, n_comp, n_unconf = _label_regions(codes)
         grown = spec
         if auto_extend and n_comp < 4:
-            grown = GridSpec(*_grown(spec.alpha_min, spec.alpha_max, spec.alpha_steps),
-                             *_grown(spec.alpha0_min, spec.alpha0_max, spec.alpha0_steps))
+            grown = GridSpec(*_grown(spec.alpha_min, spec.alpha_max, steps[0]),
+                             *_grown(spec.alpha0_min, spec.alpha0_max, steps[1]))
         if grown == spec:
             return RegionMap(
                 grid=spec,

@@ -194,12 +194,12 @@ class TestSweepCommands:
     @pytest.mark.parametrize("window, alpha_axis, alpha0_axis", [
         # alpha grows 3 -> 4.5 -> 6.75 -> 10; alpha0 starts beyond 10 and stays
         (["--alpha-max", "3", "--alpha0-min", "12", "--alpha0-max", "20",
-          "--alpha-steps", "30", "--alpha0-steps", "80"], (0, 10, 101), (12, 20, 80)),
+          "--alpha-steps", "30", "--alpha0-steps", "80"], (0, 10, 100), (12, 20, 80)),
         (["--alpha-max", "3", "--alpha0-max", "20", "--alpha-steps", "30",
-          "--alpha0-steps", "100"], (0, 10, 101), (0, 20, 100)),
+          "--alpha0-steps", "100"], (0, 10, 100), (0, 20, 100)),
         # each axis keeps its own step: alpha0 stays at 0.05, not alpha's 0.1
         (["--alpha-max", "2", "--alpha0-max", "3", "--alpha-steps", "20",
-          "--alpha0-steps", "60"], (0, 10, 101), (0, 10, 200)),
+          "--alpha0-steps", "60"], (0, 10, 100), (0, 10, 200)),
     ])
     def test_auto_extension_grows_each_axis_at_its_own_step(
         self, capsys, tmp_path, window, alpha_axis, alpha0_axis

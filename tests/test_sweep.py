@@ -27,7 +27,7 @@ from penphase import (
 from conftest import SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
-from penphase.sweep import RegionMap, _classify_grid, _label4
+from penphase.sweep import RegionMap, _classify_grid, _label_regions
 
 
 def loop_classification(alpha, alpha0):
@@ -117,7 +117,7 @@ class TestSweepFig1:
         rm = sweep_fig1(GridSpec(alpha_max=10.0, alpha_steps=50, alpha0_max=2.0, alpha0_steps=10))
         assert rm.auto_extended and rm.n_components < 4
         assert (rm.grid.alpha_max, rm.grid.alpha_steps) == (10.0, 50)
-        assert rm.grid.alpha0_max == 10.0
+        assert (rm.grid.alpha0_max, rm.grid.alpha0_steps) == (10.0, 50)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["alpha_min", "alpha_max", "alpha0_min", "alpha0_max"])
@@ -158,17 +158,23 @@ def _cells_map(classes, component, alphas, alpha0s):
 
 
 @st.composite
-def cell_maps(draw):
+def cell_maps(draw, min_side=1):
     """Small maps whose Confined cells carry ids 1-3, so neighbouring
-    Confined cells often differ only in their component."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    Confined cells often differ only in their component. With min_side 2 the
+    end samples of each axis lie at least 1e-3 apart, so the SVG's pixel map
+    (x - first) / (last - first) stays finite."""
+    rows, cols = draw(st.integers(min_side, 6)), draw(st.integers(min_side, 8))
     classes = np.array(draw(st.lists(st.sampled_from("CUB"), min_size=rows * cols,
                                      max_size=rows * cols))).reshape(rows, cols)
     ids = np.array(draw(st.lists(st.integers(1, 3), min_size=rows * cols,
                                  max_size=rows * cols))).reshape(rows, cols)
     coord = st.floats(min_value=-1e3, max_value=1e3)
-    alphas = draw(st.lists(coord, min_size=cols, max_size=cols))
-    alpha0s = draw(st.lists(coord, min_size=rows, max_size=rows))
+
+    def axis(n):
+        return draw(st.lists(coord, min_size=n, max_size=n).filter(
+            lambda xs: min_side == 1 or abs(xs[-1] - xs[0]) >= 1e-3))
+
+    alphas, alpha0s = axis(cols), axis(rows)
     component = np.where(classes == "C", ids, -1).astype(np.int32)
     return _cells_map(classes, component, alphas, alpha0s)
 
@@ -213,27 +219,34 @@ def _loop_svg(rm, stream):
     cv.render(stream)
 
 
-def _assert_labels_match_ndimage(mask):
-    labels, n = _label4(mask)
-    want, n_want = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, 1))
+def _assert_labels_match_ndimage(codes):
+    component, n, n_unconfined = _label_regions(codes)
+    four = ndimage.generate_binary_structure(2, 1)
+    want, n_want = ndimage.label(codes == "C", structure=four)
     assert n == n_want
-    assert np.array_equal(labels, want)
+    assert component.dtype == np.int32
+    assert np.array_equal(component, np.where(want > 0, want, -1))
+    rest, _ = ndimage.label(codes != "C", structure=four)
+    assert n_unconfined == len(set(rest[codes == "U"].tolist()))
 
 
 class TestLabel4:
     """The region labeller against scipy.ndimage.label with 4-connectivity:
-    the same components, numbered in the same raster order."""
+    the same Confined components, numbered in the same raster order, and as
+    many Unconfined regions as there are components of the non-Confined cells
+    that hold an Unconfined cell."""
 
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.integers(min_value=1, max_value=40),
         cols=st.integers(min_value=1, max_value=40),
-        density=st.floats(min_value=0.0, max_value=1.0),
+        weights=st.tuples(*[st.integers(min_value=0, max_value=4)] * 3).filter(any),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_ndimage(self, rows, cols, density, seed):
-        mask = np.random.default_rng(seed).uniform(size=(rows, cols)) < density
-        _assert_labels_match_ndimage(mask)
+    def test_matches_ndimage(self, rows, cols, weights, seed):
+        p = np.array(weights) / sum(weights)
+        codes = np.random.default_rng(seed).choice(np.array(list("CUB")), (rows, cols), p=p)
+        _assert_labels_match_ndimage(codes)
 
     @pytest.mark.parametrize(
         "mask",
@@ -247,7 +260,7 @@ class TestLabel4:
         ids=["all_false", "all_true", "single_row", "single_column", "checkerboard"],
     )
     def test_fixed_masks(self, mask):
-        _assert_labels_match_ndimage(mask)
+        _assert_labels_match_ndimage(np.where(mask, "C", "U"))
 
 
 class TestRendering:
@@ -272,6 +285,21 @@ class TestRendering:
         got, want = io.StringIO(), io.StringIO()
         rm.to_csv(got)
         _loop_csv(rm, want)
+        assert got.getvalue() == want.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rm=cell_maps(min_side=2))
+    # a one-sample axis has no extent to map to pixels, so the thinnest maps
+    # drawn are two rows (one of whose Confined runs breaks on the component
+    # alone, which the SVG ignores) and two columns
+    @example(rm=_cells_map([list("CCCUC"), list("UBBCC")], [[1, 1, 2, -1, 2], [-1, -1, -1, 3, 3]],
+                           [0.0, 0.1, 0.2, 0.3, 0.4], [1.5, 1.6]))
+    @example(rm=_cells_map([["C", "U"], ["C", "B"], ["B", "B"]], [[1, -1], [2, -1], [-1, -1]],
+                           [0.25, 0.5], [0.0, 1.0, 2.0]))
+    def test_svg_matches_per_cell_loop_on_random_maps(self, rm):
+        got, want = io.StringIO(), io.StringIO()
+        svgplot.region_map_svg(rm, got)
+        _loop_svg(rm, want)
         assert got.getvalue() == want.getvalue()
 
 
@@ -382,6 +410,21 @@ def test_loop_codes_chunk_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak < 450 * len(cell)
+
+
+def test_fig1_map_and_csv_memory_per_cell():
+    # the map keeps 8 B per cell (<U1 codes and int32 ids); labelling and the
+    # CSV work from the runs of each row, so they add a few bool masks, not
+    # a second label array
+    grid = GridSpec(alpha_steps=1200, alpha0_steps=1200)
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as null:
+            sweep_fig1(grid, auto_extend=False).to_csv(null)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * len(grid.alphas) * len(grid.alpha0s)
 
 
 class TestFindKcr:
