@@ -94,9 +94,9 @@ def _mu_cubic(g0, g1, g2, k00, k11, k22, k01, k02, k12):
     With M = K + g g^T - |g|^2 I, symmetric: c2 = tr M + 4|g|^2,
     c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
     2x2 minors of M. Every operation is a polynomial in the entries, so a
-    complex S gives the analytic continuation. Callers: ``sweep._loop_codes``
-    (from ``_generator_entries``, no stack) and ``phases._dmodes_implicit``
-    (``_stack_entries`` of its complex omega-step).
+    complex S gives the analytic continuation. Caller:
+    ``phases._dmodes_implicit`` (``_stack_entries`` of its complex
+    omega-step); loop points take its closed form ``sweep._loop_cubic``.
     """
     g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
     gg = g00 + g11 + g22

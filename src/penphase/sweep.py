@@ -15,14 +15,15 @@ one eigenvalue rule ``spectral._rule``, the grid with its margin as
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most points are certified Confined, Unconfined or
 (under a grid's margin) Boundary from the closed-form roots of that cubic,
-with a slack far above rounding. The cubic and the tolerance scale ||S||_F
-come from the generator's nine distinct entries (``model._generator_entries``),
-one column each. Only the points the roots leave undecided are built as 6x6
-generators and go through the batched eigensolver: those within the slack of
-a tolerance, of a mode collision or of a zero mode. At a zero mode Lambda has
-a Jordan block, and whether eig reports its split eigenvalues as real or
-imaginary is decided by rounding, so no closed form can predict its class
-there. The labels equal those of the eigenvalue rule at every point.
+with a slack far above rounding. On the loop the cubic's coefficients and
+the tolerance scale ||S||_F are each a term in b0 alone plus b^2 times
+another (``_loop_cubic``), so over a grid tile, a column of alpha0 against a
+row of alpha, each costs one to four passes. Only the points the roots leave
+undecided are built as 6x6 generators and go through the batched
+eigensolver: those within the slack of a tolerance, of a mode collision or
+of a zero mode. At a zero mode Lambda has a Jordan block, and whether eig
+reports its split eigenvalues as real or imaginary is decided by rounding,
+so no closed form can predict its class there. The labels equal those of the eigenvalue rule at every point.
 ``_loop_codes`` is that one classifier of loop points, for the grid (with its
 margin as ``gap_floor``) and for the 1-D scans ``refine_boundary`` and
 ``find_kcr`` (with gap_floor 0, the pointwise tolerances, under which no
@@ -32,15 +33,17 @@ halvings can visit, so a scan makes two or three kernel calls, not one per
 halving.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
-Grid work runs in fixed-size chunks of cells, so memory stays bounded for
-any grid size, with one thread per CPU the process may use. The labeller,
-the CSV and the SVG read each grid row as runs of equal values (``_runs``):
-the 4-connected regions are one union-find over the class runs, so no cell
-is labelled twice, and a CSV run or SVG rect is one string per run.
+Grid work runs in tiles of at most _CHUNK_CELLS cells, so memory stays
+bounded for any grid size, with one thread per CPU the process may use. The
+labeller, the CSV and the SVG read each grid row as runs of equal values
+(``_runs``): the 4-connected regions are one union-find over the class runs,
+so no cell is labelled twice, and a CSV run or SVG rect is one string per
+run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -50,9 +53,9 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator, _generator_entries
+from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
 from .phases import _dmodes_implicit, cos_theta
-from .spectral import _gap_tol, _mu_cubic, _rule, _simple_imaginary
+from .spectral import _gap_tol, _rule, _simple_imaginary
 
 __all__ = [
     "GridSpec",
@@ -75,7 +78,8 @@ _PRESCAN_STEPS = 32
 #: Halvings per bisection round; one round classifies up to 2^10 - 1 midpoints.
 _ROUND_DEPTH = 10
 
-#: Cells per certification chunk; one chunk peaks at about 2.5 MB of arrays.
+#: Cells per certification tile; a 13 x 601 tile of the default map peaks at
+#: about 1.8 MB of arrays (235 B per cell under tracemalloc).
 _CHUNK_CELLS = 8192
 
 @dataclass(frozen=True)
@@ -115,22 +119,39 @@ class GridSpec:
         )
 
 
-def _frobenius(g0, g1, g2, k00, k11, k22, k01, k02, k12):
-    """||S||_F of S = [[K, B], [B^T, I]] from its nine entries (the order of
-    ``model._generator_entries``): ||S||_F^2 = sum K_ii^2 + 2 sum_{i<j} K_ij^2
-    + 4 |g|^2 + 3, as ||B||_F^2 = 2 |g|^2."""
-    return np.sqrt(
-        k00 * k00 + k11 * k11 + k22 * k22 + 2.0 * (k01 * k01 + k02 * k02 + k12 * k12)
-        + 4.0 * (g0 * g0 + g1 * g1 + g2 * g2) + 3.0
+def _loop_cubic(b, b0, omega: float):
+    """Coefficients (c2, c1, c0) of the mu-cubic (``spectral._mu_cubic``) and
+    ||S||_F of loop points (b, b0), w0 = 4 b0 / 3; b and b0 broadcast together.
+
+    On the loop, with d = omega - b0, s = b0^2 / 9, p = s - d^2, r = 16 s and
+    B = b^2, M = K + g g^T - |g|^2 I is [[p, 0, -b omega], [0, p, 0],
+    [-b omega, 0, r]], so each coefficient is a term in b0 alone plus B times
+    another: c2 = (2p + r + 4d^2) + 4B, c1 = (2pr + p^2 + 4d^2 r)
+    + B (4p + 8d omega - omega^2), c0 = p^2 r - B p omega^2 and
+    ||S||_F^2 = 2B^2 + B (2s + 2r + 2b0^2 + 4) + (2s^2 + r^2 + 4d^2 + 3).
+    With b0 a column and b a row, the b0 terms cost one pass over the column
+    and each output one to four passes over the tile.
+    """
+    B = b * b
+    d = omega - b0
+    d_sq, s = d * d, b0 * b0 / 9.0
+    p, r = s - d_sq, 16.0 * s
+    c2 = (2.0 * p + r + 4.0 * d_sq) + 4.0 * B
+    c1 = (2.0 * p * r + p * p + 4.0 * d_sq * r) + B * (4.0 * p + 8.0 * d * omega - omega * omega)
+    c0 = p * p * r - B * (p * (omega * omega))
+    scale = np.sqrt(
+        B * (2.0 * B + (2.0 * (s + r + b0 * b0) + 4.0)) + (2.0 * s * s + r * r + 4.0 * d_sq + 3.0)
     )
+    return c2, c1, c0, scale
 
 
 def _certify_cells(
     c2, c1, c0, scale, gap_floor: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks (confined, unconfined, boundary) of the cells the mu-cubic decides
-    without eig, from 1-D columns of its coefficients (``_mu_cubic``) and of the
-    cells' ||S||_F, which equals the eigenvalue rule's scale ||Lambda||_F.
+    without eig, from same-shaped arrays of its coefficients (``_loop_cubic``)
+    and of the cells' ||S||_F, which equals the eigenvalue rule's scale
+    ||Lambda||_F.
 
     The roots mu = lambda^2 come in closed form: trigonometric when all three
     are real (one cosine; they come out ordered mu0 >= mu1 >= mu2, so the
@@ -192,24 +213,22 @@ def _eig_classes(S: np.ndarray, gap_floor: float = 0.0):
 
 def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
-    eigenvalue rule; b and b0 broadcast to one 1-D stack of points.
+    eigenvalue rule; b and b0 broadcast together (a 1-D stack, or a row of b
+    against a column of b0 for a grid tile).
 
     Most points are certified Confined, Unconfined or, inside the band that
     ``gap_floor`` adds above the pointwise gap tolerance, Boundary from the
-    closed-form mu-cubic of the generator's nine entries (``_certify_cells``);
+    closed-form mu-cubic of the loop (``_loop_cubic``, ``_certify_cells``);
     only the rest (beside a tolerance edge, a mode collision or a zero mode)
     get a 6x6 stack and go through the batched eigensolver, with the same
     result either way.
     """
-    b, b0 = np.broadcast_arrays(np.abs(b), np.abs(b0))
-    entries = _generator_entries(b, b0, omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures())
-    confined, unconfined, boundary = _certify_cells(
-        *_mu_cubic(*entries), _frobenius(*entries), gap_floor
-    )
+    b, b0 = np.abs(b), np.abs(b0)
+    confined, unconfined, boundary = _certify_cells(*_loop_cubic(b, b0, omega), gap_floor)
     codes = np.where(unconfined, "U", np.where(boundary, "B", "C"))
     rest = ~(confined | unconfined | boundary)
     if rest.any():
-        b, b0 = b[rest], b0[rest]
+        b, b0 = (np.broadcast_to(x, rest.shape)[rest] for x in (b, b0))
         curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
         codes[rest] = _eig_classes(_generator(b, b0, omega, curvatures, b.shape), gap_floor)[2]
     return codes
@@ -218,24 +237,28 @@ def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
     """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
-    Cells go alpha0-major through ``_loop_codes`` in chunks of _CHUNK_CELLS,
-    one thread per usable CPU; NumPy releases the interpreter lock in the
-    heavy calls.
+    Cells go through ``_loop_codes`` in tiles of at most _CHUNK_CELLS: as many
+    whole rows as fit, or one row split into _CHUNK_CELLS-wide pieces, so the
+    mu-cubic's alpha0 terms are a column and b^2 a row. One thread per usable
+    CPU; NumPy releases the interpreter lock in the heavy calls.
     """
-    n_cols = len(alphas)
-    n_cells = len(alpha0s) * n_cols
-    codes = np.empty(n_cells, dtype="<U1")
+    codes = np.empty((len(alpha0s), len(alphas)), dtype="<U1")
+    width = min(len(alphas), _CHUNK_CELLS)
+    height = max(1, _CHUNK_CELLS // width)
 
-    def work(lo):
-        row, col = np.divmod(np.arange(lo, min(lo + _CHUNK_CELLS, n_cells)), n_cols)
-        codes[lo : lo + len(row)] = _loop_codes(alphas[col], alpha0s[row], 1.0, gap_floor)
+    def work(corner):
+        i, j = corner
+        codes[i : i + height, j : j + width] = _loop_codes(
+            alphas[None, j : j + width], alpha0s[i : i + height, None], 1.0, gap_floor
+        )
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    corners = itertools.product(range(0, len(alpha0s), height), range(0, len(alphas), width))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(work, range(0, n_cells, _CHUNK_CELLS)):
+        for _ in pool.map(work, corners):
             pass
-    return codes.reshape(len(alpha0s), n_cols)
+    return codes
 
 
 @dataclass(frozen=True)
@@ -284,11 +307,13 @@ class RegionMap:
 def _runs(*arrays: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, start and end (one past the last column) of each maximal run of
     equal values in a row of the same-shaped 2-D arrays, in raster order; a
-    run breaks where any of the arrays changes. The runs tile the grid."""
+    run breaks where any of the arrays changes. Values are compared by their
+    bits, as unsigned integers of their width (class codes and component ids
+    are equal exactly when their bits are). The runs tile the grid."""
     rows, cols = arrays[0].shape
     first = np.arange(0, rows * cols, cols)  # flat index of each run's first cell
     for a in arrays:
-        flat = a.ravel()
+        flat = a.ravel().view(f"u{a.dtype.itemsize}")
         first = np.concatenate([first, np.flatnonzero(flat[1:] != flat[:-1]) + 1])
     first = np.sort(first)
     first = first[np.diff(first, prepend=-1) > 0]
@@ -378,6 +403,7 @@ def sweep_fig1(
                 auto_extended=extended,
                 gap_floor=gap_floor,
             )
+        del codes, component  # the next round's map is not allocated beside this one
         spec, extended = grown, True
 
 

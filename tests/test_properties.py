@@ -1,6 +1,7 @@
 """Property tests: one generator assembly for points and batches, the
-mu-cubic and norm from the generator's nine entries equal to those read off
-its 6x6 stack, the eigenvalue rule equal bit for bit to reference
+mu-cubic from the generator's nine entries equal to the one read off its 6x6
+stack, the loop's mu-cubic and norm from its row terms and b^2 equal to the
+exact ones and to the generic ones, the eigenvalue rule equal bit for bit to reference
 predicates written apart from it, one confinement rule for the pointwise and
 grid classifiers and the batched scan predicate, grid cells certified from
 the mu-cubic labelled as the eigenvalue rule labels them, the batched bisection rounds
@@ -14,6 +15,7 @@ a change of time unit, and the symplecticity of the oracle's flow map."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,7 +81,7 @@ def test_broadcast_generator_matches_build_G(points, seed, binding_cls):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
 )
-def test_entries_give_the_stack_mu_cubic_and_norm(points, seed, binding_cls):
+def test_entries_give_the_stack_mu_cubic(points, seed, binding_cls):
     # b = 0, b0 = 0 and omega = b0 make the entries' zeros and cancellations
     rng = np.random.default_rng(seed)
     uniform = rng.uniform(0.0, 10.0, (128, 4))
@@ -92,9 +94,58 @@ def test_entries_give_the_stack_mu_cubic_and_norm(points, seed, binding_cls):
     S = _generator(b, b0, omega, binding_cls(w0).curvatures(), b.shape)
     for got, want in zip(_mu_cubic(*entries), _mu_cubic(*_stack_entries(S))):
         assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
-    norm = np.linalg.norm(S, axis=(-2, -1))
+
+
+def _exact_loop_cubic(b, b0, omega):
+    """(c2, c1, c0) of ``spectral._mu_cubic`` at one loop point, w0 = 4 b0 / 3,
+    in exact rationals: M = K + g g^T - |g|^2 I, c2 = tr M + 4|g|^2,
+    c1 = m2(M) + 4 g^T M g, c0 = det M."""
+    b, b0, omega = Fraction(b), Fraction(b0), Fraction(omega)
+    w0_sq = 16 * b0 * b0 / 9
+    K = [[b0 * b0 - w0_sq / 2, 0, -b * b0],
+         [0, b0 * b0 + b * b - w0_sq / 2, 0],
+         [-b * b0, 0, b * b + w0_sq]]
+    g = [-b, 0, omega - b0]
+    gg = sum(x * x for x in g)
+    M = [[K[i][j] + g[i] * g[j] - (gg if i == j else 0) for j in range(3)] for i in range(3)]
+
+    def minor(i, j):  # the 2x2 minor of M without row i and column j
+        (a, c), (d, e) = ([M[r][s] for s in range(3) if s != j] for r in range(3) if r != i)
+        return a * e - c * d
+
+    gMg = sum(g[i] * M[i][j] * g[j] for i in range(3) for j in range(3))
+    c0 = M[0][0] * minor(0, 0) - M[0][1] * minor(0, 1) + M[0][2] * minor(0, 2)
+    c1 = sum(minor(i, i) for i in range(3)) + 4 * gMg
+    return sum(M[i][i] for i in range(3)) + 4 * gg, c1, c0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(frequency, frequency), max_size=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    omega=st.sampled_from([0.0, 1.0]),
+)
+def test_loop_cubic_gives_the_mu_cubic_and_norm(points, seed, omega):
+    # b = 0, b0 = 0 and omega = b0 make the entries' zeros and cancellations
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(0.0, 10.0, (64, 2))
+    uniform[:8, 0] = 0.0
+    uniform[8:16, 1] = 0.0
+    uniform[16:24, 1] = omega
+    b, b0 = np.vstack([np.reshape(points, (-1, 2)), uniform]).T
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    *got, scale = sweep._loop_cubic(b, b0, omega)
+    norm = np.linalg.norm(_generator(b, b0, omega, curvatures, b.shape), axis=(-2, -1))
     eps = np.finfo(float).eps
-    assert np.all(np.abs(sweep._frobenius(*entries) - norm) <= 4.0 * eps * (1.0 + norm))
+    exact = np.array([_exact_loop_cubic(*point, omega) for point in zip(b, b0)], dtype=float).T
+    generic = _mu_cubic(*_generator_entries(b, b0, omega, curvatures))
+    for degree, (c, want, other) in enumerate(zip(got, exact, generic), start=1):
+        # c_k is a polynomial of degree k in S's entries; each float route is
+        # within 4 eps (1 + ||S||)^k of the exact value, so within 8 eps of another
+        bound = 4.0 * eps * (1.0 + norm) ** degree
+        assert np.all(np.abs(c - want) <= bound)
+        assert np.all(np.abs(c - other) <= 2.0 * bound)
+    assert np.all(np.abs(scale - norm) <= 4.0 * eps * (1.0 + norm))
 
 
 def _expected_cell(alpha, alpha0, gap_floor):
@@ -320,11 +371,7 @@ def test_default_grid_stacks_only_zero_mode_and_collision_cells(kernel_counts):
     n_boundary = 0
     for lo in range(0, len(b), sweep._CHUNK_CELLS):
         b_c, b0_c = b[lo : lo + sweep._CHUNK_CELLS], b0[lo : lo + sweep._CHUNK_CELLS]
-        curvatures = PenningQuadrupole(4.0 * b0_c / 3.0).curvatures()
-        entries = _generator_entries(b_c, b0_c, 1.0, curvatures)
-        boundary = sweep._certify_cells(
-            *_mu_cubic(*entries), sweep._frobenius(*entries), gap_floor
-        )[2]
+        boundary = sweep._certify_cells(*sweep._loop_cubic(b_c, b0_c, 1.0), gap_floor)[2]
         b_c, b0_c = b_c[boundary], b0_c[boundary]
         curvatures = PenningQuadrupole(4.0 * b0_c / 3.0).curvatures()
         S = _generator(b_c, b0_c, 1.0, curvatures, b_c.shape)
@@ -342,10 +389,8 @@ def test_default_grid_stacks_only_zero_mode_and_collision_cells(kernel_counts):
 def test_pointwise_margin_certifies_no_boundary(b, b0, omega):
     # with gap_floor 0 the Boundary certificate's band is empty, so the scans
     # keep deciding every Boundary point through the eigensolver
-    entries = _generator_entries(
-        np.array([b]), np.array([b0]), omega, PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
-    )
-    boundary = sweep._certify_cells(*_mu_cubic(*entries), sweep._frobenius(*entries), 0.0)[2]
+    cubic = sweep._loop_cubic(np.array([b]), np.array([b0]), omega)
+    boundary = sweep._certify_cells(*cubic, 0.0)[2]
     assert not boundary.any()
 
 

@@ -396,12 +396,12 @@ class TestScanKernelCalls:
 
 
 def test_loop_codes_chunk_memory_per_cell():
-    # the certificate works from the generator's nine entries: no 6x6 stack
-    # (288 B per cell) for the cells it decides
+    # a tile's certificate works from the loop's row terms and b^2, each
+    # coefficient one or two passes over the tile: no 6x6 stack (288 B per
+    # cell) for the cells it decides; about 235 B per cell measured
     grid = GridSpec()
-    cell = np.arange(sweep._CHUNK_CELLS)
-    n_cols = len(grid.alphas)
-    alphas, alpha0s = grid.alphas[cell % n_cols], grid.alpha0s[cell // n_cols]
+    alphas = grid.alphas[None, :]
+    alpha0s = grid.alpha0s[: sweep._CHUNK_CELLS // alphas.size, None]
     gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
     tracemalloc.start()
     try:
@@ -409,7 +409,20 @@ def test_loop_codes_chunk_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 450 * len(cell)
+    assert peak < 450 * alphas.size * alpha0s.size
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 5, 7, 30])
+def test_grid_tiles_cover_every_cell(monkeypatch, chunk_cells):
+    # 1, 5 and 7 split each 11-cell row into capped-width pieces; 30 takes
+    # two whole rows per tile and leaves a one-row tile at the end
+    alphas, alpha0s = np.linspace(0.0, 3.0, 11), np.linspace(0.0, 3.0, 13)
+    gap_floor = 0.02  # the default map's margin, under which all three classes occur
+    b0, b = (x.ravel() for x in np.meshgrid(alpha0s, alphas, indexing="ij"))
+    want = sweep._loop_codes(b, b0, 1.0, gap_floor).reshape(13, 11)
+    assert {"C", "U", "B"} <= set(want.ravel().tolist())
+    monkeypatch.setattr(sweep, "_CHUNK_CELLS", chunk_cells)
+    assert _classify_grid(alphas, alpha0s, gap_floor).tolist() == want.tolist()
 
 
 def test_fig1_map_and_csv_memory_per_cell():
@@ -425,6 +438,25 @@ def test_fig1_map_and_csv_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak < 12 * len(grid.alphas) * len(grid.alpha0s)
+
+
+def test_auto_extension_holds_one_map_at_a_time():
+    # [0, 1]^2 at 400 steps grows twice, to [0, 2.25]^2 at 900; each round's
+    # map is dropped before the next is classified, so the peak stays within
+    # about 1 B per cell of classifying the final window alone
+    def peak_per_cell(grid, auto_extend):
+        tracemalloc.start()
+        try:
+            region_map = sweep_fig1(grid, auto_extend=auto_extend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert region_map.classes.shape == (901, 901)
+        return peak / region_map.classes.size
+
+    grown = peak_per_cell(GridSpec(0.0, 1.0, 400, 0.0, 1.0, 400), True)
+    final = peak_per_cell(GridSpec(0.0, 2.25, 900, 0.0, 2.25, 900), False)
+    assert grown < final + 1.0
 
 
 class TestFindKcr:
