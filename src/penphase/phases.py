@@ -17,10 +17,14 @@ exactly as S - delta * S_L3. ``dmode_domega`` offers the mode-frequency
 derivative by three independent routes: implicit differentiation of the
 mu-cubic, first-order perturbation over each mode's symplectic form, and
 Richardson-extrapolated finite differences.
+
+The last point's record (``_point_record``) is kept, keyed on the params and
+the binding's curvatures; errors are not kept and its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -31,8 +35,10 @@ from .errors import DegeneracyError, DomainError, NoCyclicStatesError, Numerical
 from .model import (
     BindingPotential,
     J6,
+    QuadraticForm,
     SystemParams,
     _as_matrix,
+    _generator,
     build_G,
     build_L3_form,
 )
@@ -238,16 +244,20 @@ def _assemble_report(
     )
 
 
-def _cyclic_data(params: SystemParams, binding: BindingPotential):
+@functools.lru_cache(maxsize=1)
+def _point_record(params: SystemParams, curvatures: tuple):
     """Generator, spectrum, ladder basis, mode-frequency derivatives and the
-    per-mode L3 weights, shared by every Fock label at one rotating point."""
-    if params.omega <= 0:
-        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
-    S = build_G(params, binding).S
+    per-mode L3 weights at one point. The last point's is kept, keyed on the
+    values S is built from, not on a binding; its arrays are read-only."""
+    S = QuadraticForm(_generator(params.b, params.b0, params.omega, curvatures)).S
     spec = _confined_spectrum(S, f"parameter point {params}")
-    basis = normal_mode_basis(spec, S)
+    basis = normal_mode_basis(spec)
     dfreq = _dmodes_implicit(S, spec.freqs)
-    return S, spec, basis, dfreq, _mode_weights(_SL3, basis)
+    l3 = _mode_weights(_SL3, basis)
+    for a in (spec.raw_eigenvalues, *(m.eigvec for m in spec.modes), basis.coeffs,
+              basis.signs, basis.freqs, dfreq, l3):
+        a.setflags(write=False)
+    return S, spec, basis, dfreq, l3
 
 
 def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> PhaseReport:
@@ -257,8 +267,11 @@ def aa_phase(params: SystemParams, binding: BindingPotential, n: FockLabel) -> P
     per-mode L3 weight l3_i = Re(v_i^H S_L3 v_i) / |Im(v_i^H J v_i)|, and eq. 8,
     -2*pi sum eps_i (n_i + 1/2) d(freq_i)/d(omega) from the mu-cubic; their
     consistency is enforced. Valid at any rotation speed, not only adiabatically.
+    The last point's record is kept, keyed on (params, binding.curvatures()).
     """
-    _, _, basis, dfreq, l3 = _cyclic_data(params, binding)
+    if params.omega <= 0:
+        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
+    _, _, basis, dfreq, l3 = _point_record(params, tuple(binding.curvatures()))
     return _assemble_report(basis, n, dfreq, l3)
 
 
@@ -268,15 +281,14 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
     Only the derivative route exists (no cyclic motion without rotation);
     the <L3> route is reported as absent. The derivative is evaluated
     directly at omega = 0 by implicit differentiation of the mu-cubic, not
-    by small-omega extrapolation.
+    by small-omega extrapolation. Shares ``aa_phase``'s last-point record,
+    keyed on (params at omega = 0, binding.curvatures()).
     """
     if k <= 0:
         raise DomainError(f"field ratio k must be > 0, got {k}")
     params = SystemParams(b=k, b0=1.0, w0=binding.w0, omega=0.0)
-    S = build_G(params, binding).S
-    spec = _confined_spectrum(S, f"static point k={k}")
-    basis = normal_mode_basis(spec, S)
-    return _assemble_report(basis, n, _dmodes_implicit(S, spec.freqs))
+    _, _, basis, dfreq, _ = _point_record(params, tuple(binding.curvatures()))
+    return _assemble_report(basis, n, dfreq)
 
 
 @dataclass(frozen=True)
@@ -305,13 +317,16 @@ def resonance_shift(
 ) -> ResonanceShift:
     """Shift of the resonance peak omega_p = E_n - E_n' under a small rotation change.
 
-    Both labels share one classification, ladder basis, set of mode-frequency
-    derivatives and set of per-mode L3 weights; each label's report still
-    enforces eq7 = eq8.
+    Both labels share ``aa_phase``'s last-point record, keyed on (params,
+    binding.curvatures()): one classification, ladder basis, set of
+    mode-frequency derivatives and set of per-mode L3 weights. Each label's
+    report still enforces eq7 = eq8; the shifted spectrum is computed anew.
     """
     if not math.isfinite(delta_omega):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
-    S, spec, basis, dfreq, l3 = _cyclic_data(params, binding)
+    if params.omega <= 0:
+        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
+    S, spec, basis, dfreq, l3 = _point_record(params, tuple(binding.curvatures()))
     report_n = _assemble_report(basis, n, dfreq, l3)
     report_np = _assemble_report(basis, n_prime, dfreq, l3)
     omega_p = report_n.quasienergy - report_np.quasienergy

@@ -217,7 +217,7 @@ class NormalModeBasis:
         return C, D
 
 
-def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
+def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
     """Ladder coefficients for a confined spectrum.
 
     The eigenvectors are first J-orthogonalised in mode order (symplectic
@@ -229,10 +229,10 @@ def normal_mode_basis(spectrum: ModeSpectrum, S) -> NormalModeBasis:
     deterministic phase convention makes the first component within a relative
     1e-9 of the row's largest magnitude real positive, so components that tie
     (as at axisymmetric points) do not leave the choice to rounding. The basis
-    needs neither S nor the frequencies: S is accepted for call compatibility
-    and not read. A commutator entry off by more than 1e-9 raises NumericalError
-    naming its modes (1-based, as in the Fock label), their forms and the
-    remaining |v_i^H J v_j|.
+    needs neither S nor the frequencies: S is optional, accepted for call
+    compatibility and ignored. A commutator entry off by more than 1e-9 raises
+    NumericalError naming its modes (1-based, as in the Fock label), their
+    forms and the remaining |v_i^H J v_j|.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import route_spread, sample_confined_loop_points
 from penphase import (
@@ -27,6 +29,7 @@ from penphase import (
     quasienergy,
     resonance_shift,
 )
+from penphase import phases
 from penphase.phases import FockLabel
 
 
@@ -288,3 +291,112 @@ class TestResonanceShift:
                 params, PenningQuadrupole(params.w0),
                 FockLabel(1, 0, 0), FockLabel(0, 1, 0), 1e-3,
             )
+
+
+def _outcome(f, *args):
+    """repr of f's result (exact for floats) or the type and text of its error."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+fock_label = st.builds(FockLabel, *[st.integers(min_value=0, max_value=3)] * 3)
+
+
+class TestPointRecord:
+    """The last point's record, kept by ``phases._point_record``."""
+
+    def test_aa_phase_then_resonance_shift_classify_twice(self, rng, monkeypatch):
+        phases._point_record.cache_clear()
+        params = sample_confined_loop_points(rng, 1)[0]
+        binding = PenningQuadrupole(params.w0)
+        calls = []
+
+        def counted(lam):
+            calls.append(1)
+            return classify(lam)
+
+        monkeypatch.setattr(phases, "classify", counted)
+        aa_phase(params, binding, FockLabel(1, 0, 0))
+        resonance_shift(params, binding, FockLabel(1, 0, 0), FockLabel(0, 1, 0), 1e-3)
+        # one for the point, one for the shifted point; one entry is kept
+        assert len(calls) == 2
+        assert phases._point_record.cache_info().maxsize == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(min_value=0.0, max_value=3.0),
+           alpha0=st.floats(min_value=0.0, max_value=3.0),
+           n=fock_label, n_prime=fock_label)
+    def test_cold_and_warm_reports_are_bit_identical(self, alpha, alpha0, n, n_prime):
+        params = SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)
+        assume(classify(J6 @ build_G(params).S).classification is Classification.CONFINED)
+        binding = PenningQuadrupole(params.w0)
+        # the shifted point may still raise; its error must repeat as well
+        phases._point_record.cache_clear()
+        cold_phase = _outcome(aa_phase, params, binding, n)
+        phases._point_record.cache_clear()
+        cold_shift = _outcome(resonance_shift, params, binding, n, n_prime, 1e-3)
+        assert _outcome(resonance_shift, params, binding, n, n_prime, 1e-3) == cold_shift
+        assert _outcome(aa_phase, params, binding, n) == cold_phase
+
+    @pytest.mark.parametrize("b, b0, error", [(2.0, 0.2, NoCyclicStatesError),
+                                              (0.5, 0.75, DegeneracyError)])
+    def test_errors_are_not_kept(self, b, b0, error):
+        # Unconfined, then Boundary on the alpha0 = 3/4 zero-mode line
+        phases._point_record.cache_clear()
+        params = SystemParams.penning_loop(b0=b0, b=b, omega=1.0)
+        for _ in range(2):
+            with pytest.raises(error):
+                aa_phase(params, PenningQuadrupole(params.w0), FockLabel(0, 0, 0))
+        info = phases._point_record.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_bindings_do_not_share_an_entry(self):
+        phases._point_record.cache_clear()
+        params = SystemParams(b=0.1, b0=1.0, w0=4.0 / 3.0, omega=0.3)
+        n = FockLabel(1, 0, 0)
+        penning = aa_phase(params, PenningQuadrupole(params.w0), n)
+        spherical = aa_phase(params, IsotropicOscillator(params.w0), n)
+        assert phases._point_record.cache_info().misses == 2
+        assert spherical != penning
+        phases._point_record.cache_clear()
+        assert aa_phase(params, IsotropicOscillator(params.w0), n) == spherical
+
+    def test_changed_binding_misses(self):
+        class Spring:
+            """A mutable, unhashable binding with spherical curvatures."""
+
+            __hash__ = None
+
+            def __init__(self, w0):
+                self.w0 = w0
+
+            def curvatures(self):
+                return [self.w0 * self.w0] * 3
+
+        params = SystemParams(b=0.1, b0=1.0, w0=4.0 / 3.0, omega=0.3)
+        n = FockLabel(0, 1, 0)
+        expected = {}
+        for w0 in (1.0, 1.5):
+            phases._point_record.cache_clear()
+            expected[w0] = aa_phase(params, IsotropicOscillator(w0), n)
+        assert expected[1.0] != expected[1.5]
+        phases._point_record.cache_clear()
+        spring = Spring(1.0)
+        assert aa_phase(params, spring, n) == expected[1.0]
+        spring.w0 = 1.5
+        assert aa_phase(params, spring, n) == expected[1.5]
+        assert phases._point_record.cache_info().misses == 2
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_record_is_read_only(self, omega):
+        params = SystemParams.penning_loop(b0=1.0, b=0.1, omega=omega)
+        S, spec, basis, dfreq, l3 = phases._point_record(
+            params, PenningQuadrupole(params.w0).curvatures())
+        stored = [S, spec.raw_eigenvalues, *(m.eigvec for m in spec.modes),
+                  basis.coeffs, basis.signs, basis.freqs, dfreq, l3]
+        assert len(stored) == 10
+        for array in stored:
+            with pytest.raises(ValueError):
+                array[...] = 0

@@ -168,6 +168,14 @@ class TestNormalModeBasis:
             assert np.abs(C - np.diag(basis.signs)).max() < 1e-9
             assert np.abs(D).max() < 1e-9
 
+    def test_S_is_optional_and_ignored(self, rng):
+        for params in sample_confined_loop_points(rng, 3):
+            S = build_G(params).S
+            spec = classify(J6 @ S)
+            with_S, without = normal_mode_basis(spec, S), normal_mode_basis(spec)
+            for field in ("coeffs", "signs", "freqs"):
+                assert np.array_equal(getattr(with_S, field), getattr(without, field))
+
     def test_near_krein_collision_gets_a_basis(self):
         # alpha = 0, alpha0 = 1e-5, w = 4 alpha0 / 3: the two fast modes, of
         # Krein signs +1 and -1, have symplectic forms +-6.67e-6; the
