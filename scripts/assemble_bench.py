@@ -16,8 +16,14 @@ Then, from the root of this repository,
 
 writes, per workload, the seeds, each side's per-run end-to-end metrics (the
 ones BENCHMARK.json names) and their medians, the pairs whose op_p50_eig6 the
-change won, and the interquartile range of the parent's op_p50_eig6
-(``statistics.quantiles``). The parent is named by its commit and the git
+change won, the interquartile range of the parent's op_p50_eig6
+(``statistics.quantiles``) and the no-regression check. The check gives, for
+each end-to-end metric, the ratio of the change's median to the parent's and
+whether it is within the metric's ``bound``, read in its ``better``
+direction: at most 1 + bound when lower is better, at least 1 - bound when
+higher is. A metric is unresolved when the parent's interquartile range over
+its median exceeds the bound, unless every run of the change is better than
+every run of the parent. The parent is named by its commit and the git
 tree hash of its src/ directory; the change, measured before it is
 committed, by its parent commit and the tree hash of its src/.
 ``tests/test_bench_files.py`` checks the result.
@@ -37,25 +43,46 @@ ROOT = Path(__file__).resolve().parent.parent
 ENVIRONMENT_KEYS = ("machine", "nproc", "python", "numpy", "scipy", "numpy_blas",
                     "blas_threads", "penphase_threads")
 SIDES = ("parent", "change")
+RUN_NAME = re.compile(r"(parent|change)-(\w+)-(\d+)\.json")
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("runs", type=Path)
-    p.add_argument("--bench", type=int, required=True)
-    p.add_argument("--parent", required=True, help="commit hash of the parent")
-    p.add_argument("--change-src-tree", required=True)
-    p.add_argument("--environment", type=Path, required=True)
-    args = p.parse_args(argv)
-
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    found = {}  # (workload, seed) -> {side: metrics}
-    for path in args.runs.glob("*.json"):
-        name = re.fullmatch(r"(parent|change)-(\w+)-(\d+)\.json", path.name)
+def read_runs(runs: Path) -> dict:
+    """{(workload, seed): {side: {metric: value}}} from the run files in runs;
+    any other file raises ValueError naming it."""
+    found = {}
+    for path in sorted(runs.iterdir()):
+        name = RUN_NAME.fullmatch(path.name)
+        if name is None:
+            raise ValueError(f"{path}: not named <parent|change>-<workload>-<seed>.json")
         side, workload, seed = name.groups()
         run = json.loads(path.read_text())["metrics"]
         found.setdefault((workload, int(seed)), {})[side] = {m: v["value"] for m, v in run.items()}
+    return found
 
+
+def _no_regression(parent, change, metric) -> dict:
+    """The no-regression check of one end-to-end metric (a BENCHMARK.json
+    entry) over the paired runs of both sides."""
+    bound, lower = metric["bound"], metric["better"] == "lower"
+    median = statistics.median(parent)
+    quartiles = statistics.quantiles(parent, n=4)
+    ratio, spread = statistics.median(change) / median, (quartiles[2] - quartiles[0]) / median
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    return {
+        "ratio": ratio,
+        "bound": bound,
+        "better": metric["better"],
+        "within_bound": ratio <= 1.0 + bound if lower else ratio >= 1.0 - bound,
+        "parent_iqr_over_median": spread,
+        "unresolved": spread > bound and not all_better,
+    }
+
+
+def summarize(found: dict, end_to_end: list) -> dict:
+    """Per workload: the seeds both sides ran, each side's runs and medians of
+    the end-to-end metrics, the op_p50_eig6 pairs the change won, the
+    parent's op_p50_eig6 interquartile range and the no-regression check."""
+    metrics = [m["name"] for m in end_to_end]
     workloads = {}
     for workload in sorted({w for w, _ in found}):
         seeds = sorted(s for w, s in found if w == workload and len(found[w, s]) == 2)
@@ -69,8 +96,26 @@ def main(argv=None) -> int:
         quartiles = statistics.quantiles(parent, n=4)
         entry["op_p50_eig6_pairs_won_by_change"] = f"{won}/{len(seeds)}"
         entry["op_p50_eig6_parent_iqr"] = quartiles[2] - quartiles[0]
+        entry["no_regression"] = {
+            m["name"]: _no_regression(entry["parent"]["runs"][m["name"]],
+                                      entry["change"]["runs"][m["name"]], m)
+            for m in end_to_end
+        }
         workloads[workload] = entry
+    return workloads
 
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("runs", type=Path)
+    p.add_argument("--bench", type=int, required=True)
+    p.add_argument("--parent", required=True, help="commit hash of the parent")
+    p.add_argument("--change-src-tree", required=True)
+    p.add_argument("--environment", type=Path, required=True)
+    args = p.parse_args(argv)
+
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    workloads = summarize(read_runs(args.runs), end_to_end)
     environment = json.loads(args.environment.read_text())["environment"]
     src_tree = subprocess.run(["git", "rev-parse", f"{args.parent}:src"], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()

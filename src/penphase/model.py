@@ -10,7 +10,8 @@ as the module constant ``J6``.
 The rotating-frame generator is built from the static field configuration
 (B, 0, B0) minus omega times the axial angular momentum L3; all dynamics in
 the rest of the package derives from the symmetric 6x6 coefficient matrix
-assembled here.
+assembled here. ``_generator`` writes the layout of that matrix S and
+``_mu_cubic`` reads it, so no other module indexes S's entries.
 """
 
 from __future__ import annotations
@@ -203,44 +204,57 @@ def build_G(params: SystemParams, binding: BindingPotential | None = None) -> Qu
     return QuadraticForm(_generator(params.b, params.b0, params.omega, binding.curvatures()))
 
 
-def _generator_entries(b, b0, omega, curvatures):
-    """The nine distinct entries of S = [[K, B], [B^T, I]]: the axial vector
-    (g0, g1, g2) = (S[2, 4], S[0, 5], S[1, 3]) of the skew block B, then
-    (K00, K11, K22, K01, K02, K12).
+def _generator(b, b0, omega, curvatures, shape=()) -> np.ndarray:
+    """S = [[K, B], [B^T, I]] over a stack of the given shape, B skew with
+    axial vector (g0, 0, g2) = (S[2, 4], 0, S[1, 3]).
 
-    This is the one place the entry formulas are written. Arguments broadcast
-    elementwise; g1, K01 and K12 vanish for the field (B, 0, B0) and come back
-    as the scalar 0.0. Squares are written as products because a float's
+    This is the one place the entry formulas are written; K01, K12 and g1
+    vanish for the field (B, 0, B0) and keep the zeros of ``np.zeros``.
+    Scalars give one 6x6 matrix; arrays of ``shape`` (e.g. the cells of a
+    grid) give ``shape + (6, 6)``, each slice bit-identical to the scalar
+    build at that point. Squares are written as products because a float's
     ``x**2`` calls C ``pow``, which can differ from NumPy's array square in
     the last bit.
     """
     k1, k2, k3 = curvatures
     b_sq, b0_sq = b * b, b0 * b0
-    return (-b, 0.0, omega - b0, b0_sq + k1, b0_sq + b_sq + k2, b_sq + k3, 0.0, -b * b0, 0.0)
-
-
-def _generator(b, b0, omega, curvatures, shape=()) -> np.ndarray:
-    """S scattered from ``_generator_entries``, over a stack of the given shape.
-
-    Scalars give one 6x6 matrix; arrays of ``shape`` (e.g. the cells of a
-    grid) give ``shape + (6, 6)``, each slice bit-identical to the scalar
-    build at that point.
-    """
-    g0, g1, g2, k00, k11, k22, k01, k02, k12 = _generator_entries(b, b0, omega, curvatures)
+    g0, g2 = -b, omega - b0
     S = np.zeros(shape + (6, 6))
-    S[..., 0, 0], S[..., 1, 1], S[..., 2, 2] = k00, k11, k22
-    S[..., 0, 1] = S[..., 1, 0] = k01
-    S[..., 0, 2] = S[..., 2, 0] = k02
-    S[..., 1, 2] = S[..., 2, 1] = k12
-    # B has rows (0, -g2, g1), (g2, 0, -g0), (-g1, g0, 0); 0.0 - g keeps a zero +0.0
+    S[..., 0, 0], S[..., 1, 1], S[..., 2, 2] = b0_sq + k1, b0_sq + b_sq + k2, b_sq + k3
+    S[..., 0, 2] = S[..., 2, 0] = -b * b0
+    # B has rows (0, -g2, 0), (g2, 0, -g0), (0, g0, 0); 0.0 - g keeps a zero +0.0
     S[..., 2, 4] = S[..., 4, 2] = g0
-    S[..., 0, 5] = S[..., 5, 0] = g1
     S[..., 1, 3] = S[..., 3, 1] = g2
     S[..., 1, 5] = S[..., 5, 1] = 0.0 - g0
-    S[..., 2, 3] = S[..., 3, 2] = 0.0 - g1
     S[..., 0, 4] = S[..., 4, 0] = 0.0 - g2
     S[..., 3, 3] = S[..., 4, 4] = S[..., 5, 5] = 1.0
     return S
+
+
+def _mu_cubic(S: np.ndarray):
+    """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
+    in mu = lambda^2, over a stack S of shape (..., 6, 6) that ``_generator``
+    wrote: it reads g0, g2, K00, K11, K22 and K02 and takes the other entries
+    of K and g as the zeros they are there.
+
+    With M = K + g g^T - |g|^2 I, symmetric: c2 = tr M + 4|g|^2,
+    c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
+    2x2 minors of M; M01 = M12 = 0. Every operation is a polynomial in the
+    entries, so a complex S gives the analytic continuation. Caller:
+    ``phases._dmodes_implicit``, on its complex omega-step; loop points take
+    its closed form ``sweep._loop_cubic``.
+    """
+    g0, g2 = S[..., 2, 4], S[..., 1, 3]
+    k00, k11, k22, k02 = S[..., 0, 0], S[..., 1, 1], S[..., 2, 2], S[..., 0, 2]
+    g00, g22 = g0 * g0, g2 * g2
+    gg = g00 + g22
+    m00, m11, m22 = k00 + g00 - gg, k11 - gg, k22 + g22 - gg
+    m02 = k02 + g0 * g2
+    minor0, minor1, minor2 = m11 * m22, m00 * m22 - m02 * m02, m00 * m11
+    c2 = m00 + m11 + m22 + 4.0 * gg
+    c1 = minor0 + minor1 + minor2 + 4.0 * (g00 * m00 + g22 * m22 + 2.0 * (g0 * g2 * m02))
+    c0 = m00 * minor0 - m02 * (m11 * m02)
+    return c2, c1, c0
 
 
 def build_L3_form() -> QuadraticForm:

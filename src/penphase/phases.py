@@ -39,6 +39,7 @@ from .model import (
     SystemParams,
     _as_matrix,
     _generator,
+    _mu_cubic,
     build_G,
     build_L3_form,
 )
@@ -47,8 +48,6 @@ from .spectral import (
     ModeSpectrum,
     NormalModeBasis,
     _forms,
-    _mu_cubic,
-    _stack_entries,
     classify,
     normal_mode_basis,
     track_modes,
@@ -81,7 +80,7 @@ class FockLabel:
 
     def __post_init__(self):
         for n in (self.n1, self.n2, self.n3):
-            if int(n) != n or n < 0:
+            if not 0 <= n < math.inf or int(n) != n:
                 raise DomainError(f"occupation numbers must be integers >= 0, got {self}")
 
     def as_array(self) -> np.ndarray:
@@ -129,7 +128,7 @@ def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
 
 def cos_theta(k: float) -> float:
     """Cosine of the precession-cone semiangle, (1 + k^2)^(-1/2)."""
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"field ratio k must be >= 0, got {k}")
     return 1.0 / math.sqrt(1.0 + k * k)
 
@@ -161,14 +160,14 @@ def _dmodes_perturbative(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Implicit differentiation of the mu-cubic q(mu, omega) = 0 at mu = -w^2.
 
-    The coefficients of ``spectral._mu_cubic`` are real polynomials in omega
+    The coefficients of ``model._mu_cubic`` are real polynomials in omega
     and S(omega + d) = S - d * S_L3, so one complex step d = i h gives their
     omega-derivatives exact to rounding; dw/domega = q_omega / (2 w q_mu).
     Over a stack S of shape (..., 6, 6) with freqs of shape (..., m); a NaN
     frequency gives a NaN derivative.
     """
     h = 1e-20
-    c2, c1, c0 = (c[..., None] for c in _mu_cubic(*_stack_entries(S - 1j * h * _SL3)))
+    c2, c1, c0 = (c[..., None] for c in _mu_cubic(S - 1j * h * _SL3))
     mu = -freqs * freqs
     dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / h
     dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real

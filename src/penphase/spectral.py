@@ -77,39 +77,6 @@ def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
     return (np.abs(ev.real) <= tau_re) & (ev.imag > tau_gap) & (dist.min(axis=-1) > tau_gap)
 
 
-def _stack_entries(S: np.ndarray):
-    """The nine entries ``model._generator_entries`` gives, read off a stack of
-    generators S of shape (..., 6, 6)."""
-    return (S[..., 2, 4], S[..., 0, 5], S[..., 1, 3], S[..., 0, 0], S[..., 1, 1],
-            S[..., 2, 2], S[..., 0, 1], S[..., 0, 2], S[..., 1, 2])
-
-
-def _mu_cubic(g0, g1, g2, k00, k11, k22, k01, k02, k12):
-    """Coefficients (c2, c1, c0) of det(lambda I - J S) = mu^3 + c2 mu^2 + c1 mu + c0
-    in mu = lambda^2, for generators S = [[K, B], [B^T, I]] with K symmetric and
-    B skew-symmetric (the form every ``model._generator`` output has), given by
-    the axial vector g of B and the six distinct entries of K, each a column
-    over the stack (the order of ``model._generator_entries``).
-
-    With M = K + g g^T - |g|^2 I, symmetric: c2 = tr M + 4|g|^2,
-    c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
-    2x2 minors of M. Every operation is a polynomial in the entries, so a
-    complex S gives the analytic continuation. Caller:
-    ``phases._dmodes_implicit`` (``_stack_entries`` of its complex
-    omega-step); loop points take its closed form ``sweep._loop_cubic``.
-    """
-    g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
-    gg = g00 + g11 + g22
-    m00, m11, m22 = k00 + g00 - gg, k11 + g11 - gg, k22 + g22 - gg
-    m01, m02, m12 = k01 + g0 * g1, k02 + g0 * g2, k12 + g1 * g2
-    minor0, minor1, minor2 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
-    gMg = g00 * m00 + g11 * m11 + g22 * m22 + 2.0 * (g0 * g1 * m01 + g0 * g2 * m02 + g1 * g2 * m12)
-    c2 = m00 + m11 + m22 + 4.0 * gg
-    c1 = minor0 + minor1 + minor2 + 4.0 * gMg
-    c0 = m00 * minor0 - m01 * (m01 * m22 - m12 * m02) + m02 * (m01 * m12 - m11 * m02)
-    return c2, c1, c0
-
-
 @dataclass(frozen=True)
 class Mode:
     """A stable normal mode: eigenvalue +i*freq of Lambda with its Krein sign,

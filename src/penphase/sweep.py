@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -96,7 +97,11 @@ class GridSpec:
     def __post_init__(self):
         extents = (self.alpha_min, self.alpha_max, self.alpha0_min, self.alpha0_max)
         _check_range("grid extents", extents)
-        if self.alpha_steps < 1 or self.alpha0_steps < 1:
+        try:
+            steps = min(operator.index(self.alpha_steps), operator.index(self.alpha0_steps))
+        except TypeError:
+            raise DomainError("step counts must be integers") from None
+        if steps < 1:
             raise DomainError("step counts must be positive")
         if self.alpha_max <= self.alpha_min or self.alpha0_max <= self.alpha0_min:
             raise DomainError("grid extents must be increasing")
@@ -120,7 +125,7 @@ class GridSpec:
 
 
 def _loop_cubic(b, b0, omega: float):
-    """Coefficients (c2, c1, c0) of the mu-cubic (``spectral._mu_cubic``) and
+    """Coefficients (c2, c1, c0) of the mu-cubic (``model._mu_cubic``) and
     ||S||_F of loop points (b, b0), w0 = 4 b0 / 3; b and b0 broadcast together.
 
     On the loop, with d = omega - b0, s = b0^2 / 9, p = s - d^2, r = 16 s and

@@ -44,6 +44,12 @@ class TestFockLabel:
             FockLabel(-1, 0, 0)
         with pytest.raises(DomainError):
             FockLabel(0, 0.5, 0)
+        for bad in (2.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                FockLabel(bad, 0, 0)
+            with pytest.raises(DomainError):
+                FockLabel(0, 0, bad)
+        FockLabel(2.0, np.int64(1), 0)
 
 
 class TestQuasienergy:
@@ -117,6 +123,8 @@ class TestCosTheta:
         assert cos_theta(1e6) < 2e-6
         with pytest.raises(DomainError):
             cos_theta(-0.1)
+        with pytest.raises(DomainError):
+            cos_theta(math.nan)
 
 
 class TestDerivatives:

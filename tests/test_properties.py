@@ -1,8 +1,9 @@
-"""Property tests: one generator assembly for points and batches, the
-mu-cubic from the generator's nine entries equal to the one read off its 6x6
-stack, the loop's mu-cubic and norm from its row terms and b^2 equal to the
-exact ones and to the generic ones, the eigenvalue rule equal bit for bit to reference
-predicates written apart from it, one confinement rule for the pointwise and
+"""Property tests: one generator assembly for points and batches, its
+always-zero entries, the mu-cubic read off its six entries equal to the
+general nine-entry formula, the loop's mu-cubic and norm from its row terms
+and b^2 equal to the exact ones and to the generic ones, the eigenvalue rule
+equal bit for bit to reference predicates written apart from it, one
+confinement rule for the pointwise and
 grid classifiers and the batched scan predicate, grid cells certified from
 the mu-cubic labelled as the eigenvalue rule labels them, the batched bisection rounds
 equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
@@ -36,7 +37,7 @@ from penphase import (
 from conftest import route_spread
 from dynamics_oracle import flow_map
 from penphase import sweep
-from penphase.model import _generator, _generator_entries, build_L3_form
+from penphase.model import _generator, _mu_cubic, build_L3_form
 from penphase.phases import (
     FockLabel,
     _dmodes_implicit,
@@ -47,14 +48,13 @@ from penphase.spectral import (
     GAP_FACTOR,
     RE_FACTOR,
     _gap_tol,
-    _mu_cubic,
     _rule,
-    _stack_entries,
 )
 from penphase.sweep import _bisect, _classify_grid, _loop_codes
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 field = st.floats(min_value=0.0, max_value=3.0)
+_SL3 = build_L3_form().S
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,13 +75,33 @@ def test_broadcast_generator_matches_build_G(points, seed, binding_cls):
         assert np.array_equal(stack[i], build_G(params, binding_cls(w0i)).S)
 
 
+def _nine_entry_mu_cubic(S):
+    """(c2, c1, c0) of the mu-cubic for any S = [[K, B], [B^T, I]] with K
+    symmetric and B skew, from the axial vector (g0, g1, g2) = (S[2, 4],
+    S[0, 5], S[1, 3]) of B and the six entries of K: the general formula,
+    with no entry assumed zero."""
+    g0, g1, g2 = S[..., 2, 4], S[..., 0, 5], S[..., 1, 3]
+    k00, k11, k22 = S[..., 0, 0], S[..., 1, 1], S[..., 2, 2]
+    k01, k02, k12 = S[..., 0, 1], S[..., 0, 2], S[..., 1, 2]
+    g00, g11, g22 = g0 * g0, g1 * g1, g2 * g2
+    gg = g00 + g11 + g22
+    m00, m11, m22 = k00 + g00 - gg, k11 + g11 - gg, k22 + g22 - gg
+    m01, m02, m12 = k01 + g0 * g1, k02 + g0 * g2, k12 + g1 * g2
+    minor0, minor1, minor2 = m11 * m22 - m12 * m12, m00 * m22 - m02 * m02, m00 * m11 - m01 * m01
+    gMg = g00 * m00 + g11 * m11 + g22 * m22 + 2.0 * (g0 * g1 * m01 + g0 * g2 * m02 + g1 * g2 * m12)
+    c2 = m00 + m11 + m22 + 4.0 * gg
+    c1 = minor0 + minor1 + minor2 + 4.0 * gMg
+    c0 = m00 * minor0 - m01 * (m01 * m22 - m12 * m02) + m02 * (m01 * m12 - m11 * m02)
+    return c2, c1, c0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     points=st.lists(st.tuples(frequency, frequency, frequency, frequency), max_size=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
 )
-def test_entries_give_the_stack_mu_cubic(points, seed, binding_cls):
+def test_six_entry_mu_cubic_equals_the_nine_entry_formula(points, seed, binding_cls):
     # b = 0, b0 = 0 and omega = b0 make the entries' zeros and cancellations
     rng = np.random.default_rng(seed)
     uniform = rng.uniform(0.0, 10.0, (128, 4))
@@ -90,14 +110,18 @@ def test_entries_give_the_stack_mu_cubic(points, seed, binding_cls):
     uniform[32:48, 3] = uniform[32:48, 1]
     table = np.vstack([np.reshape(points, (-1, 4)), uniform])
     b, b0, w0, omega = table.T
-    entries = _generator_entries(b, b0, omega, binding_cls(w0).curvatures())
     S = _generator(b, b0, omega, binding_cls(w0).curvatures(), b.shape)
-    for got, want in zip(_mu_cubic(*entries), _mu_cubic(*_stack_entries(S))):
-        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+    # K01, K12 and g1 = S[0, 5] = -S[2, 3], and their mirrors
+    for i, j in ((0, 1), (1, 2), (0, 5), (2, 3)):
+        assert not S[..., i, j].any() and not S[..., j, i].any()
+    # the real stack, and the complex omega-steps of the implicit derivative route
+    for T in (S, S - 1j * 1e-20 * _SL3, S - 1j * 1e-3 * _SL3):
+        for got, want in zip(_mu_cubic(T), _nine_entry_mu_cubic(T)):
+            assert np.all(got == want)
 
 
 def _exact_loop_cubic(b, b0, omega):
-    """(c2, c1, c0) of ``spectral._mu_cubic`` at one loop point, w0 = 4 b0 / 3,
+    """(c2, c1, c0) of ``model._mu_cubic`` at one loop point, w0 = 4 b0 / 3,
     in exact rationals: M = K + g g^T - |g|^2 I, c2 = tr M + 4|g|^2,
     c1 = m2(M) + 4 g^T M g, c0 = det M."""
     b, b0, omega = Fraction(b), Fraction(b0), Fraction(omega)
@@ -138,7 +162,7 @@ def test_loop_cubic_gives_the_mu_cubic_and_norm(points, seed, omega):
     norm = np.linalg.norm(_generator(b, b0, omega, curvatures, b.shape), axis=(-2, -1))
     eps = np.finfo(float).eps
     exact = np.array([_exact_loop_cubic(*point, omega) for point in zip(b, b0)], dtype=float).T
-    generic = _mu_cubic(*_generator_entries(b, b0, omega, curvatures))
+    generic = _mu_cubic(_generator(b, b0, omega, curvatures, b.shape))
     for degree, (c, want, other) in enumerate(zip(got, exact, generic), start=1):
         # c_k is a polynomial of degree k in S's entries; each float route is
         # within 4 eps (1 + ||S||)^k of the exact value, so within 8 eps of another
@@ -449,9 +473,6 @@ def test_bisect_rounds_match_sequential_loop(predicate, lo, width, length, halvi
     want = _sequential_bisect(lambda x: visited.append(x) or predicate(x), lo, hi, length, tol)
     assert _bisect(batched, lo, hi, length, tol, batched if with_first else None) == want
     assert set(visited) <= set(seen)
-
-
-_SL3 = build_L3_form().S
 
 
 def _char_det(L, lam):

@@ -28,14 +28,13 @@ from penphase import (
     quasienergy,
     track_modes,
 )
+from penphase.model import _mu_cubic
 from penphase.phases import FockLabel
 from penphase.spectral import (
     RE_FACTOR,
     _gap_tol,
-    _mu_cubic,
     _simple_imaginary,
     _forms,
-    _stack_entries,
 )
 
 
@@ -403,7 +402,7 @@ class TestMuCubic:
     @staticmethod
     def _assert_matches_poly(S):
         poly = np.poly(J6 @ S)
-        c2, c1, c0 = _mu_cubic(*_stack_entries(S))
+        c2, c1, c0 = _mu_cubic(S)
         scale = np.abs(poly).max()
         # odd powers of lambda vanish: the spectrum is symmetric under lambda -> -lambda
         assert np.abs(poly[1::2]).max() <= 1e-12 * scale

@@ -112,6 +112,12 @@ class TestSweepFig1:
             GridSpec(alpha_steps=0)
         with pytest.raises(DomainError):
             GridSpec(alpha_min=2.0, alpha_max=1.0)
+        for steps in (2.5, 20.0, "20", None):
+            with pytest.raises(DomainError, match="integers"):
+                GridSpec(alpha_steps=steps)
+            with pytest.raises(DomainError, match="integers"):
+                GridSpec(alpha0_steps=steps)
+        GridSpec(alpha_steps=np.int64(20), alpha0_steps=np.int32(20))
 
     def test_auto_extension_grows_alpha0_after_alpha_reaches_ten(self):
         rm = sweep_fig1(GridSpec(alpha_max=10.0, alpha_steps=50, alpha0_max=2.0, alpha0_steps=10))
