@@ -12,6 +12,7 @@ from .errors import (
     NumericalError,
 )
 from .model import (
+    BINDINGS,
     J6,
     BindingPotential,
     IsotropicOscillator,
@@ -30,9 +31,9 @@ from .spectral import (
     NormalModeBasis,
     classify,
     normal_mode_basis,
-    track_modes,
 )
 from .phases import (
+    DERIVATIVE_METHODS,
     FockLabel,
     PhaseReport,
     ResonanceShift,
@@ -62,14 +63,14 @@ __all__ = [
     "MultiCrossingError", "NoCyclicStatesError",
     # model
     "J6", "SystemParams", "PenningQuadrupole", "IsotropicOscillator",
-    "BindingPotential", "QuadraticForm",
+    "BindingPotential", "BINDINGS", "QuadraticForm",
     "make_params_dimensionless", "make_params_adiabatic",
     "build_G", "build_L3_form",
     # spectral
     "Classification", "Mode", "ModeSpectrum", "NormalModeBasis",
-    "classify", "normal_mode_basis", "track_modes",
+    "classify", "normal_mode_basis",
     # phases
-    "FockLabel", "PhaseReport", "ResonanceShift", "quasienergy",
+    "FockLabel", "PhaseReport", "ResonanceShift", "DERIVATIVE_METHODS", "quasienergy",
     "expectation_quadratic", "dmode_domega", "aa_phase", "berry_phase_adiabatic",
     "cos_theta", "resonance_shift",
     # sweep

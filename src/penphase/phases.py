@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -50,7 +51,6 @@ from .spectral import (
     _forms,
     classify,
     normal_mode_basis,
-    track_modes,
 )
 
 __all__ = [
@@ -72,7 +72,7 @@ _SL3 = build_L3_form().S
 
 @dataclass(frozen=True)
 class FockLabel:
-    """Occupation numbers (n1, n2, n3) in the tracked mode order."""
+    """Occupation numbers (n1, n2, n3) in ``classify``'s mode order."""
 
     n1: int
     n2: int
@@ -80,8 +80,8 @@ class FockLabel:
 
     def __post_init__(self):
         for n in (self.n1, self.n2, self.n3):
-            if not 0 <= n < math.inf or int(n) != n:
-                raise DomainError(f"occupation numbers must be integers >= 0, got {self}")
+            if not 0 <= n <= sys.float_info.max or int(n) != n:
+                raise DomainError(f"occupations must be integers from 0 to float max, got {self}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.n1, self.n2, self.n3], dtype=float)
@@ -205,7 +205,7 @@ def dmode_domega(
     binding: BindingPotential,
     method: str = "perturbative",
 ) -> np.ndarray:
-    """d(freq_i)/d(omega) at fixed fields, for the three modes in tracked order.
+    """d(freq_i)/d(omega) at fixed fields, for the three modes in ``classify``'s order.
 
     The finite-difference step is a fixed 1e-5 in omega (halved once for the
     Richardson step); the derivative is evaluated directly at the params'
@@ -296,7 +296,8 @@ class ResonanceShift:
 
     omega_p_linear applies the geometric-phase formula
     omega_p - (beta_n - beta_n') delta / (2 pi); omega_p_exact recomputes the
-    quasienergy gap at the shifted rotation frequency with mode tracking.
+    quasienergy gap at the shifted rotation frequency, each mode continued by
+    the shifted frequency nearest its first-order prediction.
     """
 
     omega_p: float
@@ -320,11 +321,17 @@ def resonance_shift(
     binding.curvatures()): one classification, ladder basis, set of
     mode-frequency derivatives and set of per-mode L3 weights. Each label's
     report still enforces eq7 = eq8; the shifted spectrum is computed anew.
+
+    Mode i continues as the shifted frequency nearest freq_i + delta *
+    dfreq_i. The pairing raises DegeneracyError unless it is one-to-one and
+    every prediction lies within half the smallest shifted gap; a Krein sign
+    that changes under it (opposite-sign modes that collide and re-separate
+    within delta) raises NumericalError.
     """
     if not math.isfinite(delta_omega):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
     if params.omega <= 0:
-        raise DomainError("aa_phase requires omega > 0; use berry_phase_adiabatic at omega = 0")
+        raise DomainError("resonance_shift requires omega > 0")
     S, spec, basis, dfreq, l3 = _point_record(params, tuple(binding.curvatures()))
     report_n = _assemble_report(basis, n, dfreq, l3)
     report_np = _assemble_report(basis, n_prime, dfreq, l3)
@@ -335,9 +342,18 @@ def resonance_shift(
 
     S2 = S - delta_omega * _SL3
     spec2 = _confined_spectrum(S2, f"shifted point omega={params.omega + delta_omega}")
-    perm = track_modes(spec, spec2)
-    freqs2 = spec2.freqs[list(perm)]
-    signs2 = spec2.krein_signs[list(perm)]
+    shifted = spec2.freqs
+    pred = spec.freqs + delta_omega * dfreq
+    miss = np.abs(pred[:, None] - shifted)
+    perm = miss.argmin(axis=1)
+    half_gap = np.abs(np.diff(shifted)).min() / 2.0
+    if len(set(perm.tolist())) < 3 or miss[range(3), perm].max() >= half_gap:
+        raise DegeneracyError(
+            f"ambiguous mode pairing: predicted frequencies {pred} against shifted "
+            f"{shifted}, half the smallest shifted gap {half_gap:.3g}; reduce delta_omega"
+        )
+    freqs2 = shifted[perm]
+    signs2 = spec2.krein_signs[perm]
     if not np.array_equal(signs2, spec.krein_signs):
         raise NumericalError("Krein signs changed across the omega shift; reduce delta_omega")
     exact = float(

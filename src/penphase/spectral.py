@@ -1,5 +1,5 @@
-"""Eigenanalysis of the dynamical matrix: stability classification, normal
-modes with Krein signs and mode tracking.
+"""Eigenanalysis of the dynamical matrix: stability classification and normal
+modes with Krein signs.
 
 A parameter point is Confined when all six eigenvalues of Lambda are purely
 imaginary, nonzero and mutually distinct (hence semisimple); Boundary when the
@@ -17,13 +17,12 @@ imaginary eigenvalue's form never does.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .model import J6
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "NormalModeBasis",
     "classify",
     "normal_mode_basis",
-    "track_modes",
 ]
 
 
@@ -238,33 +236,3 @@ def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
         )
     return basis
 
-
-#: The six pairings of three modes, in lexicographic order.
-_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
-
-
-def track_modes(prev: ModeSpectrum, nxt: ModeSpectrum) -> Tuple[int, int, int]:
-    """Pairing of modes between two confined spectra by eigenvector overlap.
-
-    Returns the permutation p with nxt.modes[p[i]] continuing prev.modes[i].
-    Raises DegeneracyError when the best and runner-up overlaps for some mode
-    are within 1e-3 (near-degeneracy; refine the sweep step).
-    """
-    if (
-        prev.classification is not Classification.CONFINED
-        or nxt.classification is not Classification.CONFINED
-    ):
-        raise DomainError("mode tracking requires two Confined spectra")
-    V = np.array([[m.eigvec for m in spec.modes] for spec in (prev, nxt)])
-    V = V / np.linalg.norm(V, axis=-1, keepdims=True)
-    P = np.abs(np.conj(V[0]) @ V[1].T)
-    best = np.sort(P, axis=1)[:, ::-1]
-    ambiguous = np.flatnonzero(best[:, 0] - best[:, 1] < 1e-3)
-    if len(ambiguous):
-        i = int(ambiguous[0])
-        raise DegeneracyError(
-            f"ambiguous mode pairing for mode {i} (overlaps {best[i, 0]:.4f}, "
-            f"{best[i, 1]:.4f}); refine the sweep step"
-        )
-    scores = P[range(3), _PERMUTATIONS].sum(axis=1)
-    return tuple(int(j) for j in _PERMUTATIONS[int(np.argmax(scores))])

@@ -104,6 +104,12 @@ class TestPhasesCommand:
         assert doc["aa_phase_eq7"] is None
         assert np.isfinite(doc["aa_phase_eq8"])
 
+    def test_occupation_beyond_float_range_exit_code(self, capsys):
+        code, out, err = run(capsys, "phases", "--k", "0.1", "--omega", "0.01",
+                             "--n1", str(10**400))
+        assert code == 2
+        assert out == "" and "occupations" in err
+
     def test_no_cyclic_states_exit_code(self, capsys):
         code, _, err = run(capsys, "phases", "--k", "0.3", "--omega", "0")
         assert code == 4
@@ -321,12 +327,24 @@ class TestResonanceCommand:
         code, _, err = run(capsys, "resonance", "--k", "0.1", "--omega", "0.3")
         assert code == 2
 
-    def test_ambiguous_pairing_exit_code(self, capsys):
+    def test_near_krein_collision_pairs(self, capsys):
         alpha0 = 0.34906544603570067
+        point = ["--alpha", "1.004194013496052", "--alpha0", repr(alpha0),
+                 "--w", repr(4.0 * alpha0 / 3.0), "--n1", "1", "--np2", "1"]
+        errs = []
+        for delta in ("1e-3", "1e-4", "1e-5"):
+            code, out, _ = run(capsys, "resonance", *point, "--delta-omega", delta)
+            assert code == 0
+            doc = json.loads(out)
+            errs.append(abs(doc["omega_p_exact"] - doc["omega_p_linear"]))
+        assert 30.0 < errs[0] / errs[1] < 300.0 and 30.0 < errs[1] / errs[2] < 300.0
+
+    def test_ambiguous_pairing_exit_code(self, capsys):
+        alpha0 = 0.3491215753239909
         code, out, err = run(
-            capsys, "resonance", "--alpha", "1.004194013496052", "--alpha0", repr(alpha0),
+            capsys, "resonance", "--alpha", "0.1660630532429236", "--alpha0", repr(alpha0),
             "--w", repr(4.0 * alpha0 / 3.0), "--n1", "1", "--np2", "1",
-            "--delta-omega", "1e-3",
+            "--delta-omega", "-0.05",
         )
         assert code == 3
         assert out == "" and "ambiguous mode pairing" in err

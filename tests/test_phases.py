@@ -14,6 +14,7 @@ from penphase import (
     J6,
     NoCyclicStatesError,
     NormalModeBasis,
+    NumericalError,
     PenningQuadrupole,
     SystemParams,
     aa_phase,
@@ -44,7 +45,7 @@ class TestFockLabel:
             FockLabel(-1, 0, 0)
         with pytest.raises(DomainError):
             FockLabel(0, 0.5, 0)
-        for bad in (2.5, math.inf, -math.inf, math.nan):
+        for bad in (2.5, math.inf, -math.inf, math.nan, 10**400):
             with pytest.raises(DomainError):
                 FockLabel(bad, 0, 0)
             with pytest.raises(DomainError):
@@ -288,17 +289,79 @@ class TestResonanceShift:
         assert errs[0] / errs[1] == pytest.approx(100.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(100.0, rel=0.3)
 
-    def test_ambiguous_pairing_raises(self):
-        # modes 2 and 3 (Krein signs +1, -1, gap 0.023) mix under the shift:
-        # keeping the unshifted order gave omega_p_exact 144 delta^2 off
+    def test_near_krein_collision_pairs_by_prediction(self):
+        # modes 2 and 3 (Krein signs +1, -1, gap 0.023) have unit eigenvectors
+        # whose overlap is within 1e-3 of 1 across the shift, yet each
+        # prediction misses its shifted frequency by 1.4e-4 against a half-gap
+        # of 9.7e-3; the error's coefficient is large (144 delta^2), its order two
         params = SystemParams.penning_loop(
             b0=0.34906544603570067, b=1.004194013496052, omega=1.0
         )
+        r1, r2 = _error_ratios(params, FockLabel(1, 0, 0), FockLabel(0, 1, 0))
+        assert 30.0 < r1 < 300.0 and 30.0 < r2 < 300.0
+
+    def test_overlap_ambiguous_points_pair_and_converge(self):
+        # of 3,000 uniform loop points in [0, 3]^2, the Confined ones whose
+        # shifted point is Confined and whose eigenvector overlaps cannot
+        # tell two modes apart (best and runner-up within 1e-3)
+        def overlap_ambiguous(s1, s2):
+            V = np.array([[m.eigvec for m in s.modes] for s in (s1, s2)])
+            V = V / np.linalg.norm(V, axis=-1, keepdims=True)
+            best = np.sort(np.abs(np.conj(V[0]) @ V[1].T), axis=1)
+            return bool(np.any(best[:, -1] - best[:, -2] < 1e-3))
+
+        points = []
+        for a, a0 in np.random.default_rng(7).uniform(0.0, 3.0, (3000, 2)):
+            params = SystemParams.penning_loop(b0=a0, b=a, omega=1.0)
+            S = build_G(params).S
+            spec, shifted = (classify(J6 @ M) for M in (S, S - 1e-3 * phases._SL3))
+            if (spec.classification is Classification.CONFINED
+                    and shifted.classification is Classification.CONFINED
+                    and overlap_ambiguous(spec, shifted)):
+                points.append(params)
+        assert len(points) == 6
+        for params in points:
+            r1, r2 = _error_ratios(params, FockLabel(1, 0, 0), FockLabel(0, 1, 0))
+            assert 30.0 < r1 < 300.0 and 30.0 < r2 < 300.0
+
+    @staticmethod
+    def _raises_ambiguous(alpha, alpha0, delta):
+        params = SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)
         with pytest.raises(DegeneracyError, match="ambiguous mode pairing"):
             resonance_shift(
                 params, PenningQuadrupole(params.w0),
-                FockLabel(1, 0, 0), FockLabel(0, 1, 0), 1e-3,
+                FockLabel(1, 0, 0), FockLabel(0, 1, 0), delta,
             )
+
+    def test_ambiguous_pairing_raises(self):
+        # the shift moves modes 2 and 3 by 0.04; their predictions land 0.018
+        # from the other mode's shifted frequency, half-gap 0.0073
+        self._raises_ambiguous(0.1660630532429236, 0.3491215753239909, -0.05)
+
+    def test_two_predictions_on_one_frequency_raise(self):
+        # all three predictions lie within the half-gap 0.030, but modes 2 and
+        # 3 (both Krein +1, so the sign check cannot tell) pick one frequency
+        self._raises_ambiguous(0.31058966167873037, 0.9662454150662392, -0.1)
+
+    def test_krein_sign_change_raises(self):
+        # inside the shift the slow mode meets its mirror at zero, turns into a
+        # real pair near delta = -0.08 and returns with the opposite Krein sign;
+        # its prediction lands 0.023 from it, half-gap 0.38: only the signs see it
+        params = SystemParams.penning_loop(b0=1.3517536066552864, b=0.2982333537979224, omega=1.0)
+        with pytest.raises(NumericalError, match="Krein signs changed"):
+            resonance_shift(
+                params, PenningQuadrupole(params.w0),
+                FockLabel(1, 0, 0), FockLabel(0, 0, 1), -0.1,
+            )
+
+
+def _error_ratios(params, n, n_prime):
+    """|exact - linear| at delta = 1e-3 over 1e-4, and 1e-4 over 1e-5."""
+    errs = []
+    for d in (1e-3, 1e-4, 1e-5):
+        res = resonance_shift(params, PenningQuadrupole(params.w0), n, n_prime, d)
+        errs.append(abs(res.omega_p_exact - res.omega_p_linear))
+    return errs[0] / errs[1], errs[1] / errs[2]
 
 
 def _outcome(f, *args):

@@ -12,7 +12,6 @@ from conftest import (
 from dynamics_oracle import SaturationError, boundedness_probe, propagate
 from penphase import (
     Classification,
-    DegeneracyError,
     DomainError,
     IsotropicOscillator,
     J6,
@@ -26,7 +25,6 @@ from penphase import (
     make_params_dimensionless,
     normal_mode_basis,
     quasienergy,
-    track_modes,
 )
 from penphase.model import _mu_cubic
 from penphase.phases import FockLabel
@@ -230,24 +228,6 @@ class TestNormalModeBasis:
         assert np.abs(blocked.energies - np.linalg.eigvalsh(G)).max() <= 1e-12
         residual = G @ blocked.vectors - blocked.vectors * blocked.energies
         assert np.abs(residual).max() <= 1e-12
-
-
-class TestTrackModes:
-    def test_identity_on_identical_spectra(self):
-        spec = classify(loop_lambda(0.15, 1.0, 0.0))
-        assert track_modes(spec, spec) == (0, 1, 2)
-
-    def test_adjacent_grid_points(self):
-        s1 = classify(loop_lambda(0.10, 1.0, 0.0))
-        s2 = classify(loop_lambda(0.101, 1.0, 0.0))
-        assert track_modes(s1, s2) == (0, 1, 2)
-
-    def test_collision_region_flags_refinement(self):
-        # just below the critical ratio the colliding pair mixes strongly
-        s1 = classify(loop_lambda(0.25825, 1.0, 0.0))
-        s2 = classify(loop_lambda(0.2583, 1.0, 0.0))
-        with pytest.raises(DegeneracyError):
-            track_modes(s1, s2)
 
 
 class TestPropagate:
