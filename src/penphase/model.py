@@ -169,6 +169,8 @@ class QuadraticForm:
     S: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.S):
+            raise DomainError("coefficient matrix must be real")
         S = np.asarray(self.S, dtype=float)
         if S.shape != (6, 6):
             raise DomainError(f"expected a 6x6 matrix, got {S.shape}")

@@ -20,6 +20,10 @@ Richardson-extrapolated finite differences.
 
 The last point's record (``_point_record``) is kept, keyed on the params and
 the binding's curvatures; errors are not kept and its arrays are read-only.
+A point query (``classify`` of J S, then ``aa_phase``, then
+``resonance_shift``) decomposes two matrices: the point's Lambda, whose
+spectrum ``classify`` keeps for the record to reuse, and the shifted point's.
+The reports' three-term sums are taken on Python floats in NumPy's order.
 """
 
 from __future__ import annotations
@@ -104,9 +108,25 @@ class PhaseReport:
     dfreq_domega: Tuple[float, float, float]
 
 
+def _sum3(t0: float, t1: float, t2: float) -> float:
+    """t0 + t1 + t2 in the order of ``np.sum`` over three float64s, which starts
+    from +0.0: the same bits, without the array."""
+    return 0.0 + t0 + t1 + t2
+
+
+def _occupation(n: FockLabel) -> list:
+    """[n_i + 1/2] as Python floats."""
+    return (n.as_array() + 0.5).tolist()
+
+
+def _energy(signs, freqs, occupation) -> float:
+    """sum_i eps_i * freq_i * occupation_i, over lists of Python numbers."""
+    return _sum3(*(s * f * o for s, f, o in zip(signs, freqs, occupation)))
+
+
 def quasienergy(basis: NormalModeBasis, n: FockLabel) -> float:
     """E = sum_i eps_i * freq_i * (n_i + 1/2)."""
-    return float(np.sum(basis.signs * basis.freqs * (n.as_array() + 0.5)))
+    return _energy(basis.signs.tolist(), basis.freqs.tolist(), _occupation(n))
 
 
 def _mode_weights(Q, basis: NormalModeBasis) -> np.ndarray:
@@ -226,20 +246,28 @@ def _assemble_report(
 ) -> PhaseReport:
     """Report for label n: eq8 from the mu-cubic derivatives dfreq and, when the
     per-mode L3 weights l3 are given, eq7 = 2 pi sum l3_i (n_i + 1/2), checked
-    against eq8."""
-    occupation = n.as_array() + 0.5
-    eq8 = -2.0 * math.pi * float(np.sum(basis.signs * occupation * dfreq))
-    eq7 = None if l3 is None else 2.0 * math.pi * float(np.sum(l3 * occupation))
+    against eq8. A phase or quasienergy that overflows raises DomainError."""
+    occupation = _occupation(n)
+    signs, dfreq = basis.signs.tolist(), dfreq.tolist()
+    eq8 = -2.0 * math.pi * _sum3(*(s * o * d for s, o, d in zip(signs, occupation, dfreq)))
+    eq7 = None if l3 is None else 2.0 * math.pi * _sum3(
+        *(w * o for w, o in zip(l3.tolist(), occupation)))
+    energy = _energy(signs, basis.freqs.tolist(), occupation)
+    if not all(math.isfinite(x) for x in (eq8, energy, 0.0 if eq7 is None else eq7)):
+        raise DomainError(
+            f"occupations too large for a finite phase: quasienergy {energy}, "
+            f"<L3> route {eq7}, derivative route {eq8}"
+        )
     if eq7 is not None and abs(eq7 - eq8) > 1e-6 * (1.0 + abs(eq8)):
         raise NumericalError(
             f"geometric-phase routes disagree: <L3> route {eq7:.12g} vs "
             f"derivative route {eq8:.12g}"
         )
     return PhaseReport(
-        quasienergy=quasienergy(basis, n),
+        quasienergy=energy,
         aa_phase_eq7=eq7,
         aa_phase_eq8=eq8,
-        dfreq_domega=tuple(float(d) for d in dfreq),
+        dfreq_domega=tuple(dfreq),
     )
 
 
@@ -253,8 +281,7 @@ def _point_record(params: SystemParams, curvatures: tuple):
     basis = normal_mode_basis(spec)
     dfreq = _dmodes_implicit(S, spec.freqs)
     l3 = _mode_weights(_SL3, basis)
-    for a in (spec.raw_eigenvalues, *(m.eigvec for m in spec.modes), basis.coeffs,
-              basis.signs, basis.freqs, dfreq, l3):
+    for a in (basis.coeffs, basis.signs, basis.freqs, dfreq, l3):
         a.setflags(write=False)
     return S, spec, basis, dfreq, l3
 
@@ -356,10 +383,13 @@ def resonance_shift(
     signs2 = spec2.krein_signs[perm]
     if not np.array_equal(signs2, spec.krein_signs):
         raise NumericalError("Krein signs changed across the omega shift; reduce delta_omega")
-    exact = float(
-        np.sum(signs2 * freqs2 * (n.as_array() + 0.5))
-        - np.sum(signs2 * freqs2 * (n_prime.as_array() + 0.5))
-    )
+    signs2, freqs2 = signs2.tolist(), freqs2.tolist()
+    exact = _energy(signs2, freqs2, _occupation(n)) - _energy(signs2, freqs2, _occupation(n_prime))
+    if not all(math.isfinite(x) for x in (omega_p, linear, exact)):
+        raise DomainError(
+            f"occupations too large for a finite shift: omega_p {omega_p}, "
+            f"linear {linear}, exact {exact}"
+        )
     return ResonanceShift(
         omega_p=omega_p,
         omega_p_linear=linear,

@@ -12,11 +12,16 @@ and the two factors RE_FACTOR and GAP_FACTOR (applied in ``_rule`` and
 form Im(v^H J v) (``_forms``) gives its Krein sign and its ladder
 normalisation; the form is guarded only against vanishing, which a simple
 imaginary eigenvalue's form never does.
+
+``classify`` keeps the last matrix's spectrum, keyed on the bytes of the
+validated float64 Lambda; errors are not kept, and the spectrum's arrays are
+read-only, so a kept spectrum cannot be changed by its caller.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -121,16 +126,32 @@ def classify(lam) -> ModeSpectrum:
     residual-checked eigenvector. The Krein sign is the sign of the mode's
     symplectic form; a form below 1e-10 |v|^2 carries no sign and demotes
     the point to Boundary (a degeneracy below the gap resolution).
+
+    A complex, non-finite or non-6x6 input raises DomainError. The last
+    matrix's spectrum is kept, keyed on the bytes of Lambda as float64, so a
+    repeated matrix is not decomposed again; ``raw_eigenvalues`` and each
+    mode's ``eigvec`` are read-only.
     """
+    if np.iscomplexobj(lam):
+        raise DomainError("dynamical matrix must be real")
     L = np.asarray(lam, dtype=float)
     if L.shape != (6, 6):
         raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
     if not np.all(np.isfinite(L)):
         raise DomainError("dynamical matrix must be finite")
+    return _classify_bytes(L.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _classify_bytes(key: bytes) -> ModeSpectrum:
+    """``classify``'s body, on a validated Lambda given as its C-order float64
+    bytes; the last key's spectrum is kept."""
+    L = np.frombuffer(key).reshape(6, 6)
     try:
         ev, V = np.linalg.eig(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver failed on Lambda={L!r}") from exc
+    ev.setflags(write=False)
     scale = float(np.linalg.norm(L))
     unconfined, separated = _rule(ev, scale)
     if unconfined:
@@ -141,6 +162,7 @@ def classify(lam) -> ModeSpectrum:
     if len(positive) != 3:  # pragma: no cover - excluded by the gap rule
         raise NumericalError("confined spectrum did not yield three positive modes")
     freqs, Vp = ev.imag[positive], V[:, positive]
+    Vp.setflags(write=False)
     residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0)
     i = int(np.argmax(residuals))
     if residuals[i] > 1e-9 * scale:

@@ -110,6 +110,12 @@ class TestPhasesCommand:
         assert code == 2
         assert out == "" and "occupations" in err
 
+    def test_overflowing_phase_exit_code(self, capsys):
+        code, out, err = run(capsys, "phases", "--k", "0.1", "--omega", "0.01",
+                             "--n1", str(10**308), "--n2", "0", "--n3", "0")
+        assert code == 2
+        assert out == "" and "occupations too large" in err
+
     def test_no_cyclic_states_exit_code(self, capsys):
         code, _, err = run(capsys, "phases", "--k", "0.3", "--omega", "0")
         assert code == 4

@@ -115,6 +115,13 @@ class TestBuildG:
         with pytest.raises(DomainError):
             QuadraticForm(M)
 
+    def test_quadratic_form_rejects_complex(self):
+        S = np.eye(6) + 1j * np.eye(6)
+        with pytest.raises(DomainError, match="real"):
+            QuadraticForm(S)
+        with pytest.raises(DomainError, match="real"):
+            QuadraticForm(np.eye(6) + 0j)
+
 
 class TestL3Form:
     def test_scalar_values(self):

@@ -30,7 +30,7 @@ from penphase import (
     quasienergy,
     resonance_shift,
 )
-from penphase import phases
+from penphase import phases, spectral
 from penphase.phases import FockLabel
 
 
@@ -79,6 +79,55 @@ class TestQuasienergy:
             target = quasienergy(basis, label)
             energy, _ = oracle.match_level(dense, target)
             assert energy == pytest.approx(target, abs=1e-6)
+
+
+finite = st.floats(min_value=-1e10, max_value=1e10)
+triple = st.lists(finite, min_size=3, max_size=3).map(np.array)
+big_label = st.builds(FockLabel, *[st.integers(min_value=0, max_value=10**300)] * 3)
+
+
+def _np_sum_outcome(signs, freqs, dfreq, l3, n):
+    """repr of the report the np.sum formulation gives, or the error
+    the finiteness and eq7 = eq8 checks raise on its values."""
+    occupation = n.as_array() + 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        eq8 = -2.0 * math.pi * float(np.sum(signs * occupation * dfreq))
+        eq7 = 2.0 * math.pi * float(np.sum(l3 * occupation))
+        energy = float(np.sum(signs * freqs * occupation))
+    if not all(math.isfinite(x) for x in (eq7, eq8, energy)):
+        return DomainError
+    if abs(eq7 - eq8) > 1e-6 * (1.0 + abs(eq8)):
+        return NumericalError
+    return repr(phases.PhaseReport(energy, eq7, eq8, tuple(float(d) for d in dfreq)))
+
+
+class TestSumsAreBitIdentical:
+    """The reports add three Python floats in NumPy's order; the pinned CLI
+    digests rest on that order, so a reordered sum shows here first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3).map(np.array),
+           freqs=triple, dfreq=triple, l3=triple, tie=st.booleans(), n=big_label)
+    def test_report_equals_np_sum(self, signs, freqs, dfreq, l3, tie, n):
+        if tie:  # eq7 = eq8 to the bit, so the report is returned
+            l3 = -signs * dfreq
+        basis = NormalModeBasis(coeffs=np.zeros((3, 6), dtype=complex), signs=signs,
+                                freqs=freqs)
+        expected = _np_sum_outcome(signs, freqs, dfreq, l3, n)
+        if isinstance(expected, str):
+            assert repr(phases._assemble_report(basis, n, dfreq, l3)) == expected
+        else:
+            with pytest.raises(expected):
+                phases._assemble_report(basis, n, dfreq, l3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = float(np.sum(signs * freqs * (n.as_array() + 0.5)))
+        assert repr(quasienergy(basis, n)) == repr(energy)
+
+    def test_zero_terms_sum_to_positive_zero(self):
+        # np.sum starts from +0.0, so three -0.0 terms give +0.0
+        basis = NormalModeBasis(coeffs=np.zeros((3, 6), dtype=complex),
+                                signs=np.array([1, 1, -1]), freqs=np.array([-0.0, -0.0, 0.0]))
+        assert repr(quasienergy(basis, FockLabel(0, 0, 0))) == repr(0.0)
 
 
 class TestExpectationQuadratic:
@@ -187,6 +236,14 @@ class TestAAPhase:
         with pytest.raises(NoCyclicStatesError):
             aa_phase(params, PenningQuadrupole(params.w0), FockLabel(0, 0, 0))
 
+    @pytest.mark.parametrize("n", [FockLabel(10**308, 0, 0), FockLabel(10**308, 10**308, 0)])
+    def test_overflowing_phase_raises(self, n):
+        # eq7 and eq8 overflow to inf, where |eq7 - eq8| is nan and passes the
+        # route check
+        params = make_params_adiabatic(0.1, 0.01)
+        with pytest.raises(DomainError, match="occupations too large"):
+            aa_phase(params, PenningQuadrupole(params.w0), n)
+
     def test_hellmann_feynman_consistency(self, rng):
         # the headline cross-check: the <L3> route equals the derivative route,
         # and the three derivative routes agree at the same points
@@ -247,6 +304,23 @@ class TestBerryPhaseAdiabatic:
 
 
 class TestResonanceShift:
+    def test_overflowing_label_raises(self):
+        params = make_params_adiabatic(0.1, 0.01)
+        with pytest.raises(DomainError, match="occupations too large"):
+            resonance_shift(params, PenningQuadrupole(params.w0), FockLabel(10**308, 0, 0),
+                            FockLabel(0, 0, 0), 1e-3)
+
+    def test_overflowing_shift_raises(self):
+        # each report is finite, beta_n near +9.2e307 and beta_n' near
+        # -9.4e307, but their difference overflows, so omega_p_linear is -inf
+        params = make_params_adiabatic(0.1, 0.01)
+        binding = PenningQuadrupole(params.w0)
+        n, n_prime = FockLabel(29 * 10**306, 0, 0), FockLabel(0, 0, 145 * 10**305)
+        assert all(math.isfinite(aa_phase(params, binding, label).aa_phase_eq8)
+                   for label in (n, n_prime))
+        with pytest.raises(DomainError, match="finite shift"):
+            resonance_shift(params, binding, n, n_prime, 1e-3)
+
     def test_matches_two_aa_phase_calls(self, rng):
         for params in sample_confined_loop_points(rng, 4):
             binding = PenningQuadrupole(params.w0)
@@ -394,6 +468,26 @@ class TestPointRecord:
         # one for the point, one for the shifted point; one entry is kept
         assert len(calls) == 2
         assert phases._point_record.cache_info().maxsize == 1
+
+    def test_point_query_decomposes_two_matrices(self, rng, monkeypatch):
+        # classify keeps Lambda's spectrum for the record; the shifted point
+        # is the other decomposition
+        params = sample_confined_loop_points(rng, 1)[0]
+        binding = PenningQuadrupole(params.w0)
+        phases._point_record.cache_clear()
+        spectral._classify_bytes.cache_clear()
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(1)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        classify(J6 @ build_G(params, binding).S)
+        aa_phase(params, binding, FockLabel(1, 0, 0))
+        resonance_shift(params, binding, FockLabel(1, 0, 0), FockLabel(0, 1, 0), 1e-3)
+        assert len(calls) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(min_value=0.0, max_value=3.0),

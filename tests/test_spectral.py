@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ORACLE_POINTS,
@@ -26,6 +28,7 @@ from penphase import (
     normal_mode_basis,
     quasienergy,
 )
+from penphase import spectral
 from penphase.model import _mu_cubic
 from penphase.phases import FockLabel
 from penphase.spectral import (
@@ -88,6 +91,63 @@ class TestClassify:
             assert spec.classification is spec0.classification
             assert np.allclose(spec.freqs, c * spec0.freqs, rtol=1e-9)
             assert np.array_equal(spec.krein_signs, spec0.krein_signs)
+
+
+loop_lambdas = st.tuples(st.floats(min_value=0.0, max_value=3.0),
+                         st.floats(min_value=0.0, max_value=3.0),
+                         st.floats(min_value=0.0, max_value=2.0)).map(lambda p: loop_lambda(*p))
+
+
+def _fields(spec):
+    return (spec.classification, spec.freqs.tolist(), spec.krein_signs.tolist(),
+            spec.raw_eigenvalues.tobytes())
+
+
+class TestClassifyMemo:
+    """``classify`` keeps the last matrix's spectrum, keyed on its bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(A=loop_lambdas, B=loop_lambdas)
+    def test_kept_spectrum_equals_a_fresh_one(self, A, B):
+        for L in (A, B, A):
+            kept = _fields(classify(L))
+            spectral._classify_bytes.cache_clear()
+            assert kept == _fields(classify(L))
+
+    def test_input_written_after_a_call(self):
+        L = loop_lambda(0.2, 1.0, 0.0)
+        other = loop_lambda(2.0, 0.2, 1.0)
+        spectral._classify_bytes.cache_clear()
+        expected = _fields(classify(other))
+        spectral._classify_bytes.cache_clear()
+        assert classify(L).classification is Classification.CONFINED
+        L[...] = other
+        assert _fields(classify(L)) == expected
+        # the key is the C-order bytes, whatever the input's memory layout
+        assert _fields(classify(np.asfortranarray(other))) == expected
+
+    def test_returned_arrays_reject_writes(self):
+        spec = classify(loop_lambda(0.2, 1.0, 0.0))
+        assert spec.classification is Classification.CONFINED
+        for array in (spec.raw_eigenvalues, *(m.eigvec for m in spec.modes)):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_errors_are_not_kept(self):
+        spectral._classify_bytes.cache_clear()
+        for bad in (np.full((6, 6), np.nan), np.zeros((5, 5))):
+            with pytest.raises(DomainError):
+                classify(bad)
+        assert spectral._classify_bytes.cache_info().currsize == 0
+
+    def test_complex_input_raises(self):
+        L = loop_lambda(0.2, 1.0, 0.0).astype(complex)
+        L[0, 1] += 5j
+        with pytest.raises(DomainError, match="real"):
+            classify(L)
+        with pytest.raises(DomainError, match="real"):
+            classify(L.tolist())
+        assert classify(L.real).classification is Classification.CONFINED
 
 
 class TestKreinSign:
