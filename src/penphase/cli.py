@@ -30,11 +30,11 @@ from .model import (
     make_params_dimensionless,
 )
 from .phases import FockLabel, aa_phase, berry_phase_adiabatic, resonance_shift
-from .spectral import GAP_FACTOR, RE_FACTOR, classify
+from .spectral import GAP_FACTOR, classify
 from .sweep import GAP_SLOPE_SCALE, GridSpec, curve_fig2, find_kcr, sweep_fig1
 from . import svgplot
 
-_SPECTRAL_CONSTANTS = {"re_factor": repr(RE_FACTOR), "gap_factor": repr(GAP_FACTOR)}
+_SPECTRAL_CONSTANTS = {"gap_factor": repr(GAP_FACTOR)}
 
 _CANONICAL = {
     "sweep_fig1": "sweep-fig1",

@@ -38,9 +38,15 @@ __all__ = [
     "build_L3_form",
 ]
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A copy of a on an immutable bytes buffer: neither it nor any array on
+    its ``base`` chain can have its write flag set back."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
 #: Symplectic unit in the (x, p) block ordering.
-J6 = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
-J6.setflags(write=False)
+J6 = _read_only(np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]]))
 
 #: Largest magnitude accepted for a frequency, field ratio or grid coordinate,
 #: about 1.8e19. The generator's entries are quadratic in these, the
@@ -164,7 +170,7 @@ BINDINGS = {"penning": PenningQuadrupole, "oscillator": IsotropicOscillator}
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Symmetric coefficient matrix S of a quadratic observable (1/2) u^T S u."""
+    """Symmetric coefficient matrix S of a quadratic observable (1/2) u^T S u, copied."""
 
     S: np.ndarray
 
@@ -174,15 +180,11 @@ class QuadraticForm:
         S = np.asarray(self.S, dtype=float)
         if S.shape != (6, 6):
             raise DomainError(f"expected a 6x6 matrix, got {S.shape}")
+        if not np.isfinite(S).all():
+            raise DomainError("coefficient matrix must be finite")
         if not np.array_equal(S, S.T):
             raise DomainError("coefficient matrix must be exactly symmetric")
-        S.setflags(write=False)
-        object.__setattr__(self, "S", S)
-
-
-def _as_matrix(Q) -> np.ndarray:
-    """The coefficient matrix of a QuadraticForm, or an array-like as floats."""
-    return Q.S if isinstance(Q, QuadraticForm) else np.asarray(Q, dtype=float)
+        object.__setattr__(self, "S", _read_only(S))
 
 
 def build_G(params: SystemParams, binding: BindingPotential | None = None) -> QuadraticForm:

@@ -42,9 +42,9 @@ from .model import (
     J6,
     QuadraticForm,
     SystemParams,
-    _as_matrix,
     _generator,
     _mu_cubic,
+    _read_only,
     build_G,
     build_L3_form,
 )
@@ -129,10 +129,10 @@ def quasienergy(basis: NormalModeBasis, n: FockLabel) -> float:
     return _energy(basis.signs.tolist(), basis.freqs.tolist(), _occupation(n))
 
 
-def _mode_weights(Q, basis: NormalModeBasis) -> np.ndarray:
+def _mode_weights(Q: np.ndarray, basis: NormalModeBasis) -> np.ndarray:
     """Per-mode weights q_i = Re((J c_i)^H Q (J c_i)) of (1/2) u^T Q u, read off
     the ladder rows c_i; equal to Re(v_i^H Q v_i) / |Im(v_i^H J v_i)|."""
-    return _forms(_as_matrix(Q), J6 @ basis.coeffs.T).real
+    return _forms(Q, J6 @ basis.coeffs.T).real
 
 
 def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
@@ -141,8 +141,9 @@ def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
     <Q> = sum_i q_i (n_i + 1/2), q_i = Re(w_i^H Q w_i) with w_i = J c_i for the
     ladder rows c_i. Exact for any symmetric Q: u = sum_i i eps_i (conj(w_i) A_i
     - w_i A_i^dag), only A_i A_i^dag and A_i^dag A_i survive the diagonal
-    expectation, and for either Krein sign they sum to q_i (n_i + 1/2).
-    """
+    expectation, and for either Krein sign they sum to q_i (n_i + 1/2). Q is
+    checked as a QuadraticForm."""
+    Q = (Q if isinstance(Q, QuadraticForm) else QuadraticForm(Q)).S
     return float(np.sum(_mode_weights(Q, basis) * (n.as_array() + 0.5)))
 
 
@@ -275,14 +276,12 @@ def _assemble_report(
 def _point_record(params: SystemParams, curvatures: tuple):
     """Generator, spectrum, ladder basis, mode-frequency derivatives and the
     per-mode L3 weights at one point. The last point's is kept, keyed on the
-    values S is built from, not on a binding; its arrays are read-only."""
-    S = QuadraticForm(_generator(params.b, params.b0, params.omega, curvatures)).S
+    values S is built from, not on a binding; its arrays are ``_read_only``."""
+    S = _read_only(_generator(params.b, params.b0, params.omega, curvatures))
     spec = _confined_spectrum(S, f"parameter point {params}")
     basis = normal_mode_basis(spec)
-    dfreq = _dmodes_implicit(S, spec.freqs)
-    l3 = _mode_weights(_SL3, basis)
-    for a in (basis.coeffs, basis.signs, basis.freqs, dfreq, l3):
-        a.setflags(write=False)
+    basis = NormalModeBasis(*map(_read_only, (basis.coeffs, basis.signs, basis.freqs)))
+    dfreq, l3 = map(_read_only, (_dmodes_implicit(S, spec.freqs), _mode_weights(_SL3, basis)))
     return S, spec, basis, dfreq, l3
 
 

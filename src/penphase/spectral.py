@@ -7,15 +7,14 @@ spectrum is imaginary but degenerate or contains a zero mode; Unconfined when
 any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
 land there. This eigenvalue rule, ``_rule``, is the only confinement rule,
-and the two factors RE_FACTOR and GAP_FACTOR (applied in ``_rule`` and
-``_gap_tol``) are its only tolerance source. Each stable mode's symplectic
-form Im(v^H J v) (``_forms``) gives its Krein sign and its ladder
-normalisation; the form is guarded only against vanishing, which a simple
-imaginary eigenvalue's form never does.
+and one factor, GAP_FACTOR (through ``_gap_tol``), is its only tolerance
+source. Each stable mode's symplectic form Im(v^H J v) (``_forms``) gives its
+Krein sign and its ladder normalisation; the form is guarded only against
+vanishing, which a simple imaginary eigenvalue's form never does.
 
 ``classify`` keeps the last matrix's spectrum, keyed on the bytes of the
 validated float64 Lambda; errors are not kept, and the spectrum's arrays are
-read-only, so a kept spectrum cannot be changed by its caller.
+read-only (``model._read_only``), so a caller cannot change a kept spectrum.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import J6
+from .model import J6, _read_only
 
 __all__ = [
     "Classification",
@@ -46,9 +45,9 @@ class Classification(enum.Enum):
     BOUNDARY = "B"
 
 
-#: Tolerance factors, each times (1 + ||Lambda||_F): |Re lambda| beyond RE_FACTOR
-#: (1 + scale) is Unconfined; gaps and |lambda| within GAP_FACTOR (1 + scale), Boundary.
-RE_FACTOR, GAP_FACTOR = 1e-9, 1e-7
+#: The tolerance factor, times (1 + ||Lambda||_F): |Re lambda| beyond it is Unconfined;
+#: gaps and |lambda| within it, Boundary. eig splits a zero mode by ~sqrt(eps) ||Lambda||.
+GAP_FACTOR = 1e-7
 
 
 def _gap_tol(scale, gap_floor=0.0):
@@ -60,24 +59,23 @@ def _gap_tol(scale, gap_floor=0.0):
 
 def _rule(ev: np.ndarray, scale, gap_floor=0.0):
     """The eigenvalue rule over the last axis of ev: masks (unconfined,
-    separated). Unconfined: some |Re lambda| beyond the real-part tolerance.
+    separated). Unconfined: some |Re lambda| beyond the pointwise tolerance.
     Separated: every gap between sorted imaginary parts, and every |lambda|,
     beyond the gap tolerance. Confined is separated and not unconfined."""
     tau = _gap_tol(scale, gap_floor)
     gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
-    unconfined = np.abs(ev.real).max(axis=-1) > RE_FACTOR * (1.0 + scale)
+    unconfined = np.abs(ev.real).max(axis=-1) > _gap_tol(scale)
     return unconfined, (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
 
 
 def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
     """Mask of the stable modes among eigenvalues ev, even at Unconfined
-    points: |Re| within the real-part tolerance, Im beyond the gap tolerance,
-    and no other eigenvalue within the gap tolerance; over the last axis."""
-    tau_re = np.expand_dims(RE_FACTOR * (1.0 + scale), -1)
-    tau_gap = np.expand_dims(_gap_tol(scale), -1)
+    points: |Re| within the tolerance, and Im and the distance to every other
+    eigenvalue beyond it; over the last axis."""
+    tau = np.expand_dims(_gap_tol(scale), -1)
     dist = np.abs(ev[..., :, None] - ev[..., None, :])
     dist[..., range(6), range(6)] = np.inf
-    return (np.abs(ev.real) <= tau_re) & (ev.imag > tau_gap) & (dist.min(axis=-1) > tau_gap)
+    return (np.abs(ev.real) <= tau) & (ev.imag > tau) & (dist.min(axis=-1) > tau)
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def _forms(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def classify(lam) -> ModeSpectrum:
     """Classify a dynamical matrix as Confined / Unconfined / Boundary, with the
-    pointwise tolerances (no gap floor).
+    pointwise tolerance (no gap floor).
 
     When Confined, the three positive-frequency modes are returned sorted by
     descending frequency (ties broken by Krein sign, +1 first), each with a
@@ -151,7 +149,7 @@ def _classify_bytes(key: bytes) -> ModeSpectrum:
         ev, V = np.linalg.eig(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver failed on Lambda={L!r}") from exc
-    ev.setflags(write=False)
+    ev = _read_only(ev)
     scale = float(np.linalg.norm(L))
     unconfined, separated = _rule(ev, scale)
     if unconfined:
@@ -161,8 +159,7 @@ def _classify_bytes(key: bytes) -> ModeSpectrum:
     positive = np.flatnonzero(ev.imag > 0)
     if len(positive) != 3:  # pragma: no cover - excluded by the gap rule
         raise NumericalError("confined spectrum did not yield three positive modes")
-    freqs, Vp = ev.imag[positive], V[:, positive]
-    Vp.setflags(write=False)
+    freqs, Vp = ev.imag[positive], _read_only(V[:, positive])
     residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0)
     i = int(np.argmax(residuals))
     if residuals[i] > 1e-9 * scale:

@@ -8,9 +8,9 @@ worth of gap change cannot be certified as Confined at that resolution and is
 recorded as Boundary. This keeps the cell labeling faithful to the true open
 confined regions, whose separating collision curves pinch below any fixed
 grid resolution near their roots on the alpha = 0 axis; the pointwise
-classifier keeps its own much tighter spectral tolerances. Both apply the
-one eigenvalue rule ``spectral._rule``, the grid with its margin as
-``gap_floor`` and the pointwise classifier with none.
+classifier keeps the one much tighter tolerance, GAP_FACTOR (1 + ||Lambda||_F).
+Both apply the one eigenvalue rule ``spectral._rule``, the grid with its
+margin as ``gap_floor`` and the pointwise classifier with none.
 
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most points are certified Confined, Unconfined or
@@ -21,12 +21,12 @@ another (``_loop_cubic``), so over a grid tile, a column of alpha0 against a
 row of alpha, each costs one to four passes. Only the points the roots leave
 undecided are built as 6x6 generators and go through the batched
 eigensolver: those within the slack of a tolerance, of a mode collision or
-of a zero mode. At a zero mode Lambda has a Jordan block, and whether eig
-reports its split eigenvalues as real or imaginary is decided by rounding,
-so no closed form can predict its class there. The labels equal those of the eigenvalue rule at every point.
+of a zero mode. At a zero mode Lambda has a Jordan block; eig splits it by
+about sqrt(eps) ||Lambda||, within the tolerance, so the point is Boundary on
+either axis. The labels equal those of the eigenvalue rule at every point.
 ``_loop_codes`` is that one classifier of loop points, for the grid (with its
 margin as ``gap_floor``) and for the 1-D scans ``refine_boundary`` and
-``find_kcr`` (with gap_floor 0, the pointwise tolerances, under which no
+``find_kcr`` (with gap_floor 0, the pointwise tolerance, under which no
 point is certified Boundary), whose confined test is its code 'C'. The scans
 bisect in rounds: one call classifies every midpoint that up to _ROUND_DEPTH
 halvings can visit, so a scan makes two or three kernel calls, not one per
@@ -169,9 +169,8 @@ def _certify_cells(
     slack dwarfs both the roots' and eig's rounding once every gap clears
     the pointwise tolerance, so a certified cell gets the class the
     eigenvalue rule would give it. With gap_floor 0 no cell is certified
-    Boundary. Cells near a zero mode or a collision, where eig's class turns
-    on its own rounding (inside a Jordan block at a zero mode), and cells
-    whose roots come out NaN are left uncertified.
+    Boundary. Cells within slack of a tolerance (near a zero mode or a
+    collision) and cells whose roots come out NaN are left uncertified.
     """
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0

@@ -61,6 +61,15 @@ def route_spread(params, binding):
     )
 
 
+def assert_write_flag_refused(array):
+    """The array, and every array on its ``base`` chain, refuses
+    ``setflags(write=True)``, so no caller can write into what it views."""
+    while isinstance(array, np.ndarray):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            array.setflags(write=True)
+        array = array.base
+
+
 def sample_unconfined_loop_points(rng, n, window=3.0, min_growth=0.01):
     """Random Unconfined loop points with a definite growth rate."""
     out = []

@@ -186,10 +186,10 @@ class TestSweepCommands:
         csv, svg = tmp_path / "fig1.csv", tmp_path / "fig1.svg"
         assert run(capsys, "sweep-fig1", "-o", str(csv), "--svg", str(svg))[0] == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "5d3e24ff0982e238926030fbdca5f3778f160bcf93ca0a0d0f58c5989fb9c235"
+            "c54f4871bb07261aac2cc13eac12cdbad4db61464ecc4aa3706829a139019d0e"
         )
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
-            "7281fd62754eef4ccc5a677973a8572864b0e19837aaa7054ac701ba1ea87351"
+            "8fe6e227aa9e439b3561353643415e8a37925440cfb4832aba38fa475279aa85"
         )
 
     def test_auto_extended_square_map_is_pinned(self, capsys, tmp_path):
@@ -200,7 +200,7 @@ class TestSweepCommands:
         assert code == 0
         assert "auto-extended: true" in out
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "108bacff18bbf7abd3be606496e6a1cdad1a153016b6f563c1e6c7904ab8b6fc"
+            "0cfabd4cbad7752d67ade0961ec203bf82657a3c3fbedce5f6d368334e3512d4"
         )
 
     @pytest.mark.parametrize("window, alpha_axis, alpha0_axis", [
@@ -278,6 +278,22 @@ class TestSweepCommands:
         code, _, err = run(capsys, "curve-fig2", "--config", str(cfg), "-o",
                            str(tmp_path / "x.csv"))
         assert code == 2
+
+    def test_manifest_pinning_re_factor_is_refused(self, capsys, tmp_path):
+        # a manifest written under the two-factor rule (re_factor=1e-09) names a
+        # factor this build no longer has, so it is refused, not replayed
+        out = tmp_path / "map.csv"
+        args = ["--alpha-steps", "20", "--alpha0-steps", "20", "--no-auto-extend"]
+        assert run(capsys, "sweep-fig1", *args, "-o", str(out))[0] == 0
+        old = tmp_path / "old.manifest"
+        old.write_text(out.with_suffix(".csv.manifest").read_text().replace(
+            "gap_factor=1e-07\n", "gap_factor=1e-07\nre_factor=1e-09\n"))
+        assert "re_factor=1e-09" in old.read_text()
+        replay = tmp_path / "replay.csv"
+        code, out_text, err = run(capsys, "sweep-fig1", "--config", str(old), "-o", str(replay))
+        assert code == 2
+        assert "unknown config key 're_factor'" in err
+        assert out_text == "" and not replay.exists()
 
 
 class TestFindKcrCommand:
@@ -490,7 +506,7 @@ def test_manifest_replays_every_command(capsys, tmp_path, command):
     assert code == 0
     produced = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert "result.manifest" in produced
-    header = ["command", "artifact_version", "gap_factor", "re_factor"]
+    header = ["command", "artifact_version", "gap_factor"]
     lines = manifest.read_text().splitlines()
     assert [line.partition("=")[0] for line in lines] == header + keys
     # replay purely from the manifest: same stdout, same bytes in every file

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_write_flag_refused
 from dynamics_oracle import classical_energy, quadratic_value
 from penphase import (
     DomainError,
@@ -121,6 +122,21 @@ class TestBuildG:
             QuadraticForm(S)
         with pytest.raises(DomainError, match="real"):
             QuadraticForm(np.eye(6) + 0j)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_quadratic_form_rejects_non_finite(self, value):
+        S = np.eye(6)
+        S[2, 2] = value
+        with pytest.raises(DomainError, match="must be finite"):
+            QuadraticForm(S)
+
+    def test_quadratic_form_keeps_a_read_only_copy(self):
+        M = np.eye(6)
+        form = QuadraticForm(M)
+        M[0, 0] = 5.0  # the caller's array stays its own
+        assert form.S[0, 0] == 1.0
+        assert_write_flag_refused(form.S)
+        assert_write_flag_refused(J6)
 
 
 class TestL3Form:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import route_spread, sample_confined_loop_points
+from conftest import assert_write_flag_refused, route_spread, sample_confined_loop_points
 from penphase import (
     Classification,
     DegeneracyError,
@@ -153,6 +153,19 @@ class TestExpectationQuadratic:
         # fast mode (w0 + omega) carries -1, slow mode (w0 - omega) carries +1
         assert expectation_quadratic(L3, basis, FockLabel(1, 0, 0)) == pytest.approx(-1.0, abs=1e-10)
         assert expectation_quadratic(L3, basis, FockLabel(0, 0, 1)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_q_is_checked_as_a_quadratic_form(self):
+        S = build_G(SystemParams(b=0, b0=0, w0=1.0, omega=0.3), IsotropicOscillator(1.0)).S
+        basis = normal_mode_basis(classify(J6 @ S))
+        label = FockLabel(1, 0, 2)
+        L3 = build_L3_form()
+        assert expectation_quadratic(L3, basis, label) == expectation_quadratic(
+            L3.S, basis, label) == expectation_quadratic(L3.S.tolist(), basis, label)
+        for Q, message in [(np.eye(5), "6x6"), (np.eye(6) + 1e-3j, "real"),
+                           (np.full((6, 6), np.nan), "finite"),
+                           (np.triu(np.ones((6, 6))), "symmetric")]:
+            with pytest.raises(DomainError, match=message):
+                expectation_quadratic(Q, basis, label)
 
     def test_matches_fock_oracle(self, oracle_case):
         basis = oracle_case["basis"]
@@ -565,3 +578,4 @@ class TestPointRecord:
         for array in stored:
             with pytest.raises(ValueError):
                 array[...] = 0
+            assert_write_flag_refused(array)

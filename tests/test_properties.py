@@ -46,7 +46,6 @@ from penphase.phases import (
 )
 from penphase.spectral import (
     GAP_FACTOR,
-    RE_FACTOR,
     _gap_tol,
     _rule,
 )
@@ -176,7 +175,7 @@ def _expected_cell(alpha, alpha0, gap_floor):
     """Pointwise class of a loop cell, or None within the grid's margin.
 
     Outside the margin the rule is decided with room to spare on both
-    classifiers: |Re| far from the real-part tolerance, and the smallest gap
+    classifiers: |Re| far from the pointwise tolerance, and the smallest gap
     and |lambda| clear of gap_floor (below it the grid reports Boundary where
     the pointwise rule may still certify Confined).
     """
@@ -184,11 +183,11 @@ def _expected_cell(alpha, alpha0, gap_floor):
     spec = classify(L)
     ev = spec.raw_eigenvalues
     scale = np.linalg.norm(L)
-    re_tol, gap_tol = RE_FACTOR * (1 + scale), _gap_tol(scale)
+    gap_tol = _gap_tol(scale)
     remax = np.abs(ev.real).max()
-    if remax > 2.0 * re_tol:
+    if remax > 2.0 * gap_tol:
         return "U"
-    if remax > 0.5 * re_tol:
+    if remax > 0.5 * gap_tol:
         return None
     separation = min(np.diff(np.sort(ev.imag)).min(), np.abs(ev).min())
     if separation > 2.0 * max(gap_tol, gap_floor):
@@ -216,8 +215,9 @@ def test_grid_agrees_with_pointwise_outside_margin(alphas, alpha0s, gap_floor):
 
 def _unconfined(ev, scale):
     """Reference for ``spectral._rule``'s first mask, written out apart from it:
-    some |Re lambda| beyond the real-part tolerance, over the last axis of ev."""
-    return np.abs(ev.real).max(axis=-1) > RE_FACTOR * (1.0 + scale)
+    some |Re lambda| beyond the pointwise tolerance (no floor), over the last
+    axis of ev."""
+    return np.abs(ev.real).max(axis=-1) > GAP_FACTOR * (1.0 + scale)
 
 
 def _separated(ev, scale, gap_floor):
@@ -237,16 +237,16 @@ def _separated(ev, scale, gap_floor):
 def test_rule_matches_reference_predicates(rows, floored, seed):
     # rows None is one spectrum of shape (6,) with a float scale. Spectra are
     # +-i w with w1, w2 - w1 and w3 - w2 at 0.5 to 2 gap tolerances, and the
-    # nonzero |Re lambda| at 0.5 to 2 real-part tolerances, so both sides of
+    # nonzero |Re lambda| at 0.5 to 2 pointwise tolerances, so both sides of
     # every comparison occur
     rng = np.random.default_rng(seed)
     n = rows or 1
     scale = rng.uniform(0.0, 100.0, n)
     gap_floor = rng.uniform(0.0, 4.0) * GAP_FACTOR * (1.0 + scale.max()) if floored else 0.0
     tau_gap = np.maximum(GAP_FACTOR * (1.0 + scale), gap_floor)[:, None]
-    tau_re = RE_FACTOR * (1.0 + scale)[:, None]
+    tau_point = GAP_FACTOR * (1.0 + scale)[:, None]
     w = np.cumsum(rng.uniform(0.5, 2.0, (n, 3)) * tau_gap, axis=1)
-    real = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (n, 6)) * rng.uniform(0.5, 2.0, (n, 6)) * tau_re
+    real = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0], (n, 6)) * rng.uniform(0.5, 2.0, (n, 6)) * tau_point
     ev = rng.permuted(real + 1j * np.hstack([w, -w]), axis=1)
     if rows is None:
         ev, scale = ev[0], float(scale[0])
@@ -254,6 +254,19 @@ def test_rule_matches_reference_predicates(rows, floored, seed):
     assert np.shape(unconfined) == np.shape(separated) == np.shape(scale)
     assert np.array_equal(unconfined, _unconfined(ev, scale))
     assert np.array_equal(separated, _separated(ev, scale, gap_floor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=10.0), alpha0=st.sampled_from([0.75, 1.5]))
+@example(alpha=0.32, alpha0=0.75)
+@example(alpha=0.59, alpha0=1.5)
+def test_zero_mode_rows_classify_alike_under_transpose(alpha, alpha0):
+    # on the rows alpha0 = 3/4 and 3/2 (omega = 1) Lambda has a zero mode's
+    # Jordan block, which eig splits by about sqrt(eps) ||Lambda|| onto the
+    # real or the imaginary axis as rounding falls; Lambda^T has the same
+    # spectrum and must get the same class
+    L = J6 @ build_G(SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)).S
+    assert classify(L).classification == classify(L.T).classification
 
 
 def _eig_only_grid(alphas, alpha0s, gap_floor):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     ORACLE_POINTS,
     SLOW_MODE_POINT,
+    assert_write_flag_refused,
     sample_confined_loop_points,
     sample_unconfined_loop_points,
 )
@@ -32,7 +33,6 @@ from penphase import spectral
 from penphase.model import _mu_cubic
 from penphase.phases import FockLabel
 from penphase.spectral import (
-    RE_FACTOR,
     _gap_tol,
     _simple_imaginary,
     _forms,
@@ -127,11 +127,19 @@ class TestClassifyMemo:
         assert _fields(classify(np.asfortranarray(other))) == expected
 
     def test_returned_arrays_reject_writes(self):
-        spec = classify(loop_lambda(0.2, 1.0, 0.0))
+        # no kept array, nor its base, takes the write flag back, so the
+        # next call returns the decomposed values
+        L = loop_lambda(0.2, 1.0, 0.0)
+        spectral._classify_bytes.cache_clear()
+        spec = classify(L)
         assert spec.classification is Classification.CONFINED
+        expected = _fields(spec)
         for array in (spec.raw_eigenvalues, *(m.eigvec for m in spec.modes)):
             with pytest.raises(ValueError):
                 array[...] = 0
+            assert_write_flag_refused(array)
+        assert classify(L) is spec
+        assert _fields(spec) == expected
 
     def test_errors_are_not_kept(self):
         spectral._classify_bytes.cache_clear()
@@ -381,14 +389,13 @@ class TestBoundednessProbe:
 
 def _stable_mode_loop(ev, scale):
     """Per-eigenvalue reference for ``_simple_imaginary``: the stable-mode
-    rule as the deleted ``stable_modes`` applied it."""
-    tau_re = RE_FACTOR * (1 + scale)
-    tau_gap = _gap_tol(scale)
+    rule as the deleted ``stable_modes`` applied it, with one tolerance."""
+    tau = _gap_tol(scale)
     mask = np.zeros(6, dtype=bool)
     for i in range(6):
-        if abs(ev[i].real) > tau_re or ev[i].imag <= tau_gap:
+        if abs(ev[i].real) > tau or ev[i].imag <= tau:
             continue
-        if np.min(np.abs(np.delete(ev, i) - ev[i])) <= tau_gap:
+        if np.min(np.abs(np.delete(ev, i) - ev[i])) <= tau:
             continue
         mask[i] = True
     return mask

@@ -16,6 +16,7 @@ from penphase import (
     GridSpec,
     J6,
     MultiCrossingError,
+    PenningQuadrupole,
     SystemParams,
     build_G,
     classify,
@@ -27,6 +28,7 @@ from penphase import (
 from conftest import SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
+from penphase.spectral import _gap_tol, _rule
 from penphase.sweep import RegionMap, _classify_grid, _label_regions
 
 
@@ -135,6 +137,35 @@ class TestSweepFig1:
     def test_non_finite_gap_scale_rejected(self, value):
         with pytest.raises(DomainError, match="finite"):
             sweep_fig1(GridSpec(alpha_steps=20, alpha0_steps=20), gap_scale=value)
+
+
+def test_eig_fallback_codes_do_not_depend_on_the_matrix_eig_sees():
+    # Lambda, its transpose and Lambda with rows and columns reversed share one
+    # spectrum, so the default map's cells that the mu-cubic leaves to eig must
+    # get one code from all three. Exempt are ties: a gap or |lambda| within
+    # 1e-12 of the tolerance (at alpha = 0 both equal the floor 0.02).
+    grid = GridSpec()
+    gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
+    b, b0 = grid.alphas[None, :], grid.alpha0s[:, None]
+    rest = ~np.logical_or.reduce(sweep._certify_cells(*sweep._loop_cubic(b, b0, 1.0), gap_floor))
+    b, b0 = (np.broadcast_to(x, rest.shape)[rest] for x in (b, b0))
+    # the zero-mode rows alpha0 = 3/4 and 3/2 are most of the fallback
+    assert np.count_nonzero((b0 == 0.75) | (b0 == 1.5)) > len(b) / 2
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    Lam = J6 @ sweep._generator(b, b0, 1.0, curvatures, b.shape)
+    scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
+    tau = _gap_tol(scale, gap_floor)
+    codes, tie = [], np.zeros(len(b), dtype=bool)
+    for L in (Lam, np.swapaxes(Lam, -1, -2), Lam[..., ::-1, ::-1]):
+        ev = np.linalg.eigvals(L)
+        unconfined, separated = _rule(ev, scale, gap_floor)
+        codes.append(np.where(unconfined, "U", np.where(separated, "C", "B")))
+        gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
+        tie |= (np.abs(gaps - tau) < 1e-12) | (np.abs(np.abs(ev).min(axis=-1) - tau) < 1e-12)
+    assert np.array_equal(_classify_grid(grid.alphas, grid.alpha0s, gap_floor)[rest], codes[0])
+    assert np.count_nonzero(tie) < 20
+    for other in codes[1:]:
+        assert np.array_equal(other[~tie], codes[0][~tie])
 
 
 def _mixed_region_map():
