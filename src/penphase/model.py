@@ -168,7 +168,7 @@ BindingPotential = Union[PenningQuadrupole, IsotropicOscillator]
 BINDINGS = {"penning": PenningQuadrupole, "oscillator": IsotropicOscillator}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
     """Symmetric coefficient matrix S of a quadratic observable (1/2) u^T S u, copied."""
 
@@ -182,7 +182,7 @@ class QuadraticForm:
             raise DomainError(f"expected a 6x6 matrix, got {S.shape}")
         if not np.isfinite(S).all():
             raise DomainError("coefficient matrix must be finite")
-        if not np.array_equal(S, S.T):
+        if not (S == S.T).all():
             raise DomainError("coefficient matrix must be exactly symmetric")
         object.__setattr__(self, "S", _read_only(S))
 

@@ -23,7 +23,8 @@ the binding's curvatures; errors are not kept and its arrays are read-only.
 A point query (``classify`` of J S, then ``aa_phase``, then
 ``resonance_shift``) decomposes two matrices: the point's Lambda, whose
 spectrum ``classify`` keeps for the record to reuse, and the shifted point's.
-The reports' three-term sums are taken on Python floats in NumPy's order.
+The reports' three-term sums are taken on Python floats in NumPy's order,
+and ``resonance_shift`` pairs the modes on Python floats.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _sum3(t0: float, t1: float, t2: float) -> float:
 
 def _occupation(n: FockLabel) -> list:
     """[n_i + 1/2] as Python floats."""
-    return (n.as_array() + 0.5).tolist()
+    return [float(n.n1) + 0.5, float(n.n2) + 0.5, float(n.n3) + 0.5]
 
 
 def _energy(signs, freqs, occupation) -> float:
@@ -154,13 +155,15 @@ def cos_theta(k: float) -> float:
     return 1.0 / math.sqrt(1.0 + k * k)
 
 
-def _confined_spectrum(S: np.ndarray, context: str) -> ModeSpectrum:
+def _confined_spectrum(S: np.ndarray, context) -> ModeSpectrum:
+    """classify(J S), raising unless Confined; context() names the point in
+    the message, and is called only to raise."""
     spec = classify(J6 @ S)
     if spec.classification is Classification.UNCONFINED:
-        raise NoCyclicStatesError(f"no cyclic motions: {context} is Unconfined")
+        raise NoCyclicStatesError(f"no cyclic motions: {context()} is Unconfined")
     if spec.classification is Classification.BOUNDARY:
         raise DegeneracyError(
-            f"{context} is a Boundary point (degenerate or zero mode); "
+            f"{context()} is a Boundary point (degenerate or zero mode); "
             "evaluate at a k > 0 or omega > 0 offset"
         )
     return spec
@@ -235,7 +238,7 @@ def dmode_domega(
     if method not in DERIVATIVE_METHODS:
         raise DomainError(f"unknown derivative method {method!r}; use {DERIVATIVE_METHODS}")
     S = build_G(params, binding).S
-    spec = _confined_spectrum(S, f"parameter point {params}")
+    spec = _confined_spectrum(S, lambda: f"parameter point {params}")
     return _DMODE_DISPATCH[method](S, spec.freqs)
 
 
@@ -278,7 +281,7 @@ def _point_record(params: SystemParams, curvatures: tuple):
     per-mode L3 weights at one point. The last point's is kept, keyed on the
     values S is built from, not on a binding; its arrays are ``_read_only``."""
     S = _read_only(_generator(params.b, params.b0, params.omega, curvatures))
-    spec = _confined_spectrum(S, f"parameter point {params}")
+    spec = _confined_spectrum(S, lambda: f"parameter point {params}")
     basis = normal_mode_basis(spec)
     basis = NormalModeBasis(*map(_read_only, (basis.coeffs, basis.signs, basis.freqs)))
     dfreq, l3 = map(_read_only, (_dmodes_implicit(S, spec.freqs), _mode_weights(_SL3, basis)))
@@ -367,22 +370,21 @@ def resonance_shift(
     linear = omega_p - (beta_n - beta_np) * delta_omega / (2.0 * math.pi)
 
     S2 = S - delta_omega * _SL3
-    spec2 = _confined_spectrum(S2, f"shifted point omega={params.omega + delta_omega}")
-    shifted = spec2.freqs
-    pred = spec.freqs + delta_omega * dfreq
-    miss = np.abs(pred[:, None] - shifted)
-    perm = miss.argmin(axis=1)
-    half_gap = np.abs(np.diff(shifted)).min() / 2.0
-    if len(set(perm.tolist())) < 3 or miss[range(3), perm].max() >= half_gap:
+    spec2 = _confined_spectrum(S2, lambda: f"shifted point omega={params.omega + delta_omega}")
+    shifted = [m.freq for m in spec2.modes]
+    pred = [m.freq + delta_omega * d for m, d in zip(spec.modes, dfreq.tolist())]
+    perm = [min(range(3), key=lambda j: abs(p - shifted[j])) for p in pred]
+    half_gap = min(abs(shifted[1] - shifted[0]), abs(shifted[2] - shifted[1])) / 2.0
+    if len(set(perm)) < 3 or max(abs(p - shifted[j]) for p, j in zip(pred, perm)) >= half_gap:
         raise DegeneracyError(
-            f"ambiguous mode pairing: predicted frequencies {pred} against shifted "
-            f"{shifted}, half the smallest shifted gap {half_gap:.3g}; reduce delta_omega"
+            f"ambiguous mode pairing: predicted frequencies {np.array(pred)} against "
+            f"shifted {np.array(shifted)}, half the smallest shifted gap {half_gap:.3g}; "
+            "reduce delta_omega"
         )
-    freqs2 = shifted[perm]
-    signs2 = spec2.krein_signs[perm]
-    if not np.array_equal(signs2, spec.krein_signs):
+    freqs2 = [shifted[j] for j in perm]
+    signs2 = [spec2.modes[j].krein_sign for j in perm]
+    if signs2 != [m.krein_sign for m in spec.modes]:
         raise NumericalError("Krein signs changed across the omega shift; reduce delta_omega")
-    signs2, freqs2 = signs2.tolist(), freqs2.tolist()
     exact = _energy(signs2, freqs2, _occupation(n)) - _energy(signs2, freqs2, _occupation(n_prime))
     if not all(math.isfinite(x) for x in (omega_p, linear, exact)):
         raise DomainError(

@@ -8,9 +8,11 @@ any eigenvalue has a real part beyond tolerance. Boundary is a first-class
 outcome, not an error: region edges and exactly-commensurate configurations
 land there. This eigenvalue rule, ``_rule``, is the only confinement rule,
 and one factor, GAP_FACTOR (through ``_gap_tol``), is its only tolerance
-source. Each stable mode's symplectic form Im(v^H J v) (``_forms``) gives its
-Krein sign and its ladder normalisation; the form is guarded only against
-vanishing, which a simple imaginary eigenvalue's form never does.
+source. Each stable mode's symplectic form Im(v^H J v) (``_forms``; ``classify``
+reads it off J's blocks) gives its Krein sign and its ladder normalisation;
+the form is guarded only against vanishing, which a simple imaginary
+eigenvalue's form never does. Past the eigensolve and the residuals, a
+Confined point's three modes are handled as Python floats.
 
 ``classify`` keeps the last matrix's spectrum, keyed on the bytes of the
 validated float64 Lambda; errors are not kept, and the spectrum's arrays are
@@ -62,9 +64,11 @@ def _rule(ev: np.ndarray, scale, gap_floor=0.0):
     separated). Unconfined: some |Re lambda| beyond the pointwise tolerance.
     Separated: every gap between sorted imaginary parts, and every |lambda|,
     beyond the gap tolerance. Confined is separated and not unconfined."""
-    tau = _gap_tol(scale, gap_floor)
-    gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
-    unconfined = np.abs(ev.real).max(axis=-1) > _gap_tol(scale)
+    tol = _gap_tol(scale)
+    tau = np.maximum(tol, gap_floor)
+    im = np.sort(ev.imag, axis=-1)
+    gaps = (im[..., 1:] - im[..., :-1]).min(axis=-1)
+    unconfined = np.abs(ev.real).max(axis=-1) > tol
     return unconfined, (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
 
 
@@ -78,7 +82,7 @@ def _simple_imaginary(ev: np.ndarray, scale) -> np.ndarray:
     return (np.abs(ev.real) <= tau) & (ev.imag > tau) & (dist.min(axis=-1) > tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mode:
     """A stable normal mode: eigenvalue +i*freq of Lambda with its Krein sign,
     the sign of the symplectic form Im(v^H J v) of its eigenvector v."""
@@ -88,7 +92,7 @@ class Mode:
     eigvec: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSpectrum:
     classification: Classification
     modes: Tuple[Mode, ...]
@@ -135,7 +139,7 @@ def classify(lam) -> ModeSpectrum:
     L = np.asarray(lam, dtype=float)
     if L.shape != (6, 6):
         raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         raise DomainError("dynamical matrix must be finite")
     return _classify_bytes(L.tobytes())
 
@@ -156,29 +160,30 @@ def _classify_bytes(key: bytes) -> ModeSpectrum:
         return ModeSpectrum(Classification.UNCONFINED, (), ev)
     if not separated:
         return ModeSpectrum(Classification.BOUNDARY, (), ev)
-    positive = np.flatnonzero(ev.imag > 0)
+    positive = [i for i, e in enumerate(ev.tolist()) if e.imag > 0]
     if len(positive) != 3:  # pragma: no cover - excluded by the gap rule
         raise NumericalError("confined spectrum did not yield three positive modes")
     freqs, Vp = ev.imag[positive], _read_only(V[:, positive])
-    residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0)
-    i = int(np.argmax(residuals))
-    if residuals[i] > 1e-9 * scale:
+    residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0).tolist()
+    worst = max(residuals)
+    if worst > 1e-9 * scale:
         raise NumericalError(
-            f"eigenvector residual {residuals[i]:.2e} too large at freq {freqs[i]}; "
-            f"Lambda={L!r}"
+            f"eigenvector residual {worst:.2e} too large at freq "
+            f"{freqs[residuals.index(worst)]}; Lambda={L!r}"
         )
-    forms = _forms(J6, Vp).imag
-    if np.any(np.abs(forms) < 1e-10 * np.sum(np.abs(Vp) ** 2, axis=0)):
-        return ModeSpectrum(Classification.BOUNDARY, (), ev)
-    modes = sorted(
-        (Mode(freq=float(f), krein_sign=1 if s > 0 else -1, eigvec=v)
-         for f, s, v in zip(freqs, forms, Vp.T)),
-        key=lambda m: (-m.freq, -m.krein_sign),
-    )
+    modes = []
+    # Im(v^H J v) = 2 Im sum_a conj(v_a) v_(a+3) for J's (x, p) blocks; eig's
+    # vectors have unit norm, so the guard's 1e-10 |v|^2 is 1e-10
+    for f, v, (v0, v1, v2, v3, v4, v5) in zip(freqs.tolist(), Vp.T, Vp.T.tolist()):
+        form = 2.0 * (v0.conjugate() * v3 + v1.conjugate() * v4 + v2.conjugate() * v5).imag
+        if abs(form) < 1e-10:
+            return ModeSpectrum(Classification.BOUNDARY, (), ev)
+        modes.append(Mode(freq=f, krein_sign=1 if form > 0 else -1, eigvec=v))
+    modes.sort(key=lambda m: (-m.freq, -m.krein_sign))
     return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalModeBasis:
     """Ladder-operator coefficients A_i = coeffs[i] . u with signature signs.
 
@@ -196,9 +201,8 @@ class NormalModeBasis:
 
     def ladder_commutators(self):
         """([A_i, A_j^dag], [A_i, A_j]) matrices, for verification."""
-        C = 1j * self.coeffs @ J6 @ np.conj(self.coeffs.T)
-        D = 1j * self.coeffs @ J6 @ self.coeffs.T
-        return C, D
+        A = 1j * self.coeffs @ J6
+        return A @ np.conj(self.coeffs.T), A @ self.coeffs.T
 
 
 def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
@@ -238,11 +242,12 @@ def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
     largest = rows[range(3), pivot]
     basis = NormalModeBasis(
         coeffs=rows * (np.conj(largest) / np.abs(largest))[:, None],
-        signs=spectrum.krein_signs.astype(int),
+        signs=spectrum.krein_signs,
         freqs=spectrum.freqs,
     )
     C, D = basis.ladder_commutators()
-    dev = np.maximum(np.abs(C - np.diag(basis.signs)), np.abs(D))
+    C[range(3), range(3)] -= basis.signs
+    dev = np.maximum(np.abs(C), np.abs(D))
     err = dev.max()
     if err > 1e-9:
         i, j = sorted(np.unravel_index(np.argmax(dev), dev.shape))

@@ -1,0 +1,178 @@
+"""The NumPy formulations that the point query's bookkeeping on Python floats
+replaced, written out as references: ``classify``'s Confined branch, the
+eigenvalue rule, the occupations and ``resonance_shift``'s pairing. Each must
+give the same bits as the package, or the same error with the same message.
+
+``aa_phase`` and ``resonance_shift`` here rebuild a point's record without
+the package's memos: the spectrum from ``classify`` below, the ladder basis
+with its signs and frequencies taken from the spectrum's arrays, and the
+reports summed with ``np.sum`` over the NumPy occupations.
+"""
+
+import math
+
+import numpy as np
+
+from penphase import (
+    Classification,
+    DegeneracyError,
+    DomainError,
+    J6,
+    Mode,
+    ModeSpectrum,
+    NoCyclicStatesError,
+    NormalModeBasis,
+    NumericalError,
+    SystemParams,
+    normal_mode_basis,
+)
+from penphase.model import _generator
+from penphase.phases import PhaseReport, ResonanceShift, _SL3, _dmodes_implicit, _mode_weights
+from penphase.spectral import _forms, _gap_tol
+
+
+def rule(ev, scale, gap_floor=0.0):
+    """The eigenvalue rule's masks (unconfined, separated) with two tolerance
+    calls and ``np.diff``."""
+    tau = _gap_tol(scale, gap_floor)
+    gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
+    unconfined = np.abs(ev.real).max(axis=-1) > _gap_tol(scale)
+    return unconfined, (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
+
+
+def classify(lam) -> ModeSpectrum:
+    """``spectral.classify`` without its memo: residuals by ``np.linalg.norm``,
+    forms by ``_forms(J6, V)``, the guard against 1e-10 |v|^2."""
+    if np.iscomplexobj(lam):
+        raise DomainError("dynamical matrix must be real")
+    L = np.asarray(lam, dtype=float)
+    if L.shape != (6, 6):
+        raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
+    if not np.all(np.isfinite(L)):
+        raise DomainError("dynamical matrix must be finite")
+    ev, V = np.linalg.eig(L)
+    scale = float(np.linalg.norm(L))
+    unconfined, separated = rule(ev, scale)
+    if unconfined:
+        return ModeSpectrum(Classification.UNCONFINED, (), ev)
+    if not separated:
+        return ModeSpectrum(Classification.BOUNDARY, (), ev)
+    positive = np.flatnonzero(ev.imag > 0)
+    if len(positive) != 3:
+        raise NumericalError("confined spectrum did not yield three positive modes")
+    freqs, Vp = ev.imag[positive], V[:, positive]
+    residuals = np.linalg.norm(L @ Vp - 1j * freqs * Vp, axis=0)
+    i = int(np.argmax(residuals))
+    if residuals[i] > 1e-9 * scale:
+        raise NumericalError(
+            f"eigenvector residual {residuals[i]:.2e} too large at freq {freqs[i]}; "
+            f"Lambda={L!r}"
+        )
+    forms = _forms(J6, Vp).imag
+    if np.any(np.abs(forms) < 1e-10 * np.sum(np.abs(Vp) ** 2, axis=0)):
+        return ModeSpectrum(Classification.BOUNDARY, (), ev)
+    modes = sorted(
+        (Mode(freq=float(f), krein_sign=1 if s > 0 else -1, eigvec=v)
+         for f, s, v in zip(freqs, forms, Vp.T)),
+        key=lambda m: (-m.freq, -m.krein_sign),
+    )
+    return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
+
+
+def occupation(n) -> np.ndarray:
+    """[n_i + 1/2] from the label's float array."""
+    return n.as_array() + 0.5
+
+
+def basis(spec: ModeSpectrum) -> NormalModeBasis:
+    """The ladder basis with its signs as ``krein_signs.astype(int)`` and its
+    frequencies as the spectrum's array."""
+    coeffs = normal_mode_basis(spec).coeffs
+    return NormalModeBasis(coeffs=coeffs, signs=spec.krein_signs.astype(int), freqs=spec.freqs)
+
+
+def _confined(S, context):
+    spec = classify(J6 @ S)
+    if spec.classification is Classification.UNCONFINED:
+        raise NoCyclicStatesError(f"no cyclic motions: {context} is Unconfined")
+    if spec.classification is Classification.BOUNDARY:
+        raise DegeneracyError(
+            f"{context} is a Boundary point (degenerate or zero mode); "
+            "evaluate at a k > 0 or omega > 0 offset"
+        )
+    return spec
+
+
+def _record(params: SystemParams, binding):
+    S = _generator(params.b, params.b0, params.omega, binding.curvatures())
+    spec = _confined(S, f"parameter point {params}")
+    b = basis(spec)
+    return S, spec, b, _dmodes_implicit(S, spec.freqs), _mode_weights(_SL3, b)
+
+
+def report(b: NormalModeBasis, n, dfreq, l3) -> PhaseReport:
+    """``phases._assemble_report`` with eq7 from l3, its three-term sums by
+    ``np.sum``."""
+    occ = occupation(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eq8 = -2.0 * math.pi * float(np.sum(b.signs * occ * dfreq))
+        eq7 = 2.0 * math.pi * float(np.sum(l3 * occ))
+        energy = float(np.sum(b.signs * b.freqs * occ))
+    if not all(math.isfinite(x) for x in (eq8, energy, eq7)):
+        raise DomainError(
+            f"occupations too large for a finite phase: quasienergy {energy}, "
+            f"<L3> route {eq7}, derivative route {eq8}"
+        )
+    if abs(eq7 - eq8) > 1e-6 * (1.0 + abs(eq8)):
+        raise NumericalError(
+            f"geometric-phase routes disagree: <L3> route {eq7:.12g} vs "
+            f"derivative route {eq8:.12g}"
+        )
+    return PhaseReport(energy, eq7, eq8, tuple(dfreq.tolist()))
+
+
+def aa_phase(params, binding, n) -> PhaseReport:
+    """``phases.aa_phase`` at omega > 0 from a fresh record."""
+    _, _, b, dfreq, l3 = _record(params, binding)
+    return report(b, n, dfreq, l3)
+
+
+def pairing(spec: ModeSpectrum, dfreq, delta_omega, spec2: ModeSpectrum):
+    """(signs2, freqs2) as arrays: the shifted modes in ``spec``'s order, each
+    the frequency nearest its first-order prediction, by a 3x3 miss matrix."""
+    shifted = spec2.freqs
+    pred = spec.freqs + delta_omega * dfreq
+    miss = np.abs(pred[:, None] - shifted)
+    perm = miss.argmin(axis=1)
+    half_gap = np.abs(np.diff(shifted)).min() / 2.0
+    if len(set(perm.tolist())) < 3 or miss[range(3), perm].max() >= half_gap:
+        raise DegeneracyError(
+            f"ambiguous mode pairing: predicted frequencies {pred} against "
+            f"shifted {shifted}, half the smallest shifted gap {half_gap:.3g}; "
+            "reduce delta_omega"
+        )
+    signs2 = spec2.krein_signs[perm]
+    if not np.array_equal(signs2, spec.krein_signs):
+        raise NumericalError("Krein signs changed across the omega shift; reduce delta_omega")
+    return signs2, shifted[perm]
+
+
+def resonance_shift(params, binding, n, n_prime, delta_omega) -> ResonanceShift:
+    """``phases.resonance_shift`` at finite delta_omega and omega > 0 from a
+    fresh record."""
+    S, spec, b, dfreq, l3 = _record(params, binding)
+    report_n, report_np = report(b, n, dfreq, l3), report(b, n_prime, dfreq, l3)
+    omega_p = report_n.quasienergy - report_np.quasienergy
+    beta_n, beta_np = report_n.aa_phase_eq8, report_np.aa_phase_eq8
+    linear = omega_p - (beta_n - beta_np) * delta_omega / (2.0 * math.pi)
+    spec2 = _confined(S - delta_omega * _SL3, f"shifted point omega={params.omega + delta_omega}")
+    signs2, freqs2 = pairing(spec, dfreq, delta_omega, spec2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = (float(np.sum(signs2 * freqs2 * occupation(n)))
+                 - float(np.sum(signs2 * freqs2 * occupation(n_prime))))
+    if not all(math.isfinite(x) for x in (omega_p, linear, exact)):
+        raise DomainError(
+            f"occupations too large for a finite shift: omega_p {omega_p}, "
+            f"linear {linear}, exact {exact}"
+        )
+    return ResonanceShift(omega_p, linear, exact, beta_n, beta_np, delta_omega)

@@ -130,6 +130,12 @@ class TestBuildG:
         with pytest.raises(DomainError, match="must be finite"):
             QuadraticForm(S)
 
+    def test_quadratic_forms_compare_by_identity_and_hash(self):
+        # an array field has no truth value, so == is identity, and hash works
+        a, b = QuadraticForm(np.eye(6)), QuadraticForm(np.eye(6))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_quadratic_form_keeps_a_read_only_copy(self):
         M = np.eye(6)
         form = QuadraticForm(M)

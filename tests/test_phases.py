@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_write_flag_refused, route_spread, sample_confined_loop_points
+import numpy_reference
+from conftest import (
+    SLOW_MODE_POINT,
+    assert_write_flag_refused,
+    route_spread,
+    sample_confined_loop_points,
+)
 from penphase import (
     Classification,
     DegeneracyError,
@@ -86,21 +92,6 @@ triple = st.lists(finite, min_size=3, max_size=3).map(np.array)
 big_label = st.builds(FockLabel, *[st.integers(min_value=0, max_value=10**300)] * 3)
 
 
-def _np_sum_outcome(signs, freqs, dfreq, l3, n):
-    """repr of the report the np.sum formulation gives, or the error
-    the finiteness and eq7 = eq8 checks raise on its values."""
-    occupation = n.as_array() + 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        eq8 = -2.0 * math.pi * float(np.sum(signs * occupation * dfreq))
-        eq7 = 2.0 * math.pi * float(np.sum(l3 * occupation))
-        energy = float(np.sum(signs * freqs * occupation))
-    if not all(math.isfinite(x) for x in (eq7, eq8, energy)):
-        return DomainError
-    if abs(eq7 - eq8) > 1e-6 * (1.0 + abs(eq8)):
-        return NumericalError
-    return repr(phases.PhaseReport(energy, eq7, eq8, tuple(float(d) for d in dfreq)))
-
-
 class TestSumsAreBitIdentical:
     """The reports add three Python floats in NumPy's order; the pinned CLI
     digests rest on that order, so a reordered sum shows here first."""
@@ -113,12 +104,8 @@ class TestSumsAreBitIdentical:
             l3 = -signs * dfreq
         basis = NormalModeBasis(coeffs=np.zeros((3, 6), dtype=complex), signs=signs,
                                 freqs=freqs)
-        expected = _np_sum_outcome(signs, freqs, dfreq, l3, n)
-        if isinstance(expected, str):
-            assert repr(phases._assemble_report(basis, n, dfreq, l3)) == expected
-        else:
-            with pytest.raises(expected):
-                phases._assemble_report(basis, n, dfreq, l3)
+        assert _outcome(phases._assemble_report, basis, n, dfreq, l3) == _outcome(
+            numpy_reference.report, basis, n, dfreq, l3)
         with np.errstate(over="ignore", invalid="ignore"):
             energy = float(np.sum(signs * freqs * (n.as_array() + 0.5)))
         assert repr(quasienergy(basis, n)) == repr(energy)
@@ -460,6 +447,61 @@ def _outcome(f, *args):
 
 
 fock_label = st.builds(FockLabel, *[st.integers(min_value=0, max_value=3)] * 3)
+
+
+label_up_to = st.integers(min_value=0, max_value=10**300).flatmap(
+    lambda top: st.builds(FockLabel, *[st.integers(min_value=0, max_value=top)] * 3))
+
+
+class TestNumpyReference:
+    """The point query's bookkeeping on Python floats (occupations, the
+    pairing, the spectrum and basis it reads) gives the bits of the NumPy
+    formulations in ``numpy_reference``, and the same errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(big_label, fock_label))
+    @example(n=FockLabel(2**53 + 1, 10**300, 2**53 + 1))
+    @example(n=FockLabel(3.0, np.int64(2**62 + 1), True))
+    def test_occupation_matches_reference(self, n):
+        assert repr(phases._occupation(n)) == repr(numpy_reference.occupation(n).tolist())
+
+    @settings(max_examples=250, deadline=None)
+    @given(point=st.one_of(
+               st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+               st.tuples(st.floats(0.0, 1e-3), st.floats(1e-6, 1e-4)),
+               st.tuples(st.floats(0.0, 1.2), st.floats(0.33, 0.37))),
+           omega=st.one_of(st.just(1.0), st.floats(0.01, 2.0)),
+           n=label_up_to, n_prime=st.one_of(fock_label, label_up_to),
+           delta=st.one_of(st.sampled_from([1e-3, -1e-3, -0.05, -0.1]),
+                           st.floats(-0.3, 0.3)))
+    @example(point=(0.0, 1e-5), omega=1.0, n=FockLabel(1, 0, 0), n_prime=FockLabel(0, 1, 0),
+             delta=1e-3)
+    @example(point=SLOW_MODE_POINT, omega=1.0, n=FockLabel(0, 0, 1), n_prime=FockLabel(0, 0, 0),
+             delta=1e-9)
+    @example(point=(1.004194013496052, 0.34906544603570067), omega=1.0,
+             n=FockLabel(1, 0, 0), n_prime=FockLabel(0, 1, 0), delta=1e-3)
+    @example(point=(0.1660630532429236, 0.3491215753239909), omega=1.0,
+             n=FockLabel(1, 0, 0), n_prime=FockLabel(0, 1, 0), delta=-0.05)
+    @example(point=(0.31058966167873037, 0.9662454150662392), omega=1.0,
+             n=FockLabel(1, 0, 0), n_prime=FockLabel(0, 1, 0), delta=-0.1)
+    @example(point=(0.2982333537979224, 1.3517536066552864), omega=1.0,
+             n=FockLabel(1, 0, 0), n_prime=FockLabel(0, 0, 1), delta=-0.1)
+    @example(point=(0.3, 0.5), omega=1.0, n=FockLabel(10**308, 0, 0),
+             n_prime=FockLabel(0, 10**308, 0), delta=1e-3)
+    @example(point=(0.3, 0.5), omega=1.0, n=FockLabel(10**308, 10**308, 10**308),
+             n_prime=FockLabel(0, 0, 0), delta=1e-3)
+    def test_point_query_matches_reference(self, point, omega, n, n_prime, delta):
+        # the examples: the alpha0 -> 0 corner, the slow-mode point, a near
+        # Krein collision, both ambiguous pairings, a Krein sign change,
+        # overflowing phases and occupations near the float maximum
+        params = SystemParams.penning_loop(b0=point[1], b=point[0], omega=omega)
+        binding = PenningQuadrupole(params.w0)
+        phases._point_record.cache_clear()
+        spectral._classify_bytes.cache_clear()
+        assert _outcome(aa_phase, params, binding, n) == _outcome(
+            numpy_reference.aa_phase, params, binding, n)
+        assert _outcome(resonance_shift, params, binding, n, n_prime, delta) == _outcome(
+            numpy_reference.resonance_shift, params, binding, n, n_prime, delta)
 
 
 class TestPointRecord:

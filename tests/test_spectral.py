@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy_reference
 from conftest import (
     ORACLE_POINTS,
     SLOW_MODE_POINT,
@@ -18,6 +19,7 @@ from penphase import (
     DomainError,
     IsotropicOscillator,
     J6,
+    NumericalError,
     PenningQuadrupole,
     SystemParams,
     aa_phase,
@@ -156,6 +158,108 @@ class TestClassifyMemo:
         with pytest.raises(DomainError, match="real"):
             classify(L.tolist())
         assert classify(L.real).classification is Classification.CONFINED
+
+
+def _bits(spec, basis):
+    """A spectrum's class, modes, eigenvalue and eigenvector bytes and, when
+    Confined, its ladder basis's dtypes and bytes from basis(spec) (or the
+    error that raises)."""
+    fields = (spec.classification, spec.raw_eigenvalues.tobytes(),
+              [(m.freq, m.krein_sign, m.eigvec.tobytes()) for m in spec.modes])
+    if spec.classification is Classification.CONFINED:
+        try:
+            b = basis(spec)
+            fields += tuple((a.dtype.str, a.tobytes()) for a in (b.coeffs, b.signs, b.freqs))
+        except NumericalError as exc:
+            fields += (str(exc),)
+    return fields
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# loop points anywhere in [0, 3]^2, in the alpha0 -> 0 corner (alpha0 near
+# 1e-5, where the fast pair is 7e-6 apart), on both zero-mode rows, and near
+# the Krein collisions of modes 2 and 3 around alpha0 = 0.35
+loop_points = st.one_of(
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+    st.tuples(st.floats(0.0, 1e-3), st.floats(1e-6, 1e-4)),
+    st.tuples(st.floats(0.0, 10.0), st.sampled_from([0.75, 1.5])),
+    st.tuples(st.floats(0.0, 1.2), st.floats(0.33, 0.37)),
+)
+
+
+class TestNumpyReference:
+    """``classify``'s Confined branch and ``_rule`` give the bits of their
+    NumPy formulations in ``numpy_reference``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point=loop_points, omega=st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+           transpose=st.booleans())
+    @example(point=(0.0, 1e-5), omega=1.0, transpose=False)
+    @example(point=SLOW_MODE_POINT, omega=1.0, transpose=False)
+    @example(point=(1.004194013496052, 0.34906544603570067), omega=1.0, transpose=False)
+    def test_classify_matches_reference(self, point, omega, transpose):
+        L = loop_lambda(*point, omega)
+        L = L.T if transpose else L
+        spectral._classify_bytes.cache_clear()
+        assert _bits(classify(L), normal_mode_basis) == _bits(
+            numpy_reference.classify(L), numpy_reference.basis)
+
+    @pytest.mark.parametrize("layout", [(0, 3, 1, 4, 2, 5), (0, 1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("drift", [0.0, 1e-8])
+    def test_rotations_match_reference(self, layout, drift):
+        # three planar rotations (drift +- i w): in the (x_a, p_a) planes the
+        # forms are +-1, in other planes they vanish and demote to Boundary;
+        # a drift within the gap tolerance but beyond 1e-9 ||Lambda|| fails
+        # the eigenvector residual check
+        L = np.zeros((6, 6))
+        for (i, j), w in zip(np.reshape(layout, (3, 2)), (1.0, 1.7, 2.9)):
+            L[i, i] = L[j, j] = drift
+            L[i, j], L[j, i] = w, -w
+        spectral._classify_bytes.cache_clear()
+        got = _outcome(lambda: _bits(classify(L), normal_mode_basis))
+        want = _outcome(lambda: _bits(numpy_reference.classify(L), numpy_reference.basis))
+        assert got == want
+        expected = (NumericalError if drift else Classification.CONFINED if layout[1] == 3
+                    else Classification.BOUNDARY)
+        assert got[0] is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.sampled_from([None, 1, 9]), floor=st.sampled_from([0.0, 1e-7, 0.02, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rule_matches_reference(self, rows, floor, seed):
+        # eigenvalues of loop matrices, a third of them on a zero-mode row
+        rng = np.random.default_rng(seed)
+        n = rows or 1
+        a0 = np.where(rng.random(n) < 1 / 3, rng.choice([0.75, 1.5], n), rng.uniform(0, 3, n))
+        L = np.array([loop_lambda(a, b0, rng.choice([0.0, 1.0]))
+                      for a, b0 in zip(rng.uniform(0, 3, n), a0)])
+        ev, scale = np.linalg.eigvals(L), np.linalg.norm(L, axis=(1, 2))
+        if rows is None:
+            ev, scale = ev[0], float(scale[0])
+        got, want = spectral._rule(ev, scale, floor), numpy_reference.rule(ev, scale, floor)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w) and np.array_equal(g, w)
+
+
+class TestArrayDataclasses:
+    def test_compare_by_identity_and_hash(self):
+        L = loop_lambda(0.2, 1.0, 1.0)
+        spectral._classify_bytes.cache_clear()
+        spec = classify(L)
+        spectral._classify_bytes.cache_clear()
+        again = classify(L)
+        basis, basis_again = normal_mode_basis(spec), normal_mode_basis(spec)
+        # equal values, separate objects: == is identity, and every one hashes
+        assert spec == spec and spec != again
+        assert spec.modes[0] == spec.modes[0] and spec.modes[0] != again.modes[0]
+        assert basis == basis and basis != basis_again
+        assert len({spec, again, *spec.modes, *again.modes, basis, basis_again, spec}) == 10
 
 
 class TestKreinSign:
