@@ -24,13 +24,13 @@ eigensolver: those within the slack of a tolerance, of a mode collision or
 of a zero mode. At a zero mode Lambda has a Jordan block; eig splits it by
 about sqrt(eps) ||Lambda||, within the tolerance, so the point is Boundary on
 either axis. The labels equal those of the eigenvalue rule at every point.
-``_loop_codes`` is that one classifier of loop points, for the grid (with its
-margin as ``gap_floor``) and for the 1-D scans ``refine_boundary`` and
-``find_kcr`` (with gap_floor 0, the pointwise tolerance, under which no
-point is certified Boundary), whose confined test is its code 'C'. The scans
-bisect in rounds: one call classifies every midpoint that up to _ROUND_DEPTH
-halvings can visit, so a scan makes two or three kernel calls, not one per
-halving.
+``_loop_codes`` is that one classifier of loop points over a grid tile,
+with its margin as ``gap_floor``. The 1-D scans ``refine_boundary`` and
+``find_kcr`` bisect one halving at a time and classify each point through
+``_loop_code``, the same certificate on Python floats under the pointwise
+tolerance (gap_floor 0, under which no point is certified Boundary), with
+the eigenvalue rule on the one 6x6 it leaves undecided; their confined test
+is its code 'C'.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
 Grid work runs in tiles of at most _CHUNK_CELLS cells, so memory stays
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
 from .phases import _dmodes_implicit, cos_theta
-from .spectral import _gap_tol, _rule, _simple_imaginary
+from .spectral import GAP_FACTOR, _gap_tol, _rule, _simple_imaginary
 
 __all__ = [
     "GridSpec",
@@ -75,9 +75,6 @@ GAP_SLOPE_SCALE = 4.0
 
 #: Sample points of the flip pre-scan in ``refine_boundary``.
 _PRESCAN_STEPS = 32
-
-#: Halvings per bisection round; one round classifies up to 2^10 - 1 midpoints.
-_ROUND_DEPTH = 10
 
 #: Cells per certification tile; a 13 x 601 tile of the default map peaks at
 #: about 1.8 MB of arrays (235 B per cell under tracemalloc).
@@ -171,6 +168,7 @@ def _certify_cells(
     eigenvalue rule would give it. With gap_floor 0 no cell is certified
     Boundary. Cells within slack of a tolerance (near a zero mode or a
     collision) and cells whose roots come out NaN are left uncertified.
+    ``_loop_code`` applies the same certificates to one point on floats.
     """
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
@@ -215,10 +213,52 @@ def _eig_classes(S: np.ndarray, gap_floor: float = 0.0):
     return ev, scale, np.where(unconfined, "U", np.where(separated, "C", "B"))
 
 
+def _loop_code(b: float, b0: float, omega: float) -> str:
+    """Code 'C'/'U'/'B' of one loop point (|b|, |b0|), w0 = 4 |b0| / 3, by the
+    pointwise eigenvalue rule (gap_floor 0), equal to ``_loop_codes``'.
+
+    ``_loop_cubic`` and the Confined and Unconfined certificates of
+    ``_certify_cells`` on Python floats: where it masks (real roots or not,
+    the arccos argument's range), this branches. A point left undecided
+    goes through ``_eig_classes`` as one 6x6.
+    """
+    b, b0 = abs(b), abs(b0)
+    c2, c1, c0, scale = _loop_cubic(b, b0, omega)
+    slack = 1e-6 * (1.0 + float(scale))
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    half_q, third_p = 0.5 * q, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
+    if disc > 0.0:  # a complex pair: u != 0, as |half_q| + sqrt(disc) > 0
+        u = math.cbrt(-half_q - math.copysign(math.sqrt(disc), q))
+        v = -p / (3.0 * u)
+        x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
+        if max(u + v - shift, 0.5 * (math.sqrt(x * x + y * y) + x)) > slack * slack:
+            return "U"
+    else:  # three real roots, so third_p <= 0
+        m = 2.0 * math.sqrt(-third_p)
+        arg = 3.0 * q / (p * m) if p * m != 0.0 else math.nan
+        if -1.0 <= arg <= 1.0:
+            cos = math.cos(math.acos(arg) / 3.0)
+            half_m = 0.5 * m
+            mid, side = -half_m * cos - shift, half_m * math.sqrt(3.0 * (1.0 - cos * cos))
+            mu0 = m * cos - shift
+            if mu0 > slack * slack:
+                return "U"
+            w0, w1, w2 = (math.sqrt(max(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
+            # _gap_tol(scale), on a float
+            if min(w1 - w0, w2 - w1, w0) > GAP_FACTOR * (1.0 + float(scale)) + slack:
+                return "C"
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    return _eig_classes(_generator(b, b0, omega, curvatures))[2].item()
+
+
 def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     """Codes 'C'/'U'/'B' of loop points (|b|, |b0|), w0 = 4 |b0| / 3, by the
     eigenvalue rule; b and b0 broadcast together (a 1-D stack, or a row of b
-    against a column of b0 for a grid tile).
+    against a column of b0 for a grid tile). One point at a time, under the
+    pointwise rule, is ``_loop_code``.
 
     Most points are certified Confined, Unconfined or, inside the band that
     ``gap_floor`` adds above the pointwise gap tolerance, Boundary from the
@@ -411,45 +451,19 @@ def sweep_fig1(
         spec, extended = grown, True
 
 
-def _halvings(lo: float, hi: float, depth: int) -> np.ndarray:
-    """The 2^depth - 1 midpoints that `depth` halvings of [lo, hi] can visit, in
-    bracket order. Each is 0.5 * (a + b) of its own bracket [a, b], formed level
-    by level as a one-halving-at-a-time loop would form it."""
-    edges = np.array([lo, hi])
-    for _ in range(depth):
-        finer = np.empty(2 * len(edges) - 1)
-        finer[0::2] = edges
-        finer[1::2] = 0.5 * (edges[:-1] + edges[1:])
-        edges = finer
-    return edges[1:-1]
-
-
-def _bisect(confined_at, lo: float, hi: float, length: float, tol: float, first=None):
-    """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, keeping
+def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
+    """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, one midpoint
+    0.5 * (lo + hi) and one confined_at call per halving, keeping
     confined_at(lo) true, where `length` is the bracket's extent in the units
-    of `tol`; returns (lo, hi, iterations).
-
-    The halvings go in the fewest rounds of at most _ROUND_DEPTH, of near-equal
-    depth. A round calls confined_at (the first round `first`, when given) once
-    on all its ``_halvings`` midpoints, then binary-searches their flags, so lo
-    and hi are bit-identical to those of a loop that halves once per call.
-    """
+    of `tol`; returns (lo, hi, iterations)."""
     iterations = max(1, math.ceil(math.log2(length / tol)))
-    left = iterations
-    for rounds in range(math.ceil(iterations / _ROUND_DEPTH), 0, -1):
-        depth = math.ceil(left / rounds)
-        mids = _halvings(lo, hi, depth)
-        flags = (first or confined_at)(mids)
-        first, step = None, 2 ** (depth - 1)
-        node = step - 1  # the middle midpoint
-        for _ in range(depth):
-            step //= 2
-            if flags[node]:
-                lo, node = mids[node], node + step
-            else:
-                hi, node = mids[node], node - step
-        left -= depth
-    return float(lo), float(hi), iterations
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if confined_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, iterations
 
 
 def refine_boundary(
@@ -470,37 +484,36 @@ def refine_boundary(
     gap stays at 1.3114 while the gap tolerance GAP_FACTOR (1 + ||Lambda||_F)
     grows up to meet it (2710.7 is Confined, 2710.8 Boundary). Bisection halves
     the bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
-    of the final bracket. The endpoints, the pre-scan samples and the first
-    bisection round are classified in one batch.
+    of the final bracket. The endpoints, each pre-scan sample and each
+    midpoint are classified one at a time by ``_loop_code``, at p0 + s (p1 - p0)
+    on Python floats.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     p0 = np.asarray(p_confined, dtype=float)
     p1 = np.asarray(p_unconfined, dtype=float)
+    if p0.shape != (2,) or p1.shape != (2,):
+        raise DomainError("segment endpoints must be (alpha, alpha0) pairs")
     _check_range("parameters", [p0, p1])
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise DomainError(f"segment {p0.tolist()} -> {p1.tolist()} has zero length")
-    prescan = np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1)
+    (a, a0), (da, da0) = p0.tolist(), (p1 - p0).tolist()
 
     def confined_at(s):
-        return _loop_codes(*(p0 + s[:, None] * (p1 - p0)).T, 1.0) == "C"
+        return _loop_code(a + s * da, a0 + s * da0, 1.0) == "C"
 
-    def first(mids):
-        points = np.vstack([p0, p1, p0 + np.concatenate([prescan, mids])[:, None] * (p1 - p0)])
-        confined = _loop_codes(*points.T, 1.0) == "C"
-        if not confined[0]:
-            raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
-        if confined[1]:
-            raise DomainError(f"second endpoint {p1.tolist()} is not Unconfined/Boundary")
-        flips = np.count_nonzero(np.diff(confined[2 : _PRESCAN_STEPS + 3]))
-        if flips > 1:
-            raise MultiCrossingError(
-                f"segment {p0.tolist()} -> {p1.tolist()} crosses {flips} boundaries; subdivide"
-            )
-        return confined[_PRESCAN_STEPS + 3 :]
-
-    lo, hi, _ = _bisect(confined_at, 0.0, 1.0, length, tol, first)
+    if _loop_code(*p0.tolist(), 1.0) != "C":
+        raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
+    if _loop_code(*p1.tolist(), 1.0) == "C":
+        raise DomainError(f"second endpoint {p1.tolist()} is not Unconfined/Boundary")
+    flags = [confined_at(s) for s in np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1).tolist()]
+    flips = sum(map(operator.ne, flags[1:], flags[:-1]))
+    if flips > 1:
+        raise MultiCrossingError(
+            f"segment {p0.tolist()} -> {p1.tolist()} crosses {flips} boundaries; subdivide"
+        )
+    lo, hi, _ = _bisect(confined_at, 0.0, 1.0, length, tol)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))
 
@@ -517,9 +530,9 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     """Critical field ratio where the slow mode pair loses stability at omega = 0.
 
     Bisection of the static loop classification over k in [0.01, 1.0]; the
-    bracket is halved max(1, ceil(log2(range / tol))) times, in the batched
-    rounds of ``_bisect``. The first round's call also checks the bracket
-    ends.
+    bracket ends are checked, then the bracket is halved
+    max(1, ceil(log2(range / tol))) times by ``_bisect``, each k classified by
+    ``_loop_code``.
     """
     if not math.isfinite(tol):
         raise DomainError(f"tolerance must be finite, got {tol}")
@@ -528,17 +541,13 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     lo, hi = 0.01, 1.0
 
     def confined_at(k):
-        return _loop_codes(k, 1.0, 0.0) == "C"
+        return _loop_code(k, 1.0, 0.0) == "C"
 
-    def first(mids):
-        confined = confined_at(np.concatenate([[lo, hi], mids]))
-        if not confined[0]:
-            raise NumericalError(f"lower bracket k={lo} is not Confined")
-        if confined[1]:
-            raise NumericalError(f"upper bracket k={hi} is not Unconfined")
-        return confined[2:]
-
-    lo, hi, iterations = _bisect(confined_at, lo, hi, hi - lo, tol, first)
+    if not confined_at(lo):
+        raise NumericalError(f"lower bracket k={lo} is not Confined")
+    if confined_at(hi):
+        raise NumericalError(f"upper bracket k={hi} is not Unconfined")
+    lo, hi, iterations = _bisect(confined_at, lo, hi, hi - lo, tol)
     return KcrResult(k_cr=0.5 * (lo + hi), bracket=(lo, hi), tol=tol, iterations=iterations)
 
 

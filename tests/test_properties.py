@@ -4,9 +4,10 @@ general nine-entry formula, the loop's mu-cubic and norm from its row terms
 and b^2 equal to the exact ones and to the generic ones, the eigenvalue rule
 equal bit for bit to reference predicates written apart from it, one
 confinement rule for the pointwise and
-grid classifiers and the batched scan predicate, grid cells certified from
-the mu-cubic labelled as the eigenvalue rule labels them, the batched bisection rounds
-equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
+grid classifiers and the batched scan predicate, the scans' one-point loop
+classifier equal to the batched one, grid cells certified from the mu-cubic
+labelled as the eigenvalue rule labels them, the bisection equal to the
+one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
 the perturbative route equal to the dual-basis one, the ladder commutators of
 the normal-mode basis, its agreement with the energy-form coefficients and its
@@ -49,7 +50,7 @@ from penphase.spectral import (
     _gap_tol,
     _rule,
 )
-from penphase.sweep import _bisect, _classify_grid, _loop_codes
+from penphase.sweep import _bisect, _classify_grid, _loop_code, _loop_codes
 
 frequency = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 field = st.floats(min_value=0.0, max_value=3.0)
@@ -360,6 +361,39 @@ def test_loop_codes_fall_back_to_eig_inside_the_uncertified_band(monkeypatch):
     assert {"C", "U"} <= set(codes.tolist())  # both sides of the collision
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    point=st.one_of(
+        # the plane at omega = 1, negative inputs folded
+        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.just(1.0)),
+        # beside the zero-mode rows alpha0 = 3/4 and 3/2
+        st.tuples(field, st.one_of(near(0.75, -10.0, -5.0), near(1.5, -10.0, -5.0)),
+                  st.just(1.0)),
+        # the k line at omega = 0, beside the critical ratio
+        st.tuples(near(K_CR, -9.0, -5.0), st.just(1.0), st.just(0.0)),
+    )
+)
+def test_loop_code_matches_loop_codes(point):
+    b, b0, omega = point
+    assert _loop_code(b, b0, omega) == _loop_codes(np.array([b]), np.array([b0]), omega)[0]
+
+
+def test_loop_code_falls_back_to_eig_inside_the_uncertified_band(monkeypatch):
+    # as for _loop_codes: beside the critical ratio every point reaches the
+    # eigenvalue rule, one 6x6 at a time
+    sizes = []
+    eig_classes = sweep._eig_classes
+    monkeypatch.setattr(
+        sweep, "_eig_classes", lambda S: sizes.append(S.shape) or eig_classes(S)
+    )
+    k = (K_CR + np.array([-1e-12, -1e-13, 0.0, 1e-13, 1e-12])).tolist()
+    codes = [sweep._loop_code(x, 1.0, 0.0) for x in k]
+    assert sizes == [(6, 6)] * len(k)
+    S = _generator(np.array(k), 1.0, 0.0, PenningQuadrupole(4.0 / 3.0).curvatures(), (len(k),))
+    assert codes == eig_classes(S)[2].tolist()
+    assert {"C", "U"} <= set(codes)  # both sides of the collision
+
+
 @pytest.fixture
 def kernel_counts(monkeypatch):
     """Rows of every 6x6 stack ``_loop_codes`` builds, and the points each of
@@ -433,7 +467,7 @@ def test_pointwise_margin_certifies_no_boundary(b, b0, omega):
 
 def _sequential_bisect(confined_at, lo, hi, length, tol):
     """The one-halving-per-call bisection loop, over a scalar predicate: the
-    reference for the batched rounds of ``sweep._bisect``."""
+    reference for ``sweep._bisect``."""
     iterations = max(1, math.ceil(math.log2(length / tol)))
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
@@ -467,25 +501,18 @@ def predicates(draw):
     length=st.floats(min_value=1e-6, max_value=1e6),
     halvings=st.integers(min_value=1, max_value=40),
     spread=st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
-    with_first=st.booleans(),
 )
 # find_kcr's bracket, which is not dyadic
 @example(predicate=lambda k: k < 0.2583129093, lo=0.01, width=0.99, length=0.99, halvings=24,
-         spread=1.0, with_first=True)
-def test_bisect_rounds_match_sequential_loop(predicate, lo, width, length, halvings, spread,
-                                             with_first):
+         spread=1.0)
+def test_bisect_matches_sequential_loop(predicate, lo, width, length, halvings, spread):
     hi = lo + width
     tol = length * 2.0**-halvings * spread  # about `halvings` halvings
-    seen = []
-
-    def batched(xs):
-        seen.extend(xs.tolist())
-        return np.array([predicate(x) for x in xs.tolist()])
-
-    visited = []
+    seen, visited = [], []
+    got = _bisect(lambda x: seen.append(x) or predicate(x), lo, hi, length, tol)
     want = _sequential_bisect(lambda x: visited.append(x) or predicate(x), lo, hi, length, tol)
-    assert _bisect(batched, lo, hi, length, tol, batched if with_first else None) == want
-    assert set(visited) <= set(seen)
+    assert got == want
+    assert seen == visited  # one call per halving, at the same midpoints
 
 
 def _char_det(L, lam):
@@ -523,15 +550,26 @@ def _circle_node_implicit(S, freqs):
 
 
 
+@st.composite
+def mostly_confined(draw):
+    """(b, b0, w0, omega, binding class) with the binding's confining
+    frequency dominant: b0 in [1, 3] for the Penning trap, w0 for the
+    oscillator, the other of the two 0.2 to 0.8 times it and b 0.05 to 0.4
+    times it. About four draws in five are Confined with every gap and
+    frequency >= 0.05, against two in five over [0, 3]^3."""
+    binding_cls = draw(st.sampled_from([PenningQuadrupole, IsotropicOscillator]))
+    omega = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)))
+    big = draw(st.floats(min_value=1.0, max_value=3.0))
+    b = big * draw(st.floats(min_value=0.05, max_value=0.4))
+    other = big * draw(st.floats(min_value=0.2, max_value=0.8))
+    b0, w0 = (big, other) if binding_cls is PenningQuadrupole else (other, big)
+    return b, b0, w0, omega, binding_cls
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    b=field,
-    b0=field,
-    w0=field,
-    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
-    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
-)
-def test_implicit_route_matches_circle_node_reference(b, b0, w0, omega, binding_cls):
+@given(point=mostly_confined())
+def test_implicit_route_matches_circle_node_reference(point):
+    b, b0, w0, omega, binding_cls = point
     params = SystemParams(b=b, b0=b0, w0=w0, omega=omega)
     S = build_G(params, binding_cls(w0)).S
     spec = classify(J6 @ S)
@@ -556,14 +594,9 @@ def _dual_basis_perturbative(S, freqs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    b=field,
-    b0=field,
-    w0=field,
-    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
-    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
-)
-def test_perturbative_route_matches_dual_basis_reference(b, b0, w0, omega, binding_cls):
+@given(point=mostly_confined())
+def test_perturbative_route_matches_dual_basis_reference(point):
+    b, b0, w0, omega, binding_cls = point
     S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
     spec = classify(J6 @ S)
     assume(spec.classification is Classification.CONFINED)

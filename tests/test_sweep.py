@@ -364,6 +364,10 @@ class TestRefineBoundary:
         with pytest.raises(DomainError, match="zero length"):
             refine_boundary(point, point, tol=1e-6)
 
+    def test_endpoints_must_be_pairs(self):
+        with pytest.raises(DomainError, match="pairs"):
+            refine_boundary((0.3, 0.55, 1.0), (0.3, 0.8, 1.0), tol=1e-6)
+
     def test_multi_crossing_detected(self):
         with pytest.raises(MultiCrossingError):
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
@@ -387,10 +391,9 @@ class TestRefineBoundary:
         with pytest.raises(DomainError, match="tolerance"):
             refine_boundary((0.3, 0.55), (0.3, 0.8), tol=tol)
 
-    # Exact results of the sequential one-halving-per-call bisection: the
-    # batched rounds must reproduce them bit for bit. tol = 0.5 bisects once,
-    # the 1e6 segment 40 times (a partial last round); the last two segments
-    # are seeded perfbench ones.
+    # Exact results of the one-halving-per-call bisection. tol = 0.5 bisects
+    # once, the 1e6 segment 40 times; the last two segments are seeded
+    # perfbench ones.
     @pytest.mark.parametrize("p0, p1, tol, want", [
         ((0.3, 0.55), (0.3, 0.8), 1e-6, (0.3, 0.750000286102295)),
         ((0.3, 0.55), (0.3, 0.8), 1e-12, (0.3, 0.7499999999993634)),
@@ -407,29 +410,29 @@ class TestRefineBoundary:
 
 
 class TestScanKernelCalls:
-    """Each bisection round classifies all its midpoints in one certified
-    mu-cubic call, so a scan makes a few kernel calls, not one per halving."""
+    """The scans classify one point at a time through ``sweep._loop_code``:
+    the grid's batched certificate is never called, and a point whose
+    mu-cubic roots clear the slack never reaches the eigensolver."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        sizes = []
-        certify = sweep._certify_cells
-        monkeypatch.setattr(
-            sweep,
-            "_certify_cells",
-            lambda c2, c1, c0, scale, gap_floor: (
-                sizes.append(len(c2)) or certify(c2, c1, c0, scale, gap_floor)
-            ),
-        )
-        return sizes
+        names = []
+        for name in ("_certify_cells", "_eig_classes"):
+            kernel = getattr(sweep, name)
+            monkeypatch.setattr(
+                sweep, name, lambda *args, name=name, kernel=kernel: (
+                    names.append(name) or kernel(*args)
+                ),
+            )
+        return names
 
     def test_refine_boundary(self, calls):
-        refine_boundary((0.3, 0.55), (0.3, 0.8), tol=1e-6)
-        assert 1 <= len(calls) <= 2
+        assert refine_boundary((0.3, 0.55), (0.3, 0.8), tol=1e-6) == (0.3, 0.750000286102295)
+        assert calls == []
 
     def test_find_kcr(self, calls):
-        find_kcr(tol=1e-7)
-        assert 1 <= len(calls) <= 3
+        assert find_kcr(tol=1e-7).k_cr == 0.25831293195486066
+        assert calls == []
 
 
 def test_loop_codes_chunk_memory_per_cell():
