@@ -53,10 +53,11 @@ GAP_FACTOR = 1e-7
 
 
 def _gap_tol(scale, gap_floor=0.0):
-    """The gap tolerance for a norm or an array of norms. Grid sweeps set
-    ``gap_floor`` to their resolution margin, below which a cell's gap or
-    smallest |lambda| cannot certify Confined; 0 is the pointwise rule."""
-    return np.maximum(GAP_FACTOR * (1.0 + scale), gap_floor)
+    """The gap tolerance for a norm (a float stays a float) or an array of
+    norms. Grid sweeps floor it at ``gap_floor``, their resolution margin, below
+    which a cell's gap or smallest |lambda| cannot certify Confined."""
+    tol = GAP_FACTOR * (1.0 + scale)
+    return np.maximum(tol, gap_floor) if gap_floor else tol
 
 
 def _rule(ev: np.ndarray, scale, gap_floor=0.0):

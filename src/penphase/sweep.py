@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
 from .phases import _dmodes_implicit, cos_theta
-from .spectral import GAP_FACTOR, _gap_tol, _rule, _simple_imaginary
+from .spectral import _gap_tol, _rule, _simple_imaginary
 
 __all__ = [
     "GridSpec",
@@ -231,7 +231,7 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
     half_q, third_p = 0.5 * q, p / 3.0
     disc = half_q * half_q + third_p * third_p * third_p
     if disc > 0.0:  # a complex pair: u != 0, as |half_q| + sqrt(disc) > 0
-        u = math.cbrt(-half_q - math.copysign(math.sqrt(disc), q))
+        u = float(np.cbrt(-half_q - math.copysign(math.sqrt(disc), q)))
         v = -p / (3.0 * u)
         x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
         if max(u + v - shift, 0.5 * (math.sqrt(x * x + y * y) + x)) > slack * slack:
@@ -247,8 +247,7 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
             if mu0 > slack * slack:
                 return "U"
             w0, w1, w2 = (math.sqrt(max(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
-            # _gap_tol(scale), on a float
-            if min(w1 - w0, w2 - w1, w0) > GAP_FACTOR * (1.0 + float(scale)) + slack:
+            if min(w1 - w0, w2 - w1, w0) > _gap_tol(scale) + slack:
                 return "C"
     curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
     return _eig_classes(_generator(b, b0, omega, curvatures))[2].item()

@@ -550,24 +550,37 @@ def _circle_node_implicit(S, freqs):
 
 
 
+route_omega = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0))
+route_binding = st.sampled_from([PenningQuadrupole, IsotropicOscillator])
+
+
 @st.composite
 def mostly_confined(draw):
     """(b, b0, w0, omega, binding class) with the binding's confining
     frequency dominant: b0 in [1, 3] for the Penning trap, w0 for the
-    oscillator, the other of the two 0.2 to 0.8 times it and b 0.05 to 0.4
-    times it. About four draws in five are Confined with every gap and
-    frequency >= 0.05, against two in five over [0, 3]^3."""
-    binding_cls = draw(st.sampled_from([PenningQuadrupole, IsotropicOscillator]))
-    omega = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)))
+    oscillator, b 0 to 0.4 times it and the other of the two 0.2 to 1.4
+    (Penning, past the loop's w0 = 4 b0 / 3) or 0.2 to 0.8 (oscillator)
+    times it."""
+    binding_cls, omega = draw(route_binding), draw(route_omega)
     big = draw(st.floats(min_value=1.0, max_value=3.0))
-    b = big * draw(st.floats(min_value=0.05, max_value=0.4))
-    other = big * draw(st.floats(min_value=0.2, max_value=0.8))
+    b = big * draw(st.floats(min_value=0.0, max_value=0.4))
+    ratio = 1.4 if binding_cls is PenningQuadrupole else 0.8
+    other = big * draw(st.floats(min_value=0.2, max_value=ratio))
     b0, w0 = (big, other) if binding_cls is PenningQuadrupole else (other, big)
     return b, b0, w0, omega, binding_cls
 
 
+# mostly_confined or, for the rest of the space, the free draw over [0, 3]^3:
+# about three in five examples are Confined with every gap and frequency
+# >= 0.05, against two in five for the free draw alone
+route_points = st.one_of(
+    mostly_confined(),
+    st.tuples(field, field, field, route_omega, route_binding),
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(point=mostly_confined())
+@given(point=route_points)
 def test_implicit_route_matches_circle_node_reference(point):
     b, b0, w0, omega, binding_cls = point
     params = SystemParams(b=b, b0=b0, w0=w0, omega=omega)
@@ -594,7 +607,7 @@ def _dual_basis_perturbative(S, freqs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(point=mostly_confined())
+@given(point=route_points)
 def test_perturbative_route_matches_dual_basis_reference(point):
     b, b0, w0, omega, binding_cls = point
     S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
