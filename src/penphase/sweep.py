@@ -30,7 +30,8 @@ with its margin as ``gap_floor``. The 1-D scans ``refine_boundary`` and
 ``_loop_code``, the same certificate on Python floats under the pointwise
 tolerance (gap_floor 0, under which no point is certified Boundary), with
 the eigenvalue rule on the one 6x6 it leaves undecided; their confined test
-is its code 'C'.
+is its code 'C'. ``refine_boundary`` classifies each point of its scan once:
+its first halvings land on pre-scan samples and read their codes.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
 Grid work runs in tiles of at most _CHUNK_CELLS cells, so memory stays
@@ -73,7 +74,8 @@ __all__ = [
 #: used to scale the grid-resolution Boundary margin.
 GAP_SLOPE_SCALE = 4.0
 
-#: Sample points of the flip pre-scan in ``refine_boundary``.
+#: Steps of the flip pre-scan in ``refine_boundary``; a power of two, so its
+#: samples are exact and the first log2(_PRESCAN_STEPS) midpoints are samples.
 _PRESCAN_STEPS = 32
 
 #: Cells per certification tile; a 13 x 601 tile of the default map peaks at
@@ -121,9 +123,11 @@ class GridSpec:
         )
 
 
-def _loop_cubic(b, b0, omega: float):
+def _loop_cubic(b, b0, omega: float, sqrt=np.sqrt):
     """Coefficients (c2, c1, c0) of the mu-cubic (``model._mu_cubic``) and
     ||S||_F of loop points (b, b0), w0 = 4 b0 / 3; b and b0 broadcast together.
+    On Python floats, with ``sqrt`` math.sqrt, every output is a Python float
+    (both roots are correctly rounded, so the bits do not depend on which).
 
     On the loop, with d = omega - b0, s = b0^2 / 9, p = s - d^2, r = 16 s and
     B = b^2, M = K + g g^T - |g|^2 I is [[p, 0, -b omega], [0, p, 0],
@@ -141,7 +145,7 @@ def _loop_cubic(b, b0, omega: float):
     c2 = (2.0 * p + r + 4.0 * d_sq) + 4.0 * B
     c1 = (2.0 * p * r + p * p + 4.0 * d_sq * r) + B * (4.0 * p + 8.0 * d * omega - omega * omega)
     c0 = p * p * r - B * (p * (omega * omega))
-    scale = np.sqrt(
+    scale = sqrt(
         B * (2.0 * B + (2.0 * (s + r + b0 * b0) + 4.0)) + (2.0 * s * s + r * r + 4.0 * d_sq + 3.0)
     )
     return c2, c1, c0, scale
@@ -223,8 +227,8 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
     goes through ``_eig_classes`` as one 6x6.
     """
     b, b0 = abs(b), abs(b0)
-    c2, c1, c0, scale = _loop_cubic(b, b0, omega)
-    slack = 1e-6 * (1.0 + float(scale))
+    c2, c1, c0, scale = _loop_cubic(b, b0, omega, math.sqrt)
+    slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
     q = c0 - shift * (c1 - 2.0 * shift * shift)
@@ -246,7 +250,9 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
             mu0 = m * cos - shift
             if mu0 > slack * slack:
                 return "U"
-            w0, w1, w2 = (math.sqrt(max(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
+            w0 = math.sqrt(max(-mu0, 0.0))
+            w1 = math.sqrt(max(-(mid + side), 0.0))
+            w2 = math.sqrt(max(-(mid - side), 0.0))
             if min(w1 - w0, w2 - w1, w0) > _gap_tol(scale) + slack:
                 return "C"
     curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
@@ -485,7 +491,12 @@ def refine_boundary(
     the bracket max(1, ceil(log2(length / tol))) times and returns the midpoint
     of the final bracket. The endpoints, each pre-scan sample and each
     midpoint are classified one at a time by ``_loop_code``, at p0 + s (p1 - p0)
-    on Python floats.
+    on Python floats, and each point of the scan once. The samples
+    s = k / _PRESCAN_STEPS are exact: the sample s = 0 is p0 (a + 0 da == a),
+    the sample s = 1 is p1 unless p0 + (p1 - p0) rounds away from it, and the
+    first min(5, halvings) midpoints are samples, which read the codes already
+    found. (Points are told apart by s, so a segment across an axis classifies
+    a point and its mirror image both.)
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
@@ -497,22 +508,28 @@ def refine_boundary(
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise DomainError(f"segment {p0.tolist()} -> {p1.tolist()} has zero length")
-    (a, a0), (da, da0) = p0.tolist(), (p1 - p0).tolist()
+    (a, a0), end, (da, da0) = p0.tolist(), p1.tolist(), (p1 - p0).tolist()
 
     def confined_at(s):
         return _loop_code(a + s * da, a0 + s * da0, 1.0) == "C"
 
-    if _loop_code(*p0.tolist(), 1.0) != "C":
+    if _loop_code(a, a0, 1.0) != "C":
         raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
-    if _loop_code(*p1.tolist(), 1.0) == "C":
-        raise DomainError(f"second endpoint {p1.tolist()} is not Unconfined/Boundary")
-    flags = [confined_at(s) for s in np.linspace(0.0, 1.0, _PRESCAN_STEPS + 1).tolist()]
+    if _loop_code(*end, 1.0) == "C":
+        raise DomainError(f"second endpoint {end} is not Unconfined/Boundary")
+    flags = [True] + [confined_at(k / _PRESCAN_STEPS) for k in range(1, _PRESCAN_STEPS)]
+    flags.append([a + da, a0 + da0] != end and confined_at(1.0))
     flips = sum(map(operator.ne, flags[1:], flags[:-1]))
     if flips > 1:
         raise MultiCrossingError(
-            f"segment {p0.tolist()} -> {p1.tolist()} crosses {flips} boundaries; subdivide"
+            f"segment {p0.tolist()} -> {end} crosses {flips} boundaries; subdivide"
         )
-    lo, hi, _ = _bisect(confined_at, 0.0, 1.0, length, tol)
+
+    def halving_at(s):  # the first halvings land on samples
+        k = s * _PRESCAN_STEPS
+        return flags[int(k)] if k.is_integer() else confined_at(s)
+
+    lo, hi, _ = _bisect(halving_at, 0.0, 1.0, length, tol)
     mid = 0.5 * (lo + hi)
     return tuple(p0 + mid * (p1 - p0))
 

@@ -5,7 +5,8 @@ and b^2 equal to the exact ones and to the generic ones, the eigenvalue rule
 equal bit for bit to reference predicates written apart from it, one
 confinement rule for the pointwise and
 grid classifiers and the batched scan predicate, the scans' one-point loop
-classifier equal to the batched one, grid cells certified from the mu-cubic
+classifier equal to the batched one and certifying the same points, grid
+cells certified from the mu-cubic
 labelled as the eigenvalue rule labels them, the bisection equal to the
 one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
@@ -361,21 +362,47 @@ def test_loop_codes_fall_back_to_eig_inside_the_uncertified_band(monkeypatch):
     assert {"C", "U"} <= set(codes.tolist())  # both sides of the collision
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    point=st.one_of(
-        # the plane at omega = 1, negative inputs folded
-        st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.just(1.0)),
-        # beside the zero-mode rows alpha0 = 3/4 and 3/2
-        st.tuples(field, st.one_of(near(0.75, -10.0, -5.0), near(1.5, -10.0, -5.0)),
-                  st.just(1.0)),
-        # the k line at omega = 0, beside the critical ratio
-        st.tuples(near(K_CR, -9.0, -5.0), st.just(1.0), st.just(0.0)),
-    )
+loop_code_points = st.one_of(
+    # the plane at omega = 1, negative inputs folded
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.just(1.0)),
+    # beside the zero-mode rows alpha0 = 3/4 and 3/2
+    st.tuples(field, st.one_of(near(0.75, -10.0, -5.0), near(1.5, -10.0, -5.0)), st.just(1.0)),
+    # the k line at omega = 0, beside the critical ratio
+    st.tuples(near(K_CR, -9.0, -5.0), st.just(1.0), st.just(0.0)),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=loop_code_points)
 def test_loop_code_matches_loop_codes(point):
     b, b0, omega = point
     assert _loop_code(b, b0, omega) == _loop_codes(np.array([b]), np.array([b0]), omega)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=loop_code_points)
+# beside the critical ratio, on either side of the slack edge of the Confined
+# certificate (K_CR - d) and of the Unconfined one (K_CR + d): the margin is
+# 0.8 and 1.1 slacks, and (Re lambda)^2 is 0.65 and 2.05 slack^2
+@example(point=(K_CR - 10.0**-11.0, 1.0, 0.0))
+@example(point=(K_CR - 10.0**-10.75, 1.0, 0.0))
+@example(point=(K_CR + 10.0**-10.5, 1.0, 0.0))
+@example(point=(K_CR + 10.0**-10.0, 1.0, 0.0))
+def test_loop_code_certifies_what_certify_cells_certifies(point):
+    # _loop_code copies _certify_cells' Confined and Unconfined certificates;
+    # the codes agree even if the copies drift apart (an undecided point goes
+    # to eig), so compare where each leaves a point to the eigensolver
+    b, b0, omega = point
+    cubic = sweep._loop_cubic(np.array([abs(b)]), np.array([abs(b0)]), omega)
+    undecided = not np.logical_or.reduce(sweep._certify_cells(*cubic, 0.0))[0]
+    sizes = []
+    eig_classes = sweep._eig_classes
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            sweep, "_eig_classes", lambda S: sizes.append(S.shape) or eig_classes(S)
+        )
+        _loop_code(b, b0, omega)
+    assert sizes == ([(6, 6)] if undecided else [])
 
 
 def test_loop_code_falls_back_to_eig_inside_the_uncertified_band(monkeypatch):
@@ -633,9 +660,22 @@ def _energy_form_coeffs(spec, S):
     return np.array(rows)
 
 
+# (alpha, alpha0) inside the default map's two Confined windows at omega = 1,
+# alpha0 in [1.7, 3] with alpha up to 0.3 alpha0 and the band alpha0 in
+# [0.42, 0.68], or free over [0, 3]^2: about three in four examples are
+# Confined with every gap and frequency >= 0.05, against 29% for the free
+# draw alone
+loop_mode_points = st.one_of(
+    st.tuples(st.floats(0.0, 0.3), st.floats(1.7, 3.0)).map(lambda t: (t[0] * t[1], t[1])),
+    st.tuples(field, st.floats(0.42, 0.68)),
+    st.tuples(field, field),
+)
+
+
 @settings(max_examples=100, deadline=None)
-@given(alpha=field, alpha0=field)
-def test_normal_mode_basis_has_ladder_commutators(alpha, alpha0):
+@given(point=loop_mode_points)
+def test_normal_mode_basis_has_ladder_commutators(point):
+    alpha, alpha0 = point
     S = build_G(SystemParams.penning_loop(b0=alpha0, b=alpha, omega=1.0)).S
     spec = classify(J6 @ S)
     assume(spec.classification is Classification.CONFINED)
@@ -668,16 +708,12 @@ def _operator_basis_coefficients(Q, basis):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    b=field,
-    b0=field,
-    w0=field,
-    omega=st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=2.0)),
-    binding_cls=st.sampled_from([PenningQuadrupole, IsotropicOscillator]),
+    point=route_points,
     observable=st.sampled_from(["L3", "S", "random"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_mode_weights_match_operator_basis_reference(b, b0, w0, omega, binding_cls,
-                                                     observable, seed):
+def test_mode_weights_match_operator_basis_reference(point, observable, seed):
+    b, b0, w0, omega, binding_cls = point
     S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
     spec = classify(J6 @ S)
     assume(spec.classification is Classification.CONFINED)

@@ -411,8 +411,9 @@ class TestRefineBoundary:
 
 class TestScanKernelCalls:
     """The scans classify one point at a time through ``sweep._loop_code``:
-    the grid's batched certificate is never called, and a point whose
-    mu-cubic roots clear the slack never reaches the eigensolver."""
+    the grid's batched certificate is never called, a point whose mu-cubic
+    roots clear the slack never reaches the eigensolver, and
+    ``refine_boundary`` classifies no point twice."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -433,6 +434,31 @@ class TestScanKernelCalls:
     def test_find_kcr(self, calls):
         assert find_kcr(tol=1e-7).k_cr == 0.25831293195486066
         assert calls == []
+
+    @pytest.mark.parametrize("p0, p1, tol", [
+        ((0.3, 0.55), (0.3, 0.8), 1e-6),
+        ((0.3, 0.55), (0.3, 0.8), 0.5),
+        ((-0.3, -0.55), (-0.3, -0.8), 1e-9),
+        ((0.3, 0.55), (0.3, 1e6), 1e-6),
+        ((0.5541946705032447, 0.5815936467129321), (0.6983194004446276, 0.24169361424808444),
+         1e-6),
+        ((0.45, 0.1), (0.45, 0.9), 1e-6),  # MultiCrossingError after the pre-scan
+    ])
+    def test_refine_boundary_classifies_each_point_once(self, monkeypatch, p0, p1, tol):
+        # the pre-scan sample s = 0 is p0 and s = 1 is p1, and the first five
+        # midpoints are samples s = k / 32, so they add no classification
+        points = []
+        loop_code = sweep._loop_code
+        monkeypatch.setattr(sweep, "_loop_code", lambda b, b0, omega: (
+            points.append((abs(b), abs(b0))) or loop_code(b, b0, omega)
+        ))
+        try:
+            refine_boundary(p0, p1, tol=tol)
+        except MultiCrossingError:
+            pass
+        iterations = max(1, math.ceil(math.log2(np.linalg.norm(np.subtract(p1, p0)) / tol)))
+        assert len(set(points)) == len(points)
+        assert len(points) <= 2 + 32 + max(0, iterations - 5)
 
 
 def test_loop_codes_chunk_memory_per_cell():
