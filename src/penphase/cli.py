@@ -36,11 +36,6 @@ from . import svgplot
 
 _SPECTRAL_CONSTANTS = {"gap_factor": repr(GAP_FACTOR)}
 
-_CANONICAL = {
-    "sweep_fig1": "sweep-fig1",
-    "curve_fig2": "curve-fig2",
-    "find_kcr": "find-kcr",
-}
 
 def _add_param_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=None, help="dimensionless b/omega (omega = 1)")
@@ -141,7 +136,7 @@ def _read_config(path: str, command: str, defaults: dict) -> List[str]:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key == "command":
-            if _CANONICAL.get(value, value) != command:
+            if value.replace("_", "-") != command:
                 raise DomainError(
                     f"config is for command {value!r}, not {command!r}"
                 )
@@ -356,7 +351,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        command = _CANONICAL.get(args.command, args.command)
+        # no command name has an underscore but its alias (sweep_fig1, ...)
+        command = args.command.replace("_", "-")
         if getattr(args, "config", None):
             prefix = _read_config(args.config, command, vars(parser.parse_args([command])))
             # config supplies defaults; explicit flags win by coming last

@@ -1,5 +1,13 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "NumericalError",
+    "DegeneracyError",
+    "MultiCrossingError",
+    "NoCyclicStatesError",
+]
+
 
 class DomainError(ValueError):
     """Invalid physical or numerical input (negative frequency, bad grid, ...)."""

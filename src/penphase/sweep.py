@@ -500,29 +500,29 @@ def refine_boundary(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
-    p0 = np.asarray(p_confined, dtype=float)
-    p1 = np.asarray(p_unconfined, dtype=float)
-    if p0.shape != (2,) or p1.shape != (2,):
-        raise DomainError("segment endpoints must be (alpha, alpha0) pairs")
-    _check_range("parameters", [p0, p1])
-    length = float(np.linalg.norm(p1 - p0))
+    try:
+        (a, a0), (b, b0) = ((float(x), float(y)) for x, y in (p_confined, p_unconfined))
+    except (TypeError, ValueError):
+        raise DomainError("segment endpoints must be (alpha, alpha0) pairs") from None
+    _check_range("parameters", (a, a0, b, b0))
+    da, da0 = b - a, b0 - a0
+    length = math.hypot(da, da0)
     if length == 0.0:
-        raise DomainError(f"segment {p0.tolist()} -> {p1.tolist()} has zero length")
-    (a, a0), end, (da, da0) = p0.tolist(), p1.tolist(), (p1 - p0).tolist()
+        raise DomainError(f"segment {[a, a0]} -> {[b, b0]} has zero length")
 
     def confined_at(s):
         return _loop_code(a + s * da, a0 + s * da0, 1.0) == "C"
 
     if _loop_code(a, a0, 1.0) != "C":
-        raise DomainError(f"first endpoint {p0.tolist()} is not Confined")
-    if _loop_code(*end, 1.0) == "C":
-        raise DomainError(f"second endpoint {end} is not Unconfined/Boundary")
+        raise DomainError(f"first endpoint {[a, a0]} is not Confined")
+    if _loop_code(b, b0, 1.0) == "C":
+        raise DomainError(f"second endpoint {[b, b0]} is not Unconfined/Boundary")
     flags = [True] + [confined_at(k / _PRESCAN_STEPS) for k in range(1, _PRESCAN_STEPS)]
-    flags.append([a + da, a0 + da0] != end and confined_at(1.0))
+    flags.append((a + da, a0 + da0) != (b, b0) and confined_at(1.0))
     flips = sum(map(operator.ne, flags[1:], flags[:-1]))
     if flips > 1:
         raise MultiCrossingError(
-            f"segment {p0.tolist()} -> {end} crosses {flips} boundaries; subdivide"
+            f"segment {[a, a0]} -> {[b, b0]} crosses {flips} boundaries; subdivide"
         )
 
     def halving_at(s):  # the first halvings land on samples
@@ -531,7 +531,7 @@ def refine_boundary(
 
     lo, hi, _ = _bisect(halving_at, 0.0, 1.0, length, tol)
     mid = 0.5 * (lo + hi)
-    return tuple(p0 + mid * (p1 - p0))
+    return (a + mid * da, a0 + mid * da0)
 
 
 @dataclass(frozen=True)

@@ -314,11 +314,6 @@ class TestFindKcrCommand:
             '  "iterations": 24,\n  "k_cr": 0.25831293195486066,\n  "tol": 1e-07\n}\n'
         )
 
-    def test_underscore_alias(self, capsys):
-        code, out, _ = run(capsys, "find_kcr", "--tol", "1e-5")
-        assert code == 0
-        assert json.loads(out)["k_cr"] == pytest.approx(0.25831, abs=5e-4)
-
 
 class TestResonanceCommand:
     def test_report(self, capsys):
@@ -514,6 +509,33 @@ def test_manifest_replays_every_command(capsys, tmp_path, command):
     assert code == 0
     assert replay_out == first_out
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == produced
+
+
+@pytest.mark.parametrize("alias", ["sweep_fig1", "curve_fig2", "find_kcr"])
+def test_underscore_alias(capsys, tmp_path, alias):
+    # the alias runs its dash form: same stdout and file bytes, a manifest
+    # naming the dash form; a config naming the alias replays under either
+    command = alias.replace("_", "-")
+    options, _ = REPLAY_RUNS[command]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [*(o.format(tmp=out_dir) for o in options), "-o", str(out_dir / "result")]
+
+    def produce(*args):
+        for path in out_dir.iterdir():
+            path.unlink()
+        code, stdout, _ = run(capsys, *args)
+        assert code == 0
+        return stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    want = produce(command, *argv)
+    manifest = want[1]["result.manifest"]
+    assert manifest.startswith(f"command={command}\n".encode())
+    assert produce(alias, *argv) == want
+    config = tmp_path / "alias.cfg"
+    config.write_bytes(manifest.replace(command.encode(), alias.encode(), 1))
+    for name in (command, alias):
+        assert produce(name, "--config", str(config)) == want
 
 
 def test_commands_load_no_scipy(tmp_path):

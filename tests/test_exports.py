@@ -1,5 +1,5 @@
 """The package's exports: every listed name resolves, and the package list
-covers the public names of each library submodule."""
+covers the public names of each library submodule and nothing else."""
 
 import importlib
 import inspect
@@ -12,15 +12,20 @@ from penphase import errors
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(penphase.__path__))
 
-#: Submodules without an ``__all__``: the command line, the SVG writer and
-#: the exceptions, whose classes are checked on their own below.
-_NO_ALL = {"cli", "errors", "svgplot"}
+#: Submodules without an ``__all__``: the command line and the SVG writer.
+_NO_ALL = {"cli", "svgplot"}
 
 
 def test_package_names_resolve():
     missing = [name for name in penphase.__all__ if not hasattr(penphase, name)]
     assert missing == []
     assert len(set(penphase.__all__)) == len(penphase.__all__)
+    # the package adds nothing of its own beyond the submodules' lists
+    listed = {
+        public for name in SUBMODULES if name not in _NO_ALL
+        for public in importlib.import_module(f"penphase.{name}").__all__
+    }
+    assert set(penphase.__all__) - listed == {"__version__"}
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -406,7 +406,9 @@ class TestRefineBoundary:
          1e-6, (0.6525210218434404, 0.3497033248627176)),
     ])
     def test_pinned_results(self, p0, p1, tol, want):
-        assert refine_boundary(p0, p1, tol=tol) == want
+        got = refine_boundary(p0, p1, tol=tol)
+        assert got == want
+        assert all(type(x) is float for x in got)
 
 
 class TestScanKernelCalls:
