@@ -57,8 +57,13 @@ _MAX_MAGNITUDE = sys.float_info.max ** (1.0 / 16.0)
 
 
 def _check_range(what: str, values) -> None:
-    """Raise DomainError unless every value is finite and at most _MAX_MAGNITUDE."""
-    if not np.all(np.abs(np.asarray(values, dtype=float)) <= _MAX_MAGNITUDE):
+    """Raise DomainError unless every value is finite and at most _MAX_MAGNITUDE.
+    A tuple of Python floats is checked without NumPy, with the same outcome."""
+    if type(values) is tuple and all(type(x) is float for x in values):
+        ok = all(-_MAX_MAGNITUDE <= x <= _MAX_MAGNITUDE for x in values)
+    else:
+        ok = np.all(np.abs(np.asarray(values, dtype=float)) <= _MAX_MAGNITUDE)
+    if not ok:
         raise DomainError(f"{what} must be finite and at most {_MAX_MAGNITUDE:.2g} in magnitude")
 
 

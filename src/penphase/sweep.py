@@ -161,7 +161,10 @@ def _certify_cells(
 
     The roots mu = lambda^2 come in closed form: trigonometric when all three
     are real (one cosine; they come out ordered mu0 >= mu1 >= mu2, so the
-    frequencies w = sqrt(-mu) ascend), Cardano's otherwise. With all mu real,
+    frequencies w = sqrt(-mu) ascend), Cardano's otherwise. The cells are
+    split on the discriminant's sign and each formula runs on its own cells
+    only; elementwise, so each cell's bits are those of the whole tile's
+    pass. With all mu real,
     the separation min(w1 - w0, w2 - w1, w0) is the smallest gap and |lambda|
     the eigenvalue rule sees. A cell is certified Confined when the separation
     clears the gap tolerance by ``slack``; Boundary when it clears the
@@ -174,36 +177,42 @@ def _certify_cells(
     collision) and cells whose roots come out NaN are left uncertified.
     ``_loop_code`` applies the same certificates to one point on floats.
     """
-    slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
     q = c0 - shift * (c1 - 2.0 * shift * shift)
     half_q, third_p = 0.5 * q, p / 3.0
     disc = half_q * half_q + third_p * third_p * third_p
+    real = disc <= 0.0
+    confined, unconfined, boundary = (np.zeros(real.shape, dtype=bool) for _ in range(3))
+    # (Re lambda)^2 is the largest real mu or, for the complex pair
+    # mu = x +- iy, (|mu| + x) / 2; for x < 0 the sum cancels, but its error,
+    # about eps |x| <= 2e-16 scale^2, is far below slack^2, and
+    # _MAX_MAGNITUDE keeps x^2 + y^2 finite
     with np.errstate(invalid="ignore", divide="ignore"):
-        m = 2.0 * np.sqrt(-third_p)
+        shift_r, p_r, q_r, scale_r = (a[real] for a in (shift, p, q, scale))
+        slack = 1e-6 * (1.0 + scale_r)
+        m = 2.0 * np.sqrt(-(p_r / 3.0))
         # theta in [0, pi/3], so sqrt(3) sin(theta) = sqrt(3 (1 - cos^2)) >= 0
-        cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)
+        cos = np.cos(np.arccos(3.0 * q_r / (p_r * m)) / 3.0)
         half_m = 0.5 * m
-        mid, side = -half_m * cos - shift, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
-        mu0 = m * cos - shift
+        mid, side = -half_m * cos - shift_r, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
+        mu0 = m * cos - shift_r
+        unconfined[real] = mu0 > slack * slack
         w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
         separation = np.minimum(np.minimum(w1 - w0, w2 - w1), w0)
-        u = np.cbrt(-half_q - np.copysign(np.sqrt(disc), q))
-        v = -p / (3.0 * u)
-        # (Re lambda)^2 is the largest real mu or, for the complex pair
-        # mu = x +- iy, (|mu| + x) / 2; for x < 0 the sum cancels, but its
-        # error, about eps |x| <= 2e-16 scale^2, is far below slack^2, and
-        # _MAX_MAGNITUDE keeps x^2 + y^2 finite
-        x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
-        real = disc <= 0.0
-        re_squared = np.where(
-            real, mu0, np.maximum(u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x))
-        )
-    tau = _gap_tol(scale, gap_floor)
-    confined = real & (separation > tau + slack)
-    boundary = real & (separation > _gap_tol(scale) + slack) & (separation < tau - slack)
-    return confined, re_squared > slack * slack, boundary
+        tau = _gap_tol(scale_r, gap_floor)
+        confined[real] = separation > tau + slack
+        boundary[real] = (separation > _gap_tol(scale_r) + slack) & (separation < tau - slack)
+        # a complex pair (or NaN roots): Cardano's root, u != 0
+        rest = ~real
+        shift_c, p_c, q_c, disc_c, scale_c = (a[rest] for a in (shift, p, q, disc, scale))
+        slack = 1e-6 * (1.0 + scale_c)
+        u = np.cbrt(-(0.5 * q_c) - np.copysign(np.sqrt(disc_c), q_c))
+        v = -p_c / (3.0 * u)
+        x, y = -0.5 * (u + v) - shift_c, 0.5 * math.sqrt(3.0) * (u - v)
+        re_squared = np.maximum(u + v - shift_c, 0.5 * (np.sqrt(x * x + y * y) + x))
+        unconfined[rest] = re_squared > slack * slack
+    return confined, unconfined, boundary
 
 
 def _eig_classes(S: np.ndarray, gap_floor: float = 0.0):
@@ -223,8 +232,10 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
 
     ``_loop_cubic`` and the Confined and Unconfined certificates of
     ``_certify_cells`` on Python floats: where it masks (real roots or not,
-    the arccos argument's range), this branches. A point left undecided
-    goes through ``_eig_classes`` as one 6x6.
+    the arccos argument's range), this branches. ``max`` and ``min`` are
+    written as the comparisons the builtins make (the first of equals wins,
+    and a NaN compares false), so -0.0 and NaN pass through as they would.
+    A point left undecided goes through ``_eig_classes`` as one 6x6.
     """
     b, b0 = abs(b), abs(b0)
     c2, c1, c0, scale = _loop_cubic(b, b0, omega, math.sqrt)
@@ -238,11 +249,13 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
         u = float(np.cbrt(-half_q - math.copysign(math.sqrt(disc), q)))
         v = -p / (3.0 * u)
         x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
-        if max(u + v - shift, 0.5 * (math.sqrt(x * x + y * y) + x)) > slack * slack:
+        re_sq, pair_sq = u + v - shift, 0.5 * (math.sqrt(x * x + y * y) + x)
+        if (pair_sq if pair_sq > re_sq else re_sq) > slack * slack:
             return "U"
     else:  # three real roots, so third_p <= 0
         m = 2.0 * math.sqrt(-third_p)
-        arg = 3.0 * q / (p * m) if p * m != 0.0 else math.nan
+        pm = p * m
+        arg = 3.0 * q / pm if pm != 0.0 else math.nan
         if -1.0 <= arg <= 1.0:
             cos = math.cos(math.acos(arg) / 3.0)
             half_m = 0.5 * m
@@ -250,10 +263,16 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
             mu0 = m * cos - shift
             if mu0 > slack * slack:
                 return "U"
-            w0 = math.sqrt(max(-mu0, 0.0))
-            w1 = math.sqrt(max(-(mid + side), 0.0))
-            w2 = math.sqrt(max(-(mid - side), 0.0))
-            if min(w1 - w0, w2 - w1, w0) > _gap_tol(scale) + slack:
+            w0, w1, w2 = -mu0, -(mid + side), -(mid - side)  # w^2, floored at 0 below
+            w0 = math.sqrt(0.0 if 0.0 > w0 else w0)
+            w1 = math.sqrt(0.0 if 0.0 > w1 else w1)
+            w2 = math.sqrt(0.0 if 0.0 > w2 else w2)
+            gap = w1 - w0
+            if w2 - w1 < gap:
+                gap = w2 - w1
+            if w0 < gap:
+                gap = w0
+            if gap > _gap_tol(scale) + slack:
                 return "C"
     curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
     return _eig_classes(_generator(b, b0, omega, curvatures))[2].item()

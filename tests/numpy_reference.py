@@ -2,6 +2,8 @@
 replaced, written out as references: ``classify``'s Confined branch, the
 eigenvalue rule, the occupations and ``resonance_shift``'s pairing. Each must
 give the same bits as the package, or the same error with the same message.
+``certify_cells`` is the grid certificate before it split the cells on the
+discriminant's sign: both root formulas on every cell, one kept per cell.
 
 ``aa_phase`` and ``resonance_shift`` here rebuild a point's record without
 the package's memos: the spectrum from ``classify`` below, the ladder basis
@@ -38,6 +40,36 @@ def rule(ev, scale, gap_floor=0.0):
     gaps = np.diff(np.sort(ev.imag, axis=-1), axis=-1).min(axis=-1)
     unconfined = np.abs(ev.real).max(axis=-1) > _gap_tol(scale)
     return unconfined, (gaps > tau) & (np.abs(ev).min(axis=-1) > tau)
+
+
+def certify_cells(c2, c1, c0, scale, gap_floor):
+    """``sweep._certify_cells``' masks (confined, unconfined, boundary) with
+    the trigonometric and Cardano roots of every cell and ``np.where``."""
+    slack = 1e-6 * (1.0 + scale)
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    half_q, third_p = 0.5 * q, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = 2.0 * np.sqrt(-third_p)
+        cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)
+        half_m = 0.5 * m
+        mid, side = -half_m * cos - shift, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
+        mu0 = m * cos - shift
+        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
+        separation = np.minimum(np.minimum(w1 - w0, w2 - w1), w0)
+        u = np.cbrt(-half_q - np.copysign(np.sqrt(disc), q))
+        v = -p / (3.0 * u)
+        x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
+        real = disc <= 0.0
+        re_squared = np.where(
+            real, mu0, np.maximum(u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x))
+        )
+    tau = _gap_tol(scale, gap_floor)
+    confined = real & (separation > tau + slack)
+    boundary = real & (separation > _gap_tol(scale) + slack) & (separation < tau - slack)
+    return confined, re_squared > slack * slack, boundary
 
 
 def classify(lam) -> ModeSpectrum:

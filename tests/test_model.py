@@ -17,6 +17,7 @@ from penphase import (
     make_params_adiabatic,
     make_params_dimensionless,
 )
+from penphase import model
 
 
 def hessian_fd(f, n=6, h=1e-5):
@@ -72,6 +73,35 @@ class TestParams:
             _ = p.k
         p1 = SystemParams(b=1.0, b0=2.0, w0=1.0, omega=2.0)
         assert p1.k == 0.5
+
+
+_ABOVE_MAX = math.nextafter(model._MAX_MAGNITUDE, math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, _ABOVE_MAX, -_ABOVE_MAX, 1e300])
+def test_check_range_float_path_raises_as_the_array_path(bad, monkeypatch):
+    # a tuple of Python floats is checked without NumPy (with model.np gone,
+    # any NumPy call fails), a list or an array through NumPy; all raise the
+    # one DomainError text
+    values = (0.5, bad, -1.0)
+    messages = []
+    for form in (list(values), np.array(values)):
+        with pytest.raises(DomainError) as raised:
+            model._check_range("parameters", form)
+        messages.append(str(raised.value))
+    monkeypatch.setattr(model, "np", None)
+    with pytest.raises(DomainError) as raised:
+        model._check_range("parameters", values)
+    assert messages == [str(raised.value)] * 2
+    assert messages[0] == "parameters must be finite and at most 1.8e+19 in magnitude"
+
+
+def test_check_range_accepts_the_largest_magnitude(monkeypatch):
+    edge = (model._MAX_MAGNITUDE, -model._MAX_MAGNITUDE, -0.0)
+    model._check_range("parameters", np.array(edge))
+    monkeypatch.setattr(model, "np", None)
+    model._check_range("parameters", edge)
+    model._check_range("parameters", ())
 
 
 class TestBuildG:

@@ -7,7 +7,8 @@ confinement rule for the pointwise and
 grid classifiers and the batched scan predicate, the scans' one-point loop
 classifier equal to the batched one and certifying the same points, grid
 cells certified from the mu-cubic
-labelled as the eigenvalue rule labels them, the bisection equal to the
+labelled as the eigenvalue rule labels them, with one root formula per cell
+giving the masks of both, the bisection equal to the
 one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
 the perturbative route equal to the dual-basis one, the ladder commutators of
@@ -18,6 +19,7 @@ a change of time unit, and the symplecticity of the oracle's flow map."""
 
 import dataclasses
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +38,7 @@ from penphase import (
     classify,
     normal_mode_basis,
 )
+import numpy_reference
 from conftest import route_spread
 from dynamics_oracle import flow_map
 from penphase import sweep
@@ -389,6 +392,10 @@ def test_loop_code_matches_loop_codes(point):
 @example(point=(K_CR + 10.0**-10.5, 1.0, 0.0))
 @example(point=(K_CR + 10.0**-10.0, 1.0, 0.0))
 def test_loop_code_certifies_what_certify_cells_certifies(point):
+    _assert_loop_code_certifies_as_certify_cells(point)
+
+
+def _assert_loop_code_certifies_as_certify_cells(point):
     # _loop_code copies _certify_cells' Confined and Unconfined certificates;
     # the codes agree even if the copies drift apart (an undecided point goes
     # to eig), so compare where each leaves a point to the eigensolver
@@ -401,8 +408,115 @@ def test_loop_code_certifies_what_certify_cells_certifies(point):
         monkeypatch.setattr(
             sweep, "_eig_classes", lambda S: sizes.append(S.shape) or eig_classes(S)
         )
-        _loop_code(b, b0, omega)
+        code = _loop_code(b, b0, omega)
     assert sizes == ([(6, 6)] if undecided else [])
+    assert code == _loop_codes(np.array([b]), np.array([b0]), omega)[0]
+
+
+def _depressed_cubic(b, b0, omega):
+    """(p, q, disc) of the loop's mu-cubic shifted to t^3 + p t + q, as
+    ``_certify_cells`` and ``_loop_code`` compute them."""
+    c2, c1, c0, _ = sweep._loop_cubic(b, b0, omega)
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    return p, q, (0.5 * q) * (0.5 * q) + (p / 3.0) * (p / 3.0) * (p / 3.0)
+
+
+#: Points (b, b0, omega) with a double root (disc == 0) whose arccos
+#: argument 3 q / (p m) is exactly 1 or -1, and the triple root mu = 0 at the
+#: origin with omega = 0, where p * m == 0.
+ARCCOS_EDGES = {(0.0, 0.75, 0.0): 1.0, (0.0, 1.5, 0.0): 1.0,
+                (0.0, 1.0, 1.0): -1.0, (0.25, 0.0, 0.0): -1.0}
+TRIPLE_ROOT = (0.0, 0.0, 0.0)
+
+#: Points where the scalar certificate's comparisons meet their edge values:
+#: -0.0 coordinates; alpha = 0, where the cubic factors; the zero-mode rows
+#: and the alpha0 = 3/2 window where eig splits the zero pair above the gap
+#: tolerance; k within 1e-12 of the critical ratio; and the two above.
+LOOP_CODE_EDGE_POINTS = [
+    (-0.0, 1.0, 1.0), (0.5, -0.0, 1.0), (-0.0, -0.0, 1.0), (-0.0, -0.0, 0.0), (-0.0, 0.75, 1.0),
+    (0.0, 0.3, 1.0), (0.0, 1.2, 1.0), (0.0, 2.5, 1.0), (0.0, 1.0, 0.0),
+    (0.32, 0.75, 1.0), (2.0, 0.75, 1.0), (0.59, 1.5, 1.0),
+    (0.89433, 1.5, 1.0), (0.894375, 1.5, 1.0), (0.89442, 1.5, 1.0),
+    (K_CR - 1e-12, 1.0, 0.0), (K_CR, 1.0, 0.0), (K_CR + 1e-12, 1.0, 0.0),
+    *ARCCOS_EDGES, TRIPLE_ROOT,
+]
+
+
+@pytest.mark.parametrize("point", LOOP_CODE_EDGE_POINTS)
+def test_loop_code_edge_points(point):
+    _assert_loop_code_certifies_as_certify_cells(point)
+
+
+def test_loop_code_edge_points_meet_their_edges():
+    def p_m_and_argument(point):
+        p, q, disc = _depressed_cubic(*point)
+        assert disc == 0.0
+        p_m = p * (2.0 * math.sqrt(-(p / 3.0)))
+        return p_m, 3.0 * q / p_m if p_m else None
+
+    assert {x: p_m_and_argument(x)[1] for x in ARCCOS_EDGES} == ARCCOS_EDGES
+    assert p_m_and_argument(TRIPLE_ROOT)[0] == 0.0
+
+
+#: A signed offset in alpha of at most 1e-6, down to 1e-12, or none.
+disc_root_offsets = st.one_of(
+    st.just(0.0),
+    st.builds(operator.mul, st.sampled_from([-1.0, 1.0]),
+              st.floats(-12.0, -6.0).map(lambda e: 10.0**e)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha0=st.floats(min_value=0.0, max_value=10.0),
+    offsets=st.lists(disc_root_offsets, min_size=1, max_size=8),
+    zero_mode_alphas=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=8),
+    gap_floor=st.sampled_from([0.0, 0.02]),
+)
+def test_split_certificate_decides_as_eig(alpha0, offsets, zero_mode_alphas, gap_floor):
+    # _certify_cells runs the trigonometric roots on the cells with
+    # disc <= 0 and Cardano's on the rest. Beside a sign change of disc along
+    # a row (within 1e-6 in alpha), where the two branches meet, and on the
+    # zero-mode rows alpha0 = 3/4 and 3/2, each cell it certifies gets the
+    # eigenvalue rule's code, no cell gets two certificates, and the masks
+    # are the unsplit form's
+    alphas = np.linspace(0.0, 10.0, 2001)
+    real = _depressed_cubic(alphas, alpha0, 1.0)[2] <= 0.0
+    flip = np.flatnonzero(real[1:] != real[:-1])
+    assume(len(flip))
+    lo, hi = alphas[flip], alphas[flip + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (_depressed_cubic(mid, alpha0, 1.0)[2] <= 0.0) == real[flip]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    n = len(zero_mode_alphas)
+    b = np.concatenate([np.abs(np.add.outer(lo, offsets)).ravel(), zero_mode_alphas * 2])
+    b0 = np.concatenate([np.full(b.size - 2 * n, alpha0), np.repeat([0.75, 1.5], n)])
+    cubic = sweep._loop_cubic(b, b0, 1.0)
+    masks = sweep._certify_cells(*cubic, gap_floor)
+    curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
+    codes = sweep._eig_classes(_generator(b, b0, 1.0, curvatures, b.shape), gap_floor)[2]
+    for mask, code in zip(masks, "CUB"):
+        assert set(codes[mask].tolist()) <= {code}
+    assert np.sum(masks, axis=0).max() <= 1
+    reference = numpy_reference.certify_cells(*cubic, gap_floor)
+    assert all(np.array_equal(got, want) for got, want in zip(masks, reference))
+
+
+@pytest.mark.parametrize("grid", [
+    sweep.GridSpec(), sweep.GridSpec(0.0, 10.0, 600, 0.0, 10.0, 600),
+    sweep.GridSpec(0.0, 1e4, 600, 0.0, 1e4, 600),
+], ids=["default", "0-10", "0-1e4"])
+def test_split_certificate_masks_equal_the_unsplit_form(grid):
+    # one root formula per cell gives each cell the bits of the formula it
+    # kept when both ran on every cell, at the CLI's margin and at none
+    cubic = sweep._loop_cubic(grid.alphas[None, :], grid.alpha0s[:, None], 1.0)
+    for gap_floor in (sweep.GAP_SLOPE_SCALE * grid.max_step, 0.0):
+        masks = sweep._certify_cells(*cubic, gap_floor)
+        reference = numpy_reference.certify_cells(*cubic, gap_floor)
+        assert all(np.array_equal(got, want) for got, want in zip(masks, reference))
 
 
 def test_loop_code_falls_back_to_eig_inside_the_uncertified_band(monkeypatch):

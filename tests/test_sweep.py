@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import os
@@ -463,13 +464,25 @@ class TestScanKernelCalls:
         assert len(points) <= 2 + 32 + max(0, iterations - 5)
 
 
-def test_loop_codes_chunk_memory_per_cell():
-    # a tile's certificate works from the loop's row terms and b^2, each
-    # coefficient one or two passes over the tile: no 6x6 stack (288 B per
-    # cell) for the cells it decides; about 235 B per cell measured
-    grid = GridSpec()
-    alphas = grid.alphas[None, :]
-    alpha0s = grid.alpha0s[: sweep._CHUNK_CELLS // alphas.size, None]
+@pytest.mark.parametrize("grid, digest", [
+    (GridSpec(alpha_steps=1200, alpha0_steps=1200),
+     "ec51de20d6b055ea591902b1354c06c1572c142d1af5b03ba602465515152ec6"),
+    (GridSpec(0.0, 10.0, 600, 0.0, 10.0, 600),
+     "a74b2d4a057356d3d1a479cc92cdf589a0e453532c9223533a8eb8406477db22"),
+    (GridSpec(0.0, 1e4, 600, 0.0, 1e4, 600),
+     "417dde16715962e7bff2a45daad0a47eaaf061745edb680e1b5d5c6576f6fcd4"),
+])
+def test_pinned_grid_codes(grid, digest):
+    # the class codes of maps beyond the default one (whose CSV the CLI tests
+    # pin), at the CLI's resolution margin: a finer grid, a wider window and
+    # a window where ||Lambda||_F reaches 1e8
+    codes = sweep_fig1(grid, auto_extend=False).classes
+    assert hashlib.sha256(codes.astype("S1").tobytes()).hexdigest() == digest
+
+
+def _tile_peak_per_cell(grid, alphas, alpha0s):
+    """Peak traced bytes per cell of one ``_loop_codes`` tile of the grid, at
+    the CLI's resolution margin."""
     gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
     tracemalloc.start()
     try:
@@ -477,7 +490,30 @@ def test_loop_codes_chunk_memory_per_cell():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 450 * alphas.size * alpha0s.size
+    return peak / (alphas.size * alpha0s.size)
+
+
+def test_loop_codes_chunk_memory_per_cell():
+    # a tile's certificate works from the loop's row terms and b^2, each
+    # coefficient one or two passes over the tile: no 6x6 stack (288 B per
+    # cell) for the cells it decides; about 200 B per cell measured on the
+    # default map's first tile of 13 whole rows
+    grid = GridSpec()
+    alphas = grid.alphas[None, :]
+    alpha0s = grid.alpha0s[: sweep._CHUNK_CELLS // alphas.size, None]
+    assert _tile_peak_per_cell(grid, alphas, alpha0s) < 450
+
+
+def test_loop_codes_row_piece_memory_per_cell():
+    # rows wider than _CHUNK_CELLS are cut into one-row tiles of
+    # _CHUNK_CELLS cells; about 237 B per cell measured on the row alpha0 = 1
+    # of a grid three tiles wide (a piece of a zero-mode row, whose cells
+    # mostly go to eig as 6x6 stacks, takes about 1,000 B)
+    grid = GridSpec(alpha_steps=3 * sweep._CHUNK_CELLS, alpha0_steps=600)
+    alphas = grid.alphas[None, : sweep._CHUNK_CELLS]
+    alpha0s = grid.alpha0s[200:201, None]
+    assert alpha0s.item() == 1.0
+    assert _tile_peak_per_cell(grid, alphas, alpha0s) < 450
 
 
 @pytest.mark.parametrize("chunk_cells", [1, 5, 7, 30])
