@@ -34,16 +34,25 @@ is its code 'C'. ``refine_boundary`` classifies each point of its scan once:
 its first halvings land on pre-scan samples and read their codes.
 The Fig. 2 curves take their classes from one batched eigensolve and their
 derivatives from one implicit mu-cubic call; no scan builds normal modes.
-Grid work runs in tiles of at most _CHUNK_CELLS cells, so memory stays
-bounded for any grid size, with one thread per CPU the process may use. The
-labeller, the CSV and the SVG read each grid row as runs of equal values
-(``_runs``): the 4-connected regions are one union-find over the class runs,
-so no cell is labelled twice, and a CSV run or SVG rect is one string per
-run.
+The grid tries each block of _BLOCK_COLUMNS cells of a row whole before its
+cells (``_certify_blocks``): along a row the cubic's coefficients are affine
+in b^2, so the cubic's sign at a fixed mu over a block follows from the
+block's two ends, and its discriminant is a quartic in b^2, bounded below by
+its Bernstein coefficients. Confined blocks are certified by root isolation
+at both ends, Unconfined ones by a real root or a complex pair beyond the
+slack; the cells of the blocks left undecided go to ``_loop_codes``. Blocks
+decide 81% of the default map's cells. Grid work runs in tiles of at most
+_CHUNK_CELLS blocks and pieces of at most _CHUNK_CELLS cells, so memory
+stays bounded for any grid size, with one thread per CPU the process may
+use. The labeller, the CSV and the SVG read each grid row as runs of equal
+values (``_runs``): the 4-connected regions are one union-find over the
+class runs, so no cell is labelled twice, and a CSV run or SVG rect is one
+string per run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -78,9 +87,13 @@ GAP_SLOPE_SCALE = 4.0
 #: samples are exact and the first log2(_PRESCAN_STEPS) midpoints are samples.
 _PRESCAN_STEPS = 32
 
-#: Cells per certification tile; a 13 x 601 tile of the default map peaks at
-#: about 1.8 MB of arrays (235 B per cell under tracemalloc).
+#: Cells per piece of ``_loop_codes``, and blocks per tile of the block
+#: stage; ``_loop_codes`` on 8,192 cells of the default map peaks at about
+#: 1.7 MB of arrays (about 200 B per cell under tracemalloc).
 _CHUNK_CELLS = 8192
+
+#: Columns per block of a grid row that ``_certify_blocks`` decides at once.
+_BLOCK_COLUMNS = 32
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -302,27 +315,187 @@ def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     return codes
 
 
+def _certify_blocks(b_lo, b_hi, b0, gap_floor: float):
+    """Masks (confined, real_root, pair) of blocks of loop cells at omega = 1:
+    a block is the cells of one row |b0| whose B = b^2 lies in [b_lo^2, b_hi^2]
+    (0 <= b_lo <= b_hi; b_lo, b_hi and b0 broadcast together). Where a mask
+    holds, every cell of the block gets, from the eigenvalue rule with margin
+    ``gap_floor``, the class 'C' (confined) or 'U' (real_root, pair).
+
+    On a row, ``_loop_cubic``'s c2, c1 and c0 are affine in B, so at a fixed
+    mu the cubic q(mu) = mu^3 + c2 mu^2 + c1 mu + c0 is affine in B, and its
+    sign at both ends of the block is its sign over the block; the
+    discriminant D = (Q/2)^2 + (P/3)^3 of the depressed cubic is a quartic in
+    B. ||S||_F grows with B >= 0, so the tolerances are taken at the upper
+    end: tau = _gap_tol(||S||, gap_floor) and slack = 1e-6 (1 + ||S||) there
+    are at least each cell's own.
+
+    - Confined: the end roots (trigonometric, w = sqrt(-mu) ascending) minus
+      and plus a quarter of their worst separation give test points
+      a0 < b0 < a1 < b1 < a2 < b2 in w. If q(-w^2) has the signs
+      +, -, -, +, +, - there at both ends, every cell's cubic has a root in
+      each of (-bj^2, -aj^2), so exactly one, and all three frequencies are
+      real, simple and inside (aj, bj): the separation min(w0, w1 - w0,
+      w2 - w1) exceeds min(a0, a1 - b0, a2 - b1), which must exceed tau +
+      slack, as ``_certify_cells`` asks of a cell's computed separation.
+    - Real root: q(slack^2) < 0 at both ends, so every cell's cubic has a root
+      mu > slack^2, a real pair |Re lambda| > slack.
+    - Pair: a lower bound d of D over the block (its Bernstein coefficients on
+      [b_lo^2, b_hi^2], from D at five nodes whose c2, c1, c0 are
+      interpolated in B; Farouki, CAGD 29 (2012) 379) is positive, so every
+      cell's cubic has a complex pair mu = x +- iy. Its discriminant,
+      -108 D = -4 y^2 |mu_1 - mu|^4 with mu_1 the real root, and Cauchy's
+      bound R = 1 + max |c_k| over the ends (|mu| < R for every root) give
+      y^2 >= 27 d / (16 R^4). (Re lambda)^2 = (|mu| + x) / 2 <= slack^2
+      would need y^2 <= 4 slack^2 (slack^2 - x) <= 4 slack^2 (slack^2 + R),
+      so y^2 beyond that bound puts the pair at |Re lambda| > slack.
+
+    Rounding margins. The cubic of a cell is the one its own computed c_k
+    give, as for ``_certify_cells``. With P = s + d^2 >= |p|, the absolute
+    terms of c2, c1 and c0 sum to T2 = 2P + r + 4d^2 + 4B, T1 = 2Pr + P^2 +
+    4d^2 r + B (4P + 8|d| + 1) and T0 = P^2 r + BP, all growing with B, so
+    taken at the upper end. Each computed c_k is within 16 eps T_k of its
+    affine value (eps = 2^-53), at a cell as at an end, and Horner's rule
+    adds 7 eps (|mu|^3 + T2 mu^2 + T1 |mu| + T0), so a sign test asks
+    |q(mu)| > 1e-12 (|mu|^3 + T2 mu^2 + T1 |mu| + T0), 230 times the sum of
+    the three. Write D^ for D with P = T1 + T2^2 / 3 and Q = T0 + T2 T1 / 3
+    + 2 T2^3 / 27. Coefficients within 35 eps T_k (an end's error, a cell's
+    and the interpolation's) move D by at most 6 (35 eps) D^, its evaluation
+    adds a few eps D^, and the Bernstein weights' absolute sums are at most
+    15.3: under 4e-13 D^, so d is the smallest coefficient less 1e-10 D^.
+    R adds 1e-12 max T_k for the cells' own c_k. The squares of the test
+    points round by a relative eps, far below slack. Blocks whose ends give
+    NaN or inf decide nothing.
+    """
+    with np.errstate(all="ignore"):
+        ends = [_loop_cubic(b, b0, 1.0) for b in (b_lo, b_hi)]
+        shape = np.shape(ends[0][0])
+        ends = [[np.ravel(x) for x in end] for end in ends]
+        d = 1.0 - b0
+        d_sq, s = d * d, b0 * b0 / 9.0
+        P, r, B = s + d_sq, 16.0 * s, b_hi * b_hi
+        sizes = [np.ravel(x) for x in (
+            (2.0 * P + r + 4.0 * d_sq) + 4.0 * B,
+            (2.0 * P * r + P * P + 4.0 * d_sq * r) + B * (4.0 * P + 8.0 * abs(d) + 1.0),
+            P * P * r + B * P,
+        )]  # T2, T1, T0, shaped as the ends
+
+        def beyond(end, mu, sign, t):  # sign q(mu) > its rounding bound
+            c2, c1, c0, _ = end
+            x = abs(mu)
+            value = ((mu + c2) * mu + c1) * mu + c0
+            return sign * value > 1e-12 * (((x + t[0]) * x + t[1]) * x + t[2])
+
+        def depressed(c2, c1, c0):  # shift, P, Q and D of mu = t - shift
+            shift = c2 / 3.0
+            p = c1 - c2 * shift
+            q = c0 - shift * (c1 - 2.0 * shift * shift)
+            third = p / 3.0
+            return shift, p, q, 0.25 * q * q + third * third * third
+
+        lo, hi = ends
+        scale = hi[3]
+        slack = 1e-6 * (1.0 + scale)
+        s_sq = slack * slack
+        real_root = beyond(lo, s_sq, -1.0, sizes) & beyond(hi, s_sq, -1.0, sizes)
+        disc = [depressed(*end[:3])[3] for end in ends]
+        confined, pair = np.zeros_like(real_root), np.zeros_like(real_root)
+
+        # Confined: both ends' roots real, then the intervals and their signs
+        at = np.flatnonzero((disc[0] <= 0.0) & (disc[1] <= 0.0) & ~real_root)
+        w = []
+        for shift, p, q, _ in (depressed(*(x[at] for x in end[:3])) for end in ends):
+            m = 2.0 * np.sqrt(-p / 3.0)
+            cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)  # theta in [0, pi/3]
+            mid, side = -0.5 * m * cos - shift, 0.5 * m * np.sqrt(3.0 * (1.0 - cos * cos))
+            w.append([np.sqrt(-mu) for mu in (m * cos - shift, mid + side, mid - side)])
+        gap = functools.reduce(np.minimum, [g for w0, w1, w2 in w for g in (w0, w1 - w0, w2 - w1)])
+        inner = [np.minimum(x, y) - 0.25 * gap for x, y in zip(*w)]  # a0, a1, a2
+        outer = [np.maximum(x, y) + 0.25 * gap for x, y in zip(*w)]  # b0, b1, b2
+        margin = _gap_tol(scale[at], gap_floor) + slack[at]
+        ok = (inner[0] > margin) & (inner[1] - outer[0] > margin) & (inner[2] - outer[1] > margin)
+        t = [x[at] for x in sizes]
+        for end in ([x[at] for x in end] for end in ends):
+            for x, sign in zip((*inner, *outer), (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)):
+                ok &= beyond(end, -x * x, sign, t)
+        confined[at] = ok
+
+        # Pair: D > 0 over the block, by its Bernstein coefficients
+        at = np.flatnonzero((disc[0] > 0.0) & (disc[1] > 0.0) & ~real_root)
+        lo_c, hi_c = ([x[at] for x in end[:3]] for end in ends)
+        v0, v4 = disc[0][at], disc[1][at]
+        v1, v2, v3 = (
+            depressed(*(x + f * (y - x) for x, y in zip(lo_c, hi_c)))[3] for f in (0.25, 0.5, 0.75)
+        )
+        t2, t1, t0 = (x[at] for x in sizes)
+        p_hat, q_hat = t1 + t2 * t2 / 3.0, t0 + t2 * (t1 / 3.0 + 2.0 * t2 * t2 / 27.0)
+        lower = functools.reduce(np.minimum, [
+            v0, v4,
+            (-13.0 * v0 + 48.0 * v1 - 36.0 * v2 + 16.0 * v3 - 3.0 * v4) / 12.0,
+            (13.0 * v0 - 64.0 * v1 + 120.0 * v2 - 64.0 * v3 + 13.0 * v4) / 18.0,
+            (-3.0 * v0 + 16.0 * v1 - 36.0 * v2 + 48.0 * v3 - 13.0 * v4) / 12.0,
+        ]) - 1e-10 * (0.25 * q_hat * q_hat + (p_hat / 3.0) ** 3)
+        R = 1.0 + functools.reduce(np.maximum, [abs(x) for x in (*lo_c, *hi_c)])
+        R += 1e-12 * functools.reduce(np.maximum, [t2, t1, t0])
+        R_sq, s_sq = R * R, s_sq[at]
+        pair[at] = 27.0 * lower > 64.0 * R_sq * R_sq * s_sq * (s_sq + R)
+    return confined.reshape(shape), real_root.reshape(shape), pair.reshape(shape)
+
+
 def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) -> np.ndarray:
     """Cell codes 'C'/'U'/'B' on the loop at omega = 1, indexed [alpha0, alpha].
 
-    Cells go through ``_loop_codes`` in tiles of at most _CHUNK_CELLS: as many
-    whole rows as fit, or one row split into _CHUNK_CELLS-wide pieces, so the
-    mu-cubic's alpha0 terms are a column and b^2 a row. One thread per usable
-    CPU; NumPy releases the interpreter lock in the heavy calls.
+    Each row is cut into blocks of _BLOCK_COLUMNS columns, and each block is
+    first tried whole by ``_certify_blocks`` on the hull of its cells' b^2,
+    so unsorted or repeated alphas stay covered. The block stage runs on
+    tiles of whole rows holding at most _CHUNK_CELLS blocks (one row's blocks
+    split into pieces when they are more), as (row x block) arrays; a decided
+    block writes its code into its cells. The cells of the undecided blocks
+    go through ``_loop_codes`` in pieces of at most _CHUNK_CELLS cells, so
+    every code is the eigenvalue rule's and no per-cell array spans a tile.
+    One thread per usable CPU; NumPy releases the interpreter lock in the
+    heavy calls.
     """
     codes = np.empty((len(alpha0s), len(alphas)), dtype="<U1")
-    width = min(len(alphas), _CHUNK_CELLS)
+    b, b0 = np.abs(alphas), np.abs(alpha0s)
+    cols = len(b)
+    starts = np.arange(0, cols, _BLOCK_COLUMNS)
+    b_lo, b_hi = np.minimum.reduceat(b, starts), np.maximum.reduceat(b, starts)
+    width = min(len(starts), _CHUNK_CELLS)
     height = max(1, _CHUNK_CELLS // width)
 
     def work(corner):
-        i, j = corner
-        codes[i : i + height, j : j + width] = _loop_codes(
-            alphas[None, j : j + width], alpha0s[i : i + height, None], 1.0, gap_floor
+        i, k = corner
+        blocks = slice(k, k + width)
+        confined, real_root, pair = _certify_blocks(
+            b_lo[None, blocks], b_hi[None, blocks], b0[i : i + height, None], gap_floor
         )
+        undecided = ~(confined | real_root | pair)
+        block = np.where(confined, "C", "U")
+        rows, n = block.shape
+        first = k * _BLOCK_COLUMNS
+        full = min(n, (cols - first) // _BLOCK_COLUMNS)  # blocks of _BLOCK_COLUMNS cells
+        last = first + full * _BLOCK_COLUMNS
+        cells = codes[i : i + rows, first:last].reshape(rows, full, _BLOCK_COLUMNS)  # a view
+        cells[...] = block[:, :full, None]
+        # the last block of a row, when it is short (else an empty slice)
+        codes[i : i + rows, last : first + n * _BLOCK_COLUMNS] = block[:, full:]
+        # the undecided blocks of each width as a (block, column) grid, in pieces
+        for kind, span in ((slice(0, full), _BLOCK_COLUMNS), (slice(full, n), cols - last)):
+            row, start = np.nonzero(undecided[:, kind])
+            if not len(row):
+                continue
+            row, start = row + i, first + (start + kind.start) * _BLOCK_COLUMNS
+            across = min(span, _CHUNK_CELLS)
+            down = max(1, _CHUNK_CELLS // across)
+            for a, j in itertools.product(range(0, len(row), down), range(0, span, across)):
+                r = row[a : a + down, None]
+                c = start[a : a + down, None] + np.arange(j, min(j + across, span))
+                codes[r, c] = _loop_codes(b[c], b0[r], 1.0, gap_floor)
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    corners = itertools.product(range(0, len(alpha0s), height), range(0, len(alphas), width))
+    corners = itertools.product(range(0, len(alpha0s), height), range(0, len(starts), width))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(work, corners):
             pass

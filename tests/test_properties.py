@@ -21,6 +21,7 @@ import dataclasses
 import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_zero_mode_rows_classify_alike_under_transpose(alpha, alpha0):
     assert classify(L).classification == classify(L.T).classification
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no rule for det S == 0 yet")
+def test_zero_mode_row_window_classifies_alike_under_transpose():
+    # on alpha0 = 3/2 a slow mode sits beside the zero pair (c1 -> 0 at
+    # alpha^2 = 0.8), and eig splits the pair above the gap tolerance for
+    # Lambda or for Lambda^T alone: 349 of these 4,501 alpha disagree
+    disagree = 0
+    for alpha in np.linspace(0.8940, 0.89445, 4501).tolist():
+        L = J6 @ build_G(SystemParams.penning_loop(b0=1.5, b=alpha, omega=1.0)).S
+        disagree += classify(L).classification != classify(L.T).classification
+    assert disagree == 0
+
+
 def _eig_only_grid(alphas, alpha0s, gap_floor):
     """The grid classifier before cubic certification: every cell through
     the batched eigensolver and the reference predicates."""
@@ -460,6 +473,21 @@ def test_loop_code_edge_points_meet_their_edges():
     assert p_m_and_argument(TRIPLE_ROOT)[0] == 0.0
 
 
+def _disc_roots(alpha0):
+    """The alpha in [0, 10] where disc changes sign along the row alpha0 at
+    omega = 1 (between 2,001 samples), each bisected 60 times to its last
+    alpha on the side of the sample below it."""
+    alphas = np.linspace(0.0, 10.0, 2001)
+    real = _depressed_cubic(alphas, alpha0, 1.0)[2] <= 0.0
+    flip = np.flatnonzero(real[1:] != real[:-1])
+    lo, hi = alphas[flip], alphas[flip + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        same = (_depressed_cubic(mid, alpha0, 1.0)[2] <= 0.0) == real[flip]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return lo
+
+
 #: A signed offset in alpha of at most 1e-6, down to 1e-12, or none.
 disc_root_offsets = st.one_of(
     st.just(0.0),
@@ -482,15 +510,8 @@ def test_split_certificate_decides_as_eig(alpha0, offsets, zero_mode_alphas, gap
     # zero-mode rows alpha0 = 3/4 and 3/2, each cell it certifies gets the
     # eigenvalue rule's code, no cell gets two certificates, and the masks
     # are the unsplit form's
-    alphas = np.linspace(0.0, 10.0, 2001)
-    real = _depressed_cubic(alphas, alpha0, 1.0)[2] <= 0.0
-    flip = np.flatnonzero(real[1:] != real[:-1])
-    assume(len(flip))
-    lo, hi = alphas[flip], alphas[flip + 1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        same = (_depressed_cubic(mid, alpha0, 1.0)[2] <= 0.0) == real[flip]
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    lo = _disc_roots(alpha0)
+    assume(len(lo))
     n = len(zero_mode_alphas)
     b = np.concatenate([np.abs(np.add.outer(lo, offsets)).ravel(), zero_mode_alphas * 2])
     b0 = np.concatenate([np.full(b.size - 2 * n, alpha0), np.repeat([0.75, 1.5], n)])
@@ -517,6 +538,154 @@ def test_split_certificate_masks_equal_the_unsplit_form(grid):
         masks = sweep._certify_cells(*cubic, gap_floor)
         reference = numpy_reference.certify_cells(*cubic, gap_floor)
         assert all(np.array_equal(got, want) for got, want in zip(masks, reference))
+
+
+@st.composite
+def block_grids(draw):
+    """(alphas, alpha0s): sorted alphas of 1 to 200 columns (31, 32 and 33
+    among them) over [0, 3], [0, 10] or [0, 1e4] against up to four rows of
+    that window or the zero-mode rows; or the unsorted, repeated short axes
+    of ``grid_axis``."""
+    if draw(st.booleans()):
+        return np.array(draw(grid_axis)), np.array(draw(grid_axis))
+    top = draw(st.sampled_from([3.0, 10.0, 1e4]))
+    width = draw(st.one_of(st.sampled_from([1, 2, 31, 32, 33]), st.integers(1, 200)))
+    lo = draw(st.floats(0.0, top))
+    hi = draw(st.floats(lo, top))
+    rows = st.one_of(st.floats(0.0, top), st.sampled_from([0.75, 1.5]))
+    return np.linspace(lo, hi, width), np.array(draw(st.lists(rows, min_size=1, max_size=4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    grid=block_grids(),
+    gap_floor=st.sampled_from([0.0, 0.005, 0.02]),
+    chunk_cells=st.sampled_from([1, 5, 7, 30, sweep._CHUNK_CELLS]),
+)
+@example(grid=(np.array([0.1, 3.0, 0.2]), np.array([0.2])), gap_floor=0.0,
+         chunk_cells=sweep._CHUNK_CELLS)
+def test_block_stage_gives_the_loop_codes(grid, gap_floor, chunk_cells):
+    # a block is decided on the hull of its cells' b^2 (in the example the
+    # end cells 0.1 and 0.2 of the row 0.2 are Confined and the cell between
+    # them Unconfined), its code fills its cells, and the cells of undecided
+    # blocks go through _loop_codes, in tiles and pieces of every size
+    alphas, alpha0s = grid
+    b0, b = (x.ravel() for x in np.meshgrid(alpha0s, alphas, indexing="ij"))
+    want = _loop_codes(b, b0, 1.0, gap_floor).reshape(len(alpha0s), len(alphas))
+    with mock.patch.object(sweep, "_CHUNK_CELLS", chunk_cells):
+        codes = _classify_grid(alphas, alpha0s, gap_floor)
+    assert codes.tolist() == want.tolist()
+
+
+def _separation(alpha, alpha0):
+    """min(w0, w1 - w0, w2 - w1) and ||S||_F of a loop point at omega = 1,
+    from np.roots of its mu-cubic; None unless its three mu are real and
+    negative."""
+    c2, c1, c0, scale = sweep._loop_cubic(alpha, alpha0, 1.0, math.sqrt)
+    mu = np.roots([1.0, c2, c1, c0])
+    if np.iscomplexobj(mu) or mu.max() >= 0.0:
+        return None
+    w = np.sort(np.sqrt(-mu))
+    return min(w[0], w[1] - w[0], w[2] - w[1]), scale
+
+
+def _scale_edge(alpha0):
+    """The alpha in [50, 1e5] where the smallest gap of the row alpha0 (a row
+    in [0.36, 0.74], Confined out to alpha = 1e3) falls to GAP_FACTOR
+    (1 + ||S||_F), bisected 60 times to its Confined side."""
+    def clears(alpha):
+        found = _separation(alpha, alpha0)
+        return found is not None and found[0] > GAP_FACTOR * (1.0 + found[1])
+
+    lo, hi = 50.0, 1e5
+    assert clears(lo) and not clears(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if clears(mid) else (lo, mid)
+    return lo
+
+
+#: A block end's signed offset from its anchor, relative to the anchor.
+block_offsets = st.one_of(
+    st.just(0.0),
+    st.builds(operator.mul, st.sampled_from([-1.0, 1.0]),
+              st.floats(-9.0, 0.0).map(lambda e: 10.0**e)),
+)
+
+
+@st.composite
+def edge_blocks(draw):
+    """(alphas, alpha0, gap_floor): the cells of one block of a row at
+    omega = 1 (its two ends and up to six between), each end at a relative
+    offset from an anchor where a certificate's test turns: a sign change of
+    disc or of c0 (within 1e-6 in alpha), the smallest gap meeting gap_floor
+    or GAP_FACTOR (1 + ||S||_F), or anywhere. So a block straddles its
+    anchor, or lies beside it, from 1e-9 of the anchor to as far again."""
+    kind = draw(st.sampled_from(["disc", "c0", "floor", "scale", "free"]))
+    alpha0 = draw(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.75, 1.5])))
+    gap_floor = draw(st.sampled_from([0.0, 0.005, 0.02]))
+    anchor = draw(st.floats(0.0, 10.0))
+    if kind == "disc":
+        roots = _disc_roots(alpha0).tolist()
+        if roots:
+            anchor = abs(draw(st.sampled_from(roots)) + draw(disc_root_offsets))
+    elif kind == "c0":  # c0 = p (p r - B) changes sign at B = p r where p > 0
+        alpha0 = draw(st.floats(0.75, 1.5))
+        s = alpha0 * alpha0 / 9.0
+        p = s - (1.0 - alpha0) ** 2
+        anchor = abs(math.sqrt(max(p * 16.0 * s, 0.0)) + draw(disc_root_offsets))
+    elif kind == "floor":
+        found = _separation(anchor, alpha0)
+        if found is not None:
+            gap_floor = found[0] * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    elif kind == "scale":
+        alpha0, gap_floor = draw(st.floats(0.36, 0.74)), 0.0
+        anchor = _scale_edge(alpha0) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    lo, hi = sorted(anchor * (1.0 + draw(block_offsets)) for _ in range(2))
+    between = draw(st.lists(st.floats(lo, hi), max_size=6))
+    return np.array([lo, hi, *between]), alpha0, gap_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=edge_blocks())
+@example(block=(np.array([100.0, 1400.0]), 0.5, 0.0))
+@example(block=(np.array([0.18814231545536353]), 0.8, 0.0))
+def test_block_certificates_decide_as_eig(block):
+    # each certificate of _certify_blocks gives every cell of the block the
+    # eigenvalue rule's class: next to sign changes of disc and c0, where
+    # roots meet or cross zero, and at the edges of the gap tolerance. The
+    # first example reaches from alpha = 100 across the row's GAP_FACTOR
+    # (1 + ||S||_F) edge near alpha = 1319, where ||S||_F grows 200-fold; in
+    # the second, 1e-11 past c0's sign change, the cubic's positive root
+    # lies below slack^2 and eig sees no real pair beyond the tolerance
+    alphas, alpha0, gap_floor = block
+    masks = sweep._certify_blocks(alphas.min(keepdims=True), alphas.max(keepdims=True),
+                                  np.array([alpha0]), gap_floor)
+    b0 = np.full(alphas.shape, alpha0)
+    S = _generator(alphas, b0, 1.0, PenningQuadrupole(4.0 * b0 / 3.0).curvatures(), alphas.shape)
+    codes = set(sweep._eig_classes(S, gap_floor)[2].tolist())
+    for mask, code in zip(masks, "CUU"):
+        if mask.item():
+            assert codes == {code}
+
+
+def test_block_certificates_each_decide_the_default_map():
+    # on the default map's blocks each certificate decides a share of its own
+    # (about 31% Confined, 21% by a real root, 29% by a complex pair) and no
+    # block gets both codes
+    grid = sweep.GridSpec()
+    gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
+    starts = np.arange(0, grid.alphas.size, sweep._BLOCK_COLUMNS)
+    b_lo, b_hi = np.minimum.reduceat(grid.alphas, starts), np.maximum.reduceat(grid.alphas, starts)
+    widths = np.diff(starts, append=grid.alphas.size)
+    confined, real_root, pair = sweep._certify_blocks(
+        b_lo[None, :], b_hi[None, :], grid.alpha0s[:, None], gap_floor
+    )
+    shares = [(mask @ widths).sum() / (grid.alphas.size * grid.alpha0s.size)
+              for mask in (confined, real_root, pair)]
+    assert min(shares) > 0.15
+    assert sum(shares) > 0.75
+    assert not (confined & (real_root | pair)).any()
 
 
 def test_loop_code_falls_back_to_eig_inside_the_uncertified_band(monkeypatch):

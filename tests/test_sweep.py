@@ -516,6 +516,26 @@ def test_loop_codes_row_piece_memory_per_cell():
     assert _tile_peak_per_cell(grid, alphas, alpha0s) < 450
 
 
+def test_classify_grid_tile_memory_per_cell():
+    # a tile of the block stage is whole rows holding at most _CHUNK_CELLS
+    # blocks (431 rows of the default map's 19 blocks), worked as
+    # (row x block) arrays, and the cells of its undecided blocks go through
+    # _loop_codes in pieces of at most _CHUNK_CELLS; about 13 B per cell of
+    # the tile measured, the codes included
+    grid = GridSpec()
+    gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
+    rows = sweep._CHUNK_CELLS // -(-grid.alphas.size // sweep._BLOCK_COLUMNS)
+    alpha0s = grid.alpha0s[:rows]
+    tracemalloc.start()
+    try:
+        _classify_grid(grid.alphas, alpha0s, gap_floor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 431
+    assert peak / (rows * grid.alphas.size) < 450
+
+
 @pytest.mark.parametrize("chunk_cells", [1, 5, 7, 30])
 def test_grid_tiles_cover_every_cell(monkeypatch, chunk_cells):
     # 1, 5 and 7 split each 11-cell row into capped-width pieces; 30 takes
