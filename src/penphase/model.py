@@ -250,7 +250,7 @@ def _mu_cubic(S: np.ndarray):
     c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
     2x2 minors of M; M01 = M12 = 0. Every operation is a polynomial in the
     entries, so a complex S gives the analytic continuation. Caller:
-    ``phases._dmodes_implicit``, on its complex omega-step; loop points take
+    ``phases._omega_cubic``, on its complex omega-step; loop points take
     its closed form ``sweep._loop_cubic``.
     """
     g0, g2 = S[..., 2, 4], S[..., 1, 3]

@@ -181,21 +181,40 @@ def _dmodes_perturbative(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return -_forms(_SL3, V).real / _forms(J6, V).imag
 
 
-def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Implicit differentiation of the mu-cubic q(mu, omega) = 0 at mu = -w^2.
+#: The complex omega-step of ``_omega_cubic``.
+_STEP = 1e-20
 
-    The coefficients of ``model._mu_cubic`` are real polynomials in omega
-    and S(omega + d) = S - d * S_L3, so one complex step d = i h gives their
-    omega-derivatives exact to rounding; dw/domega = q_omega / (2 w q_mu).
-    Over a stack S of shape (..., 6, 6) with freqs of shape (..., m); a NaN
-    frequency gives a NaN derivative.
+
+def _omega_cubic(S: np.ndarray):
+    """The mu-cubic's coefficients (c2, c1, c0) of ``model._mu_cubic`` at the
+    complex step S(omega + i h) = S - i h S_L3, h = _STEP, over a stack S of
+    shape (..., 6, 6).
+
+    The coefficients are real polynomials in omega, so their real parts are
+    the coefficients at S (the step enters them as h^2, below rounding) and
+    their imaginary parts over h their omega-derivatives, exact to rounding.
     """
-    h = 1e-20
-    c2, c1, c0 = (c[..., None] for c in _mu_cubic(S - 1j * h * _SL3))
+    return _mu_cubic(S - 1j * _STEP * _SL3)
+
+
+def _dmodes_cubic(cubic, freqs: np.ndarray) -> np.ndarray:
+    """Implicit differentiation of the mu-cubic q(mu, omega) = 0 at mu = -w^2:
+    dw/domega = q_omega / (2 w q_mu), from ``_omega_cubic``'s coefficients of
+    shape (...) and freqs of shape (..., m); a NaN frequency gives a NaN
+    derivative."""
+    c2, c1, c0 = (c[..., None] for c in cubic)
     mu = -freqs * freqs
-    dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / h
+    dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / _STEP
     dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real
     return dq_domega / (2.0 * freqs * dq_dmu)
+
+
+def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """The implicit derivative route over a stack S of shape (..., 6, 6) with
+    freqs of shape (..., m): ``_dmodes_cubic`` of ``_omega_cubic(S)``. The
+    Fig. 2 curves (``sweep.curve_fig2``) evaluate the cubic once and read
+    both the certificate's coefficients and the derivatives from it."""
+    return _dmodes_cubic(_omega_cubic(S), freqs)
 
 
 def _dmodes_finite_diff(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:

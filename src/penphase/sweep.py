@@ -32,8 +32,11 @@ tolerance (gap_floor 0, under which no point is certified Boundary), with
 the eigenvalue rule on the one 6x6 it leaves undecided; their confined test
 is its code 'C'. ``refine_boundary`` classifies each point of its scan once:
 its first halvings land on pre-scan samples and read their codes.
-The Fig. 2 curves take their classes from one batched eigensolve and their
-derivatives from one implicit mu-cubic call; no scan builds normal modes.
+The Fig. 2 curves evaluate one complex-step mu-cubic over all their k: its
+real parts certify the rows past the collision, whose one stable mode takes
+its frequency from Cardano's real root (``_survivors``), and only the other
+rows go through the batched eigensolve; its imaginary parts give every
+row's derivatives. No scan builds normal modes.
 The grid tries each block of _BLOCK_COLUMNS cells of a row whole before its
 cells (``_certify_blocks``): along a row the cubic's coefficients are affine
 in b^2, so the cubic's sign at a fixed mu over a block follows from the
@@ -55,6 +58,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -65,7 +69,7 @@ import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
 from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
-from .phases import _dmodes_implicit, cos_theta
+from .phases import _dmodes_cubic, _omega_cubic
 from .spectral import _gap_tol, _rule, _simple_imaginary
 
 __all__ = [
@@ -648,6 +652,15 @@ def sweep_fig1(
         spec, extended = grown, True
 
 
+def _finite(tol) -> bool:
+    """math.isfinite of a scan tolerance; a tolerance that is not a real
+    number (a string, a complex) raises DomainError. A float skips the ABC
+    check, which costs about 0.4 us."""
+    if type(tol) is not float and not isinstance(tol, numbers.Real):
+        raise DomainError(f"tolerance must be a real number, got {tol!r}")
+    return math.isfinite(tol)
+
+
 def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
     """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, one midpoint
     0.5 * (lo + hi) and one confined_at call per halving, keeping
@@ -690,7 +703,7 @@ def refine_boundary(
     found. (Points are told apart by s, so a segment across an axis classifies
     a point and its mirror image both.)
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if not (_finite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     try:
         (a, a0), (b, b0) = ((float(x), float(y)) for x, y in (p_confined, p_unconfined))
@@ -742,7 +755,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     max(1, ceil(log2(range / tol))) times by ``_bisect``, each k classified by
     ``_loop_code``.
     """
-    if not math.isfinite(tol):
+    if not _finite(tol):
         raise DomainError(f"tolerance must be finite, got {tol}")
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")
@@ -783,6 +796,54 @@ class CurveTable:
             stream.write(",".join(cells) + "\n")
 
 
+def _survivors(c2, c1, c0, scale) -> np.ndarray:
+    """Frequency w = sqrt(-mu_r) of the one stable mode of each row whose
+    mu-cubic certifies it, NaN elsewhere; from same-shaped arrays of the
+    cubic's coefficients and of the rows' ||S||_F.
+
+    A row is certified where the cubic has a complex pair (disc > 0) and,
+    with tau = _gap_tol(||S||_F) and slack = 1e-6 (1 + ||S||_F) as in
+    ``_certify_cells``, Cardano's roots give pair^2 > (tau + slack)^2 and
+    -mu_r > (tau + slack)^2. Here mu_r = u + v - shift is the real root and
+    pair^2 = (|mu| + x) / 2 the squared real part of the eigenvalues
+    lambda = +-(a +- i b) whose squares are the pair mu = x +- i y.
+    Rounding moves the computed (Re lambda)^2 by about eps ||S||_F^2 (for
+    x < 0 the sum cancels, but its error, about eps |x|, stays far below
+    slack^2), and eig moves an eigenvalue by at most about sqrt(eps)
+    ||Lambda||_F, at a Jordan block too; ||Lambda||_F = ||S||_F, the
+    rows' scale here, so both stay far below the slack. So:
+
+    - the pair's four eigenvalues have |Re lambda| = a > tau + slack, and
+      eig's stay beyond tau: the eigenvalue rule calls the row Unconfined
+      (stable23 False), and none of the four is a simple imaginary mode;
+    - the real root gives lambda = +-i w with w > tau + slack: eig's Re
+      stays within tau, its Im beyond tau, and its distance to every other
+      eigenvalue is at least min(2 w, a) > tau, so it is the one simple
+      imaginary mode with Im > 0, the survivor that ``_simple_imaginary``
+      would pick, to rounding.
+
+    Rows within the slack of either bound, with three real roots, or whose
+    roots come out NaN are left uncertified.
+    """
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    half_q, third_p = 0.5 * q, p / 3.0
+    disc = half_q * half_q + third_p * third_p * third_p
+    w = np.full(disc.shape, np.nan)
+    at = np.flatnonzero(disc > 0.0)
+    shift, p, q, disc, scale = (x[at] for x in (shift, p, q, disc, scale))
+    u = np.cbrt(-(0.5 * q) - np.copysign(np.sqrt(disc), q))  # u != 0
+    v = -p / (3.0 * u)
+    x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
+    mu_r, pair_sq = u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x)
+    edge = _gap_tol(scale) + 1e-6 * (1.0 + scale)
+    edge *= edge
+    certified = (pair_sq > edge) & (-mu_r > edge)
+    w[at[certified]] = np.sqrt(-mu_r[certified])
+    return w
+
+
 def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning") -> CurveTable:
     """Derivative curves at omega = 0 on the k-grid (default [0.01, 1.0], 500 points).
 
@@ -790,13 +851,29 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
     loop binding, modes 2 and 3 exist only below the critical ratio; their
     columns are absent (never fabricated) beyond it, and dw1 follows the
     fastest mode that stays simple and purely imaginary. The oscillator
-    binding keeps all three modes for every k. All k share one generator
-    stack, one batched eigensolve and one implicit mu-cubic derivative.
+    binding keeps all three modes for every k.
+
+    All k share one generator stack and one complex-step mu-cubic
+    (``phases._omega_cubic``): its real parts certify the rows with one
+    stable mode (``_survivors``), which take that mode's frequency from
+    Cardano's real root, and its imaginary parts give every row's
+    derivatives. Only the other rows go through the batched eigensolve: the
+    eigenvalue rule gives their class, a Confined row's three frequencies
+    are its eigenvalues' positive imaginary parts, and any other row's dw1
+    follows its fastest simple imaginary mode. eig gives each matrix the
+    same bits in any stack, so those rows' frequencies do not depend on
+    which rows were certified.
     """
     if k_grid is None:
         ks = np.linspace(0.01, 1.0, 500)
     else:
-        ks = np.asarray(list(k_grid), dtype=float)
+        try:
+            ks = np.asarray(list(k_grid))
+            if ks.dtype.kind in "cSU":  # complex numbers or strings
+                raise TypeError
+            ks = ks.astype(float, copy=False)
+        except (TypeError, ValueError):
+            raise DomainError("k grid must be a sequence of real numbers") from None
         if ks.ndim != 1 or len(ks) == 0:
             raise DomainError("k grid must be a non-empty 1-D sequence")
         _check_range("k grid", ks)
@@ -808,14 +885,20 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
         raise DomainError(f"unknown binding kind {binding!r}")
     curvatures = BINDINGS[binding](4.0 / 3.0).curvatures()
     S = _generator(ks, 1.0, 0.0, curvatures, ks.shape)
-    ev, scale, codes = _eig_classes(S)
-    stable23 = codes == "C"
-    survivor = np.where(_simple_imaginary(ev, scale), ev.imag, 0.0).max(axis=-1)
+    cubic = _omega_cubic(S)
     freqs = np.full((len(ks), 3), np.nan)
-    # the three positive frequencies, descending
-    freqs[stable23] = np.sort(ev[stable23].imag, axis=-1)[:, :2:-1]
-    alone = ~stable23 & (survivor > 0)
-    freqs[alone, 0] = survivor[alone]
-    dw = _dmodes_implicit(S, freqs)
-    ct = np.array([cos_theta(k) for k in ks])
-    return CurveTable(k=ks, cos_theta=ct, dw=dw, stable23=stable23)
+    freqs[:, 0] = _survivors(*(c.real for c in cubic), np.sqrt((S * S).sum(axis=(-2, -1))))
+    stable23 = np.zeros(len(ks), dtype=bool)
+    rest = np.flatnonzero(np.isnan(freqs[:, 0]))
+    if len(rest):
+        ev, scale, codes = _eig_classes(S[rest])
+        confined = codes == "C"
+        # the three positive frequencies, descending
+        freqs[rest[confined]] = np.sort(ev[confined].imag, axis=-1)[:, :2:-1]
+        stable23[rest] = confined
+        if not confined.all():
+            ev, scale, loose = ev[~confined], scale[~confined], rest[~confined]
+            survivor = np.where(_simple_imaginary(ev, scale), ev.imag, 0.0).max(axis=-1)
+            freqs[loose[survivor > 0], 0] = survivor[survivor > 0]
+    dw = _dmodes_cubic(cubic, freqs)
+    return CurveTable(k=ks, cos_theta=1.0 / np.sqrt(1.0 + ks * ks), dw=dw, stable23=stable23)

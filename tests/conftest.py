@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,10 @@ SEED = 20260810
 # order in the frequency), which gives its Krein sign and its ladder
 # normalisation.
 SLOW_MODE_POINT = (1.4223919813286268, 0.7499999994924763)
+
+#: Critical ratio in closed form: at omega = 0 on the loop, k^2 is the small
+#: positive root of 9 x^3 - 14 x^2 - 119 x + 8.
+K_CR = math.sqrt(min(r.real for r in np.roots([9.0, -14.0, -119.0, 8.0]) if r.real > 0))
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ eigenvalue rule, the occupations and ``resonance_shift``'s pairing. Each must
 give the same bits as the package, or the same error with the same message.
 ``certify_cells`` is the grid certificate before it split the cells on the
 discriminant's sign: both root formulas on every cell, one kept per cell.
+``curve_fig2`` is the Fig. 2 curve with every k through the batched
+eigensolve, its class and frequencies from eig alone.
 
 ``aa_phase`` and ``resonance_shift`` here rebuild a point's record without
 the package's memos: the spectrum from ``classify`` below, the ladder basis
@@ -12,6 +14,7 @@ reports summed with ``np.sum`` over the NumPy occupations.
 """
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,9 +31,17 @@ from penphase import (
     SystemParams,
     normal_mode_basis,
 )
-from penphase.model import _generator
-from penphase.phases import PhaseReport, ResonanceShift, _SL3, _dmodes_implicit, _mode_weights
-from penphase.spectral import _forms, _gap_tol
+from penphase.model import BINDINGS, _check_range, _generator
+from penphase.phases import (
+    PhaseReport,
+    ResonanceShift,
+    _SL3,
+    _dmodes_implicit,
+    _mode_weights,
+    cos_theta,
+)
+from penphase.spectral import _forms, _gap_tol, _simple_imaginary
+from penphase.sweep import CurveTable, _eig_classes
 
 
 def rule(ev, scale, gap_floor=0.0):
@@ -208,3 +219,41 @@ def resonance_shift(params, binding, n, n_prime, delta_omega) -> ResonanceShift:
             f"linear {linear}, exact {exact}"
         )
     return ResonanceShift(omega_p, linear, exact, beta_n, beta_np, delta_omega)
+
+
+def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning") -> CurveTable:
+    """Derivative curves at omega = 0 on the k-grid (default [0.01, 1.0], 500 points).
+
+    `binding` names a kind in ``model.BINDINGS``, built at w0 = 4/3. For the
+    loop binding, modes 2 and 3 exist only below the critical ratio; their
+    columns are absent (never fabricated) beyond it, and dw1 follows the
+    fastest mode that stays simple and purely imaginary. The oscillator
+    binding keeps all three modes for every k. All k share one generator
+    stack, one batched eigensolve and one implicit mu-cubic derivative.
+    """
+    if k_grid is None:
+        ks = np.linspace(0.01, 1.0, 500)
+    else:
+        ks = np.asarray(list(k_grid), dtype=float)
+        if ks.ndim != 1 or len(ks) == 0:
+            raise DomainError("k grid must be a non-empty 1-D sequence")
+        _check_range("k grid", ks)
+        if np.any(ks <= 0):
+            raise DomainError("k grid values must be > 0")
+        if np.any(np.diff(ks) <= 0):
+            raise DomainError("k grid must be strictly increasing")
+    if binding not in BINDINGS:
+        raise DomainError(f"unknown binding kind {binding!r}")
+    curvatures = BINDINGS[binding](4.0 / 3.0).curvatures()
+    S = _generator(ks, 1.0, 0.0, curvatures, ks.shape)
+    ev, scale, codes = _eig_classes(S)
+    stable23 = codes == "C"
+    survivor = np.where(_simple_imaginary(ev, scale), ev.imag, 0.0).max(axis=-1)
+    freqs = np.full((len(ks), 3), np.nan)
+    # the three positive frequencies, descending
+    freqs[stable23] = np.sort(ev[stable23].imag, axis=-1)[:, :2:-1]
+    alone = ~stable23 & (survivor > 0)
+    freqs[alone, 0] = survivor[alone]
+    dw = _dmodes_implicit(S, freqs)
+    ct = np.array([cos_theta(k) for k in ks])
+    return CurveTable(k=ks, cos_theta=ct, dw=dw, stable23=stable23)

@@ -237,8 +237,9 @@ class TestSweepCommands:
             "; window alpha in [0, 10], alpha0 in [12, 20] (auto-extended: true)"
         )
 
+    # the penning rows past the collision take dw1 from the mu-cubic's real root
     @pytest.mark.parametrize("binding, digest", [
-        ("penning", "7b25f72d3a086d377b302e523469789de457b4c7cb1bf8c09f9d8f3ccfb185cd"),
+        ("penning", "62426c46a040765a097e650aa8714c62121a71622533da7b1f8bfee7040d6689"),
         ("oscillator", "7953ac85b63a780814a488a4d7681785a90ae48e27611c401daf2b8c4b250e88"),
     ])
     def test_default_fig2_csv_is_pinned(self, capsys, tmp_path, binding, digest):

@@ -8,8 +8,9 @@ grid classifiers and the batched scan predicate, the scans' one-point loop
 classifier equal to the batched one and certifying the same points, grid
 cells certified from the mu-cubic
 labelled as the eigenvalue rule labels them, with one root formula per cell
-giving the masks of both, the bisection equal to the
-one-halving-per-call loop, the mu-cubic's implicit derivative
+giving the masks of both, the Fig. 2 curves equal to their all-eig reference
+where eig decides a row and within 1e-13 where the mu-cubic certifies it,
+the bisection equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
 equal to the determinant-based one and to the other two derivative routes,
 the perturbative route equal to the dual-basis one, the ladder commutators of
 the normal-mode basis, its agreement with the energy-form coefficients and its
@@ -40,10 +41,10 @@ from penphase import (
     normal_mode_basis,
 )
 import numpy_reference
-from conftest import route_spread
+from conftest import K_CR, route_spread
 from dynamics_oracle import flow_map
 from penphase import sweep
-from penphase.model import _generator, _mu_cubic, build_L3_form
+from penphase.model import BINDINGS, _generator, _mu_cubic, build_L3_form
 from penphase.phases import (
     FockLabel,
     _dmodes_implicit,
@@ -320,11 +321,6 @@ def test_certified_grid_matches_eig_only_rule(window, floored):
     gap_floor = 4.0 * max_step if floored else 0.0
     codes = _classify_grid(alphas, alpha0s, gap_floor)
     assert np.array_equal(codes, _eig_only_grid(alphas, alpha0s, gap_floor))
-
-
-#: Critical ratio in closed form: at omega = 0 on the loop, k^2 is the small
-#: positive root of 9 x^3 - 14 x^2 - 119 x + 8.
-K_CR = math.sqrt(min(r.real for r in np.roots([9.0, -14.0, -119.0, 8.0]) if r.real > 0))
 
 
 @st.composite
@@ -773,6 +769,54 @@ def test_pointwise_margin_certifies_no_boundary(b, b0, omega):
     cubic = sweep._loop_cubic(np.array([b]), np.array([b0]), omega)
     boundary = sweep._certify_cells(*cubic, 0.0)[2]
     assert not boundary.any()
+
+
+#: k for the Fig. 2 curves: anywhere in [1e-4, 5], within 1e-6, 1e-9 or
+#: 1e-12 of the critical ratio, or at 1e-12 and 1e6.
+curve_ks = st.one_of(
+    st.floats(min_value=1e-4, max_value=5.0),
+    st.builds(lambda width, f: K_CR + f * width,
+              st.sampled_from([1e-6, 1e-9, 1e-12]), st.floats(min_value=-1.0, max_value=1.0)),
+    st.sampled_from([1e-12, 1e6]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ks=st.lists(curve_ks, min_size=1, max_size=40, unique=True).map(sorted),
+    binding=st.sampled_from(["penning", "oscillator"]),
+)
+# past the collision, |Re lambda| of the pair between tau and tau + slack
+@example(ks=[K_CR + 1e-12, K_CR + 3e-12, K_CR + 1e-11], binding="penning")
+def test_curve_fig2_matches_the_eig_reference(ks, binding):
+    # the rows sent to eig get the reference's bits; a row kept off eig is
+    # Unconfined with one simple imaginary mode, its other four eigenvalues
+    # (by the reference's eigensolve) half a slack beyond the tolerance, as
+    # the certificate's bound says, and its dw1 from Cardano's root is within
+    # 1e-13 of eig's
+    sent = set()
+    eig_classes = sweep._eig_classes
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sweep, "_eig_classes", lambda S: (
+            sent.update(s.tobytes() for s in S) or eig_classes(S)
+        ))
+        got = sweep.curve_fig2(ks, binding)
+    want = numpy_reference.curve_fig2(ks, binding)
+    assert np.array_equal(got.k, want.k)
+    assert np.array_equal(got.stable23, want.stable23)
+    assert np.array_equal(got.cos_theta, want.cos_theta)
+    assert np.array_equal(np.isnan(got.dw), np.isnan(want.dw))
+    curvatures = BINDINGS[binding](4.0 / 3.0).curvatures()
+    S = _generator(want.k, 1.0, 0.0, curvatures, want.k.shape)
+    kept = np.array([s.tobytes() not in sent for s in S])
+    assert np.array_equal(got.dw[~kept], want.dw[~kept], equal_nan=True)
+    assert not want.stable23[kept].any()
+    dw1, ref = got.dw[kept, 0], want.dw[kept, 0]
+    assert np.all(np.abs(dw1 - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    for s in S[kept]:
+        scale = float(np.linalg.norm(s))
+        re = np.sort(np.abs(np.linalg.eigvals(J6 @ s).real))
+        assert re[1] <= _gap_tol(scale) < re[2] - 0.5e-6 * (1.0 + scale)
 
 
 def _sequential_bisect(confined_at, lo, hi, length, tol):

@@ -55,7 +55,7 @@ STDLIB_ADDED = {
         ),
     },
     "__future__": {}, "argparse": {}, "concurrent.futures": {}, "dataclasses": {},
-    "functools": {}, "json": {},
+    "functools": {}, "json": {}, "numbers": {},
 }
 
 #: Standard-library modules added after Python 3.10.

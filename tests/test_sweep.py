@@ -26,7 +26,7 @@ from penphase import (
     refine_boundary,
     sweep_fig1,
 )
-from conftest import SLOW_MODE_POINT
+from conftest import K_CR, SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
 from penphase.spectral import _gap_tol, _rule
@@ -387,7 +387,9 @@ class TestRefineBoundary:
         mirrored = refine_boundary((-0.3, -0.55), (-0.3, -0.8), tol=1e-9)
         assert mirrored == (-point[0], -point[1])
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+    @pytest.mark.parametrize("tol", [
+        math.nan, math.inf, 0.0, -1e-6, 1e-6j, 1e-6 + 0j, np.complex128(1e-6), "1e-6", None,
+    ])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(DomainError, match="tolerance"):
             refine_boundary((0.3, 0.55), (0.3, 0.8), tol=tol)
@@ -416,7 +418,8 @@ class TestScanKernelCalls:
     """The scans classify one point at a time through ``sweep._loop_code``:
     the grid's batched certificate is never called, a point whose mu-cubic
     roots clear the slack never reaches the eigensolver, and
-    ``refine_boundary`` classifies no point twice."""
+    ``refine_boundary`` classifies no point twice. ``curve_fig2`` sends the
+    eigensolver only the rows its survivor certificate leaves."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -437,6 +440,27 @@ class TestScanKernelCalls:
     def test_find_kcr(self, calls):
         assert find_kcr(tol=1e-7).k_cr == 0.25831293195486066
         assert calls == []
+
+    def test_curve_fig2_past_the_collision(self, calls):
+        # every k of [0.3, 1] has one stable mode, certified by the mu-cubic
+        table = curve_fig2(np.linspace(0.3, 1.0, 16))
+        assert not table.stable23.any()
+        assert calls == []
+
+    def test_curve_fig2_beside_the_collision(self, calls):
+        # 1e-12 past k_cr the pair's |Re lambda| (6.2e-7) lies between tau
+        # (4.3e-7) and tau + slack (4.7e-6), so the row goes to eig
+        table = curve_fig2([K_CR + 1e-12])
+        assert not table.stable23[0] and np.isfinite(table.dw[0, 0])
+        assert calls == ["_eig_classes"]
+
+    def test_curve_fig2_oscillator_sends_every_row(self, monkeypatch):
+        # three real roots on every row: nothing is certified
+        rows = []
+        eig_classes = sweep._eig_classes
+        monkeypatch.setattr(sweep, "_eig_classes", lambda S: rows.append(len(S)) or eig_classes(S))
+        curve_fig2(binding="oscillator")
+        assert rows == [500]
 
     @pytest.mark.parametrize("p0, p1, tol", [
         ((0.3, 0.55), (0.3, 0.8), 1e-6),
@@ -638,6 +662,11 @@ class TestFindKcr:
         with pytest.raises(DomainError, match="finite"):
             find_kcr(tol=tol)
 
+    @pytest.mark.parametrize("tol", ["1e-7", 1e-7 + 0j, np.complex128(1e-7), None])
+    def test_non_real_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tolerance must be a real number"):
+            find_kcr(tol=tol)
+
 
 class TestCurveFig2:
     def test_row_presence_by_stability(self, loop_table):
@@ -704,3 +733,11 @@ class TestCurveFig2:
             curve_fig2([0.1, math.inf])
         with pytest.raises(DomainError):
             curve_fig2([0.1], binding="hexapole")
+
+    @pytest.mark.parametrize("grid", [
+        [0.1 + 1j, 0.2], [0.1 + 0j, 0.2], np.array([0.1, 0.2], dtype=complex),
+        ["a"], ["0.5"], [0.1, "0.2"], 5,
+    ])
+    def test_non_real_grid_rejected(self, grid):
+        with pytest.raises(DomainError, match="k grid must be a sequence of real numbers"):
+            curve_fig2(grid)
