@@ -159,6 +159,8 @@ def _read_config(path: str, command: str, defaults: dict) -> List[str]:
             tokens.append(flag if value == "true" else "--no-" + key.replace("_", "-"))
         elif value != "none":
             tokens.extend([flag, value])
+        elif defaults[key] is not None:  # none stands only for a None default
+            raise DomainError(f"config key {key} cannot be none: its default is {defaults[key]!r}")
     return tokens
 
 

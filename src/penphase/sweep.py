@@ -15,7 +15,10 @@ margin as ``gap_floor`` and the pointwise classifier with none.
 Since Lambda = J S is Hamiltonian, its characteristic polynomial is a cubic
 in mu = lambda^2, and most points are certified Confined, Unconfined or
 (under a grid's margin) Boundary from the closed-form roots of that cubic,
-with a slack far above rounding. On the loop the cubic's coefficients and
+with a slack far above rounding. Each closed form is written once on arrays:
+``_depressed`` (the shifted cubic and its discriminant), ``_trig_roots``
+(three real roots) and ``_cardano`` (a real root and a complex pair); the
+scalar scans keep a copy on floats. On the loop the cubic's coefficients and
 the tolerance scale ||S||_F are each a term in b0 alone plus b^2 times
 another (``_loop_cubic``), so over a grid tile, a column of alpha0 against a
 row of alpha, each costs one to four passes. Only the points the roots leave
@@ -168,6 +171,41 @@ def _loop_cubic(b, b0, omega: float, sqrt=np.sqrt):
     return c2, c1, c0, scale
 
 
+def _depressed(c2, c1, c0):
+    """(shift, p, q, disc) of mu^3 + c2 mu^2 + c1 mu + c0 = t^3 + p t + q,
+    mu = t - shift, with disc = (q / 2)^2 + (p / 3)^3: three real roots where
+    disc <= 0, else a real root and a complex pair. Arrays or floats."""
+    shift = c2 / 3.0
+    p = c1 - c2 * shift
+    q = c0 - shift * (c1 - 2.0 * shift * shift)
+    half_q, third_p = 0.5 * q, p / 3.0
+    return shift, p, q, half_q * half_q + third_p * third_p * third_p
+
+
+def _trig_roots(shift, p, q):
+    """Roots mu0 >= mu1 >= mu2 of a ``_depressed`` cubic with disc <= 0, so
+    w = sqrt(-mu) ascends: m cos(theta - 2 pi j / 3) - shift for j = 0, 1, -1,
+    with theta in [0, pi/3], so sqrt(3) sin(theta) = sqrt(3 (1 - cos^2)) >= 0.
+    NaN where the arccos argument leaves [-1, 1] or p m = 0."""
+    m = 2.0 * np.sqrt(-(p / 3.0))
+    cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)
+    half_m = 0.5 * m
+    mid, side = -half_m * cos - shift, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
+    return m * cos - shift, mid + side, mid - side
+
+
+def _cardano(shift, p, q, disc):
+    """Real root mu_r and pair_sq = a^2 of a ``_depressed`` cubic with
+    disc > 0, whose complex roots are mu = x +- i y = (a +- i b)^2, so
+    a^2 = (|mu| + x) / 2; u != 0, as |q / 2| + sqrt(disc) > 0. For x < 0 that
+    sum cancels, but its error, about eps |x| <= 2e-16 ||S||_F^2, is far below
+    any slack^2, and _MAX_MAGNITUDE keeps x^2 + y^2 finite."""
+    u = np.cbrt(-(0.5 * q) - np.copysign(np.sqrt(disc), q))
+    v = -p / (3.0 * u)
+    x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
+    return u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x)
+
+
 def _certify_cells(
     c2, c1, c0, scale, gap_floor: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,59 +214,39 @@ def _certify_cells(
     and of the cells' ||S||_F, which equals the eigenvalue rule's scale
     ||Lambda||_F.
 
-    The roots mu = lambda^2 come in closed form: trigonometric when all three
-    are real (one cosine; they come out ordered mu0 >= mu1 >= mu2, so the
-    frequencies w = sqrt(-mu) ascend), Cardano's otherwise. The cells are
-    split on the discriminant's sign and each formula runs on its own cells
-    only; elementwise, so each cell's bits are those of the whole tile's
-    pass. With all mu real,
-    the separation min(w1 - w0, w2 - w1, w0) is the smallest gap and |lambda|
-    the eigenvalue rule sees. A cell is certified Confined when the separation
-    clears the gap tolerance by ``slack``; Boundary when it clears the
-    pointwise tolerance by ``slack`` but stays ``slack`` below the grid's
-    ``gap_floor``; Unconfined when some |Re lambda| exceeds ``slack``. The
-    slack dwarfs both the roots' and eig's rounding once every gap clears
-    the pointwise tolerance, so a certified cell gets the class the
-    eigenvalue rule would give it. With gap_floor 0 no cell is certified
-    Boundary. Cells within slack of a tolerance (near a zero mode or a
-    collision) and cells whose roots come out NaN are left uncertified.
+    The roots mu = lambda^2 come in closed form: ``_trig_roots`` when all
+    three are real, ``_cardano`` otherwise. The cells are split on the sign
+    of ``_depressed``'s disc and each formula runs on its own cells only;
+    elementwise, so each cell's bits are those of the whole tile's pass.
+    With all mu real, the separation min(w1 - w0, w2 - w1, w0) is the
+    smallest gap and |lambda| the eigenvalue rule sees. A cell is certified
+    Confined when the separation clears the gap tolerance by ``slack``;
+    Boundary when it clears the pointwise tolerance by ``slack`` but stays
+    ``slack`` below the grid's ``gap_floor``; Unconfined when some
+    (Re lambda)^2 (the largest real mu, or ``_cardano``'s mu_r or pair_sq)
+    exceeds ``slack``^2. The slack dwarfs both the roots' and eig's rounding
+    once every gap clears the pointwise tolerance, so a certified cell gets
+    the class the eigenvalue rule would give it. With gap_floor 0 no cell is
+    certified Boundary. Cells within slack of a tolerance (near a zero mode
+    or a collision) and cells whose roots come out NaN are left uncertified.
     ``_loop_code`` applies the same certificates to one point on floats.
     """
-    shift = c2 / 3.0
-    p = c1 - c2 * shift
-    q = c0 - shift * (c1 - 2.0 * shift * shift)
-    half_q, third_p = 0.5 * q, p / 3.0
-    disc = half_q * half_q + third_p * third_p * third_p
-    real = disc <= 0.0
+    cubic = _depressed(c2, c1, c0)
+    real = cubic[3] <= 0.0
     confined, unconfined, boundary = (np.zeros(real.shape, dtype=bool) for _ in range(3))
-    # (Re lambda)^2 is the largest real mu or, for the complex pair
-    # mu = x +- iy, (|mu| + x) / 2; for x < 0 the sum cancels, but its error,
-    # about eps |x| <= 2e-16 scale^2, is far below slack^2, and
-    # _MAX_MAGNITUDE keeps x^2 + y^2 finite
     with np.errstate(invalid="ignore", divide="ignore"):
-        shift_r, p_r, q_r, scale_r = (a[real] for a in (shift, p, q, scale))
+        scale_r = scale[real]
         slack = 1e-6 * (1.0 + scale_r)
-        m = 2.0 * np.sqrt(-(p_r / 3.0))
-        # theta in [0, pi/3], so sqrt(3) sin(theta) = sqrt(3 (1 - cos^2)) >= 0
-        cos = np.cos(np.arccos(3.0 * q_r / (p_r * m)) / 3.0)
-        half_m = 0.5 * m
-        mid, side = -half_m * cos - shift_r, half_m * np.sqrt(3.0 * (1.0 - cos * cos))
-        mu0 = m * cos - shift_r
+        mu0, mu1, mu2 = _trig_roots(*(a[real] for a in cubic[:3]))
         unconfined[real] = mu0 > slack * slack
-        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mid + side, mid - side))
+        w0, w1, w2 = (np.sqrt(np.maximum(-mu, 0.0)) for mu in (mu0, mu1, mu2))
         separation = np.minimum(np.minimum(w1 - w0, w2 - w1), w0)
         tau = _gap_tol(scale_r, gap_floor)
         confined[real] = separation > tau + slack
         boundary[real] = (separation > _gap_tol(scale_r) + slack) & (separation < tau - slack)
-        # a complex pair (or NaN roots): Cardano's root, u != 0
-        rest = ~real
-        shift_c, p_c, q_c, disc_c, scale_c = (a[rest] for a in (shift, p, q, disc, scale))
-        slack = 1e-6 * (1.0 + scale_c)
-        u = np.cbrt(-(0.5 * q_c) - np.copysign(np.sqrt(disc_c), q_c))
-        v = -p_c / (3.0 * u)
-        x, y = -0.5 * (u + v) - shift_c, 0.5 * math.sqrt(3.0) * (u - v)
-        re_squared = np.maximum(u + v - shift_c, 0.5 * (np.sqrt(x * x + y * y) + x))
-        unconfined[rest] = re_squared > slack * slack
+        rest = ~real  # a complex pair (or NaN roots)
+        slack = 1e-6 * (1.0 + scale[rest])
+        unconfined[rest] = np.maximum(*_cardano(*(a[rest] for a in cubic))) > slack * slack
     return confined, unconfined, boundary
 
 
@@ -329,12 +347,12 @@ def _certify_blocks(b_lo, b_hi, b0, gap_floor: float):
     On a row, ``_loop_cubic``'s c2, c1 and c0 are affine in B, so at a fixed
     mu the cubic q(mu) = mu^3 + c2 mu^2 + c1 mu + c0 is affine in B, and its
     sign at both ends of the block is its sign over the block; the
-    discriminant D = (Q/2)^2 + (P/3)^3 of the depressed cubic is a quartic in
+    discriminant D = (Q/2)^2 + (P/3)^3 of ``_depressed`` is a quartic in
     B. ||S||_F grows with B >= 0, so the tolerances are taken at the upper
     end: tau = _gap_tol(||S||, gap_floor) and slack = 1e-6 (1 + ||S||) there
     are at least each cell's own.
 
-    - Confined: the end roots (trigonometric, w = sqrt(-mu) ascending) minus
+    - Confined: the end roots (``_trig_roots``, w = sqrt(-mu) ascending) minus
       and plus a quarter of their worst separation give test points
       a0 < b0 < a1 < b1 < a2 < b2 in w. If q(-w^2) has the signs
       +, -, -, +, +, - there at both ends, every cell's cubic has a root in
@@ -390,29 +408,18 @@ def _certify_blocks(b_lo, b_hi, b0, gap_floor: float):
             value = ((mu + c2) * mu + c1) * mu + c0
             return sign * value > 1e-12 * (((x + t[0]) * x + t[1]) * x + t[2])
 
-        def depressed(c2, c1, c0):  # shift, P, Q and D of mu = t - shift
-            shift = c2 / 3.0
-            p = c1 - c2 * shift
-            q = c0 - shift * (c1 - 2.0 * shift * shift)
-            third = p / 3.0
-            return shift, p, q, 0.25 * q * q + third * third * third
-
         lo, hi = ends
         scale = hi[3]
         slack = 1e-6 * (1.0 + scale)
         s_sq = slack * slack
         real_root = beyond(lo, s_sq, -1.0, sizes) & beyond(hi, s_sq, -1.0, sizes)
-        disc = [depressed(*end[:3])[3] for end in ends]
+        disc = [_depressed(*end[:3])[3] for end in ends]
         confined, pair = np.zeros_like(real_root), np.zeros_like(real_root)
 
         # Confined: both ends' roots real, then the intervals and their signs
         at = np.flatnonzero((disc[0] <= 0.0) & (disc[1] <= 0.0) & ~real_root)
-        w = []
-        for shift, p, q, _ in (depressed(*(x[at] for x in end[:3])) for end in ends):
-            m = 2.0 * np.sqrt(-p / 3.0)
-            cos = np.cos(np.arccos(3.0 * q / (p * m)) / 3.0)  # theta in [0, pi/3]
-            mid, side = -0.5 * m * cos - shift, 0.5 * m * np.sqrt(3.0 * (1.0 - cos * cos))
-            w.append([np.sqrt(-mu) for mu in (m * cos - shift, mid + side, mid - side)])
+        w = [[np.sqrt(-mu) for mu in _trig_roots(*_depressed(*(x[at] for x in end[:3]))[:3])]
+             for end in ends]
         gap = functools.reduce(np.minimum, [g for w0, w1, w2 in w for g in (w0, w1 - w0, w2 - w1)])
         inner = [np.minimum(x, y) - 0.25 * gap for x, y in zip(*w)]  # a0, a1, a2
         outer = [np.maximum(x, y) + 0.25 * gap for x, y in zip(*w)]  # b0, b1, b2
@@ -429,7 +436,8 @@ def _certify_blocks(b_lo, b_hi, b0, gap_floor: float):
         lo_c, hi_c = ([x[at] for x in end[:3]] for end in ends)
         v0, v4 = disc[0][at], disc[1][at]
         v1, v2, v3 = (
-            depressed(*(x + f * (y - x) for x, y in zip(lo_c, hi_c)))[3] for f in (0.25, 0.5, 0.75)
+            _depressed(*(x + f * (y - x) for x, y in zip(lo_c, hi_c)))[3]
+            for f in (0.25, 0.5, 0.75)
         )
         t2, t1, t0 = (x[at] for x in sizes)
         p_hat, q_hat = t1 + t2 * t2 / 3.0, t0 + t2 * (t1 / 3.0 + 2.0 * t2 * t2 / 27.0)
@@ -803,15 +811,12 @@ def _survivors(c2, c1, c0, scale) -> np.ndarray:
 
     A row is certified where the cubic has a complex pair (disc > 0) and,
     with tau = _gap_tol(||S||_F) and slack = 1e-6 (1 + ||S||_F) as in
-    ``_certify_cells``, Cardano's roots give pair^2 > (tau + slack)^2 and
-    -mu_r > (tau + slack)^2. Here mu_r = u + v - shift is the real root and
-    pair^2 = (|mu| + x) / 2 the squared real part of the eigenvalues
-    lambda = +-(a +- i b) whose squares are the pair mu = x +- i y.
-    Rounding moves the computed (Re lambda)^2 by about eps ||S||_F^2 (for
-    x < 0 the sum cancels, but its error, about eps |x|, stays far below
-    slack^2), and eig moves an eigenvalue by at most about sqrt(eps)
-    ||Lambda||_F, at a Jordan block too; ||Lambda||_F = ||S||_F, the
-    rows' scale here, so both stay far below the slack. So:
+    ``_certify_cells``, ``_cardano`` gives pair_sq = a^2 > (tau + slack)^2
+    and -mu_r > (tau + slack)^2. Rounding moves the computed (Re lambda)^2
+    by about eps ||S||_F^2 (for x < 0 too, by ``_cardano``), and eig moves
+    an eigenvalue by at most about sqrt(eps) ||Lambda||_F, at a Jordan block
+    too; ||Lambda||_F = ||S||_F, the rows' scale here, so both stay far
+    below the slack. So:
 
     - the pair's four eigenvalues have |Re lambda| = a > tau + slack, and
       eig's stay beyond tau: the eigenvalue rule calls the row Unconfined
@@ -825,21 +830,12 @@ def _survivors(c2, c1, c0, scale) -> np.ndarray:
     Rows within the slack of either bound, with three real roots, or whose
     roots come out NaN are left uncertified.
     """
-    shift = c2 / 3.0
-    p = c1 - c2 * shift
-    q = c0 - shift * (c1 - 2.0 * shift * shift)
-    half_q, third_p = 0.5 * q, p / 3.0
-    disc = half_q * half_q + third_p * third_p * third_p
-    w = np.full(disc.shape, np.nan)
-    at = np.flatnonzero(disc > 0.0)
-    shift, p, q, disc, scale = (x[at] for x in (shift, p, q, disc, scale))
-    u = np.cbrt(-(0.5 * q) - np.copysign(np.sqrt(disc), q))  # u != 0
-    v = -p / (3.0 * u)
-    x, y = -0.5 * (u + v) - shift, 0.5 * math.sqrt(3.0) * (u - v)
-    mu_r, pair_sq = u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x)
-    edge = _gap_tol(scale) + 1e-6 * (1.0 + scale)
-    edge *= edge
+    cubic = _depressed(c2, c1, c0)
+    at = np.flatnonzero(cubic[3] > 0.0)
+    mu_r, pair_sq = _cardano(*(x[at] for x in cubic))
+    edge = np.square(_gap_tol(scale[at]) + 1e-6 * (1.0 + scale[at]))
     certified = (pair_sq > edge) & (-mu_r > edge)
+    w = np.full(cubic[3].shape, np.nan)
     w[at[certified]] = np.sqrt(-mu_r[certified])
     return w
 
@@ -851,12 +847,13 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
     loop binding, modes 2 and 3 exist only below the critical ratio; their
     columns are absent (never fabricated) beyond it, and dw1 follows the
     fastest mode that stays simple and purely imaginary. The oscillator
-    binding keeps all three modes for every k.
+    binding keeps all three modes up to k of about 184.54, where its slow
+    mode, about w0^2 / (2 sqrt(1 + k^2)), falls below the gap tolerance
+    GAP_FACTOR (1 + ||Lambda||_F): the rows beyond are Boundary.
 
     All k share one generator stack and one complex-step mu-cubic
     (``phases._omega_cubic``): its real parts certify the rows with one
-    stable mode (``_survivors``), which take that mode's frequency from
-    Cardano's real root, and its imaginary parts give every row's
+    stable mode (``_survivors``) and its imaginary parts give every row's
     derivatives. Only the other rows go through the batched eigensolve: the
     eigenvalue rule gives their class, a Confined row's three frequencies
     are its eigenvalues' positive imaginary parts, and any other row's dw1

@@ -273,6 +273,28 @@ class TestSweepCommands:
         assert code == 2
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("command, key", [
+        ("find-kcr", "tol"), ("curve-fig2", "points"), ("curve-fig2", "binding"),
+        ("sweep-fig1", "alpha_steps"), ("sweep-fig1", "output"),
+    ])
+    def test_none_for_a_set_default_rejected(self, capsys, tmp_path, command, key):
+        # none stands for a None default only, as the manifests write it;
+        # tol=none once ran find-kcr at its default 1e-7 and exited 0
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(f"{key}=none\n")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert f"config key {key} cannot be none" in err
+        assert stdout == "" and not out.exists()
+
+    def test_none_for_a_none_default_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text("tol=1e-4\noutput=none\n")
+        code, stdout, _ = run(capsys, "find-kcr", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(stdout)["tol"] == 1e-4
+
     def test_config_command_mismatch_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "other.cfg"
         cfg.write_text("command=find-kcr\n")

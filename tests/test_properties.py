@@ -10,9 +10,11 @@ cells certified from the mu-cubic
 labelled as the eigenvalue rule labels them, with one root formula per cell
 giving the masks of both, the Fig. 2 curves equal to their all-eig reference
 where eig decides a row and within 1e-13 where the mu-cubic certifies it,
-the bisection equal to the one-halving-per-call loop, the mu-cubic's implicit derivative
-equal to the determinant-based one and to the other two derivative routes,
-the perturbative route equal to the dual-basis one, the ladder commutators of
+the isotropic binding's frequencies, Krein signs and Fig. 2 curves equal to
+their closed forms, the bisection equal to the one-halving-per-call loop, the
+mu-cubic's implicit derivative equal to the determinant-based one and to
+the other two derivative routes, the perturbative route equal to the
+dual-basis one, the ladder commutators of
 the normal-mode basis, its agreement with the energy-form coefficients and its
 phase convention's indifference to eigenvector phases, the per-mode quadratic
 forms equal to the operator-basis ones, the geometric phases' invariance under
@@ -38,8 +40,10 @@ from penphase import (
     aa_phase,
     build_G,
     classify,
+    dmode_domega,
     normal_mode_basis,
 )
+import closed_forms
 import numpy_reference
 from conftest import K_CR, route_spread
 from dynamics_oracle import flow_map
@@ -425,11 +429,7 @@ def _assert_loop_code_certifies_as_certify_cells(point):
 def _depressed_cubic(b, b0, omega):
     """(p, q, disc) of the loop's mu-cubic shifted to t^3 + p t + q, as
     ``_certify_cells`` and ``_loop_code`` compute them."""
-    c2, c1, c0, _ = sweep._loop_cubic(b, b0, omega)
-    shift = c2 / 3.0
-    p = c1 - c2 * shift
-    q = c0 - shift * (c1 - 2.0 * shift * shift)
-    return p, q, (0.5 * q) * (0.5 * q) + (p / 3.0) * (p / 3.0) * (p / 3.0)
+    return sweep._depressed(*sweep._loop_cubic(b, b0, omega)[:3])[1:]
 
 
 #: Points (b, b0, omega) with a double root (disc == 0) whose arccos
@@ -817,6 +817,41 @@ def test_curve_fig2_matches_the_eig_reference(ks, binding):
         scale = float(np.linalg.norm(s))
         re = np.sort(np.abs(np.linalg.eigvals(J6 @ s).real))
         assert re[1] <= _gap_tol(scale) < re[2] - 0.5e-6 * (1.0 + scale)
+
+
+#: Field ratios up to 150 and isotropic binding frequencies from the loop's
+#: 4/3 up: the slow mode, about w0^2 / (2 sqrt(1 + k^2)), stays above the gap
+#: tolerance, which it meets at k of about 184.54 for w0 = 4/3.
+isotropic_ks = st.floats(min_value=1e-3, max_value=150.0)
+isotropic_w0s = st.floats(min_value=4.0 / 3.0, max_value=10.0)
+
+
+def _assert_close(got, want):
+    want = np.asarray(want)
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=isotropic_ks, w0=isotropic_w0s)
+@example(k=150.0, w0=4.0 / 3.0)
+@example(k=1e-3, w0=4.0 / 3.0)
+def test_isotropic_binding_matches_its_closed_forms(k, w0):
+    # Larmor's theorem: classify's frequencies and Krein signs and the
+    # perturbative derivatives of an isotropic binding at omega = 0
+    params = SystemParams(b=k, b0=1.0, w0=w0, omega=0.0)
+    spectrum = classify(J6 @ build_G(params, IsotropicOscillator(w0)).S)
+    assert spectrum.classification is Classification.CONFINED
+    _assert_close(spectrum.freqs, closed_forms.isotropic_freqs(k, w0))
+    assert spectrum.krein_signs.tolist() == [1, 1, 1]
+    _assert_close(dmode_domega(params, IsotropicOscillator(w0)), closed_forms.isotropic_dw(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ks=st.lists(isotropic_ks, min_size=1, max_size=40, unique=True).map(sorted))
+def test_oscillator_curve_matches_its_closed_form(ks):
+    table = sweep.curve_fig2(ks, binding="oscillator")
+    assert table.stable23.all()
+    _assert_close(table.dw, [closed_forms.isotropic_dw(k) for k in ks])
 
 
 def _sequential_bisect(confined_at, lo, hi, length, tol):

@@ -713,6 +713,26 @@ class TestCurveFig2:
         for col, expected in enumerate((-1.0, 0.0, 1.0)):
             assert np.abs(ratios[:, col] - expected).max() < 1e-8
 
+    def test_oscillator_rows_meet_the_tolerance_edge(self):
+        # the slow mode, about w0^2 / (2 sqrt(1 + k^2)), falls below the gap
+        # tolerance between k = 184.538 and 184.539, and the rows turn Boundary
+        t = curve_fig2([150.0, 184.538, 184.539, 200.0], binding="oscillator")
+        assert t.stable23.tolist() == [True, True, False, False]
+        assert np.isnan(t.dw[2:, 1:]).all() and np.isfinite(t.dw[:, 0]).all()
+
+    def test_loss_of_stability_is_a_krein_collision(self):
+        # below k_cr the modes carry the signs (+1, +1, -1), descending, and S
+        # has 2 negative eigenvalues, twice the count of -1 signs; the slower
+        # two, of opposite sign, meet at k_cr, past which Fig. 2 loses them
+        for k in (0.1, 0.25, K_CR - 1e-6):
+            S = build_G(SystemParams.penning_loop(b0=1.0, b=k, omega=0.0)).S
+            spectrum = classify(J6 @ S)
+            assert spectrum.classification is Classification.CONFINED
+            assert spectrum.krein_signs.tolist() == [1, 1, -1]
+            assert np.count_nonzero(np.linalg.eigvalsh(S) < 0) == 2
+        assert spectrum.freqs[1:] == pytest.approx([0.837253, 0.836022], abs=1e-6)
+        assert curve_fig2([K_CR - 1e-6, K_CR + 1e-6]).stable23.tolist() == [True, False]
+
     def test_csv_format(self, loop_table):
         buf = io.StringIO()
         loop_table.to_csv(buf)
