@@ -120,13 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str, command: str, defaults: dict) -> List[str]:
     """Turn a key=value config file into an argv prefix for `command`, whose
-    option dests map to their defaults in `defaults` (a bool one: a boolean key)."""
+    option dests map to their defaults in `defaults` (a bool one: a boolean key).
+    A key given twice raises DomainError: the file holds one value per key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     tokens: List[str] = []
+    seen = set()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -135,6 +137,9 @@ def _read_config(path: str, command: str, defaults: dict) -> List[str]:
             raise DomainError(f"malformed config line: {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise DomainError(f"config key {key!r} is given more than once")
+        seen.add(key)
         if key == "command":
             if value.replace("_", "-") != command:
                 raise DomainError(

@@ -24,17 +24,21 @@ another (``_loop_cubic``), so over a grid tile, a column of alpha0 against a
 row of alpha, each costs one to four passes. Only the points the roots leave
 undecided are built as 6x6 generators and go through the batched
 eigensolver: those within the slack of a tolerance, of a mode collision or
-of a zero mode. At a zero mode Lambda has a Jordan block; eig splits it by
-about sqrt(eps) ||Lambda||, within the tolerance, so the point is Boundary on
-either axis. The labels equal those of the eigenvalue rule at every point.
+of a zero mode. At an exact zero mode (c0 == 0, as on the loop's rows
+alpha0 = 3/4 and 3/2 at omega = 1) Lambda has a 2x2 Jordan block, which eig
+splits by about sqrt(eps) ||Lambda|| onto either axis, so such a point is
+decided by rule before any certificate: Unconfined where the deflated
+quadratic's roots (``_deflated``) leave the pointwise tolerance, else
+Boundary, never Confined. Every other label equals the eigenvalue rule's.
 ``_loop_codes`` is that one classifier of loop points over a grid tile,
 with its margin as ``gap_floor``. The 1-D scans ``refine_boundary`` and
 ``find_kcr`` bisect one halving at a time and classify each point through
-``_loop_code``, the same certificate on Python floats under the pointwise
-tolerance (gap_floor 0, under which no point is certified Boundary), with
-the eigenvalue rule on the one 6x6 it leaves undecided; their confined test
-is its code 'C'. ``refine_boundary`` classifies each point of its scan once:
-its first halvings land on pre-scan samples and read their codes.
+``_loop_code``, the same rule and certificates on Python floats under the
+pointwise tolerance (gap_floor 0, under which only a zero mode is certified
+Boundary), with the eigenvalue rule on the one 6x6 it leaves undecided;
+their confined test is its code 'C'. ``refine_boundary`` classifies each
+point of its scan once: its first halvings land on pre-scan samples and read
+their codes.
 The Fig. 2 curves evaluate one complex-step mu-cubic over all their k: its
 real parts certify the rows past the collision, whose one stable mode takes
 its frequency from Cardano's real root (``_survivors``), and only the other
@@ -206,6 +210,19 @@ def _cardano(shift, p, q, disc):
     return u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x)
 
 
+def _deflated(c2, c1):
+    """Largest (Re lambda)^2 over the roots mu = lambda^2 of the deflated
+    quadratic mu^2 + c2 mu + c1, arrays or floats, where it is positive:
+    with d = c2^2 - 4 c1, the larger of the real roots h = -(c2 + sign(c2)
+    sqrt(d)) / 2 and c1 / h (free of cancellation) where d >= 0 (negative
+    when both are), else the pair's (|mu| + Re mu) / 2 = (sqrt(c1) - c2 / 2)
+    / 2. NaN where c2 = c1 = 0 (h = 0)."""
+    d = c2 * c2 - 4.0 * c1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h = -0.5 * (c2 + np.copysign(np.sqrt(d), c2))
+        return np.where(d < 0.0, 0.5 * (np.sqrt(c1) - 0.5 * c2), np.maximum(h, c1 / h))
+
+
 def _certify_cells(
     c2, c1, c0, scale, gap_floor: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,15 +243,29 @@ def _certify_cells(
     (Re lambda)^2 (the largest real mu, or ``_cardano``'s mu_r or pair_sq)
     exceeds ``slack``^2. The slack dwarfs both the roots' and eig's rounding
     once every gap clears the pointwise tolerance, so a certified cell gets
-    the class the eigenvalue rule would give it. With gap_floor 0 no cell is
-    certified Boundary. Cells within slack of a tolerance (near a zero mode
-    or a collision) and cells whose roots come out NaN are left uncertified.
-    ``_loop_code`` applies the same certificates to one point on floats.
+    the class the eigenvalue rule would give it. Cells within slack of a
+    tolerance (near a zero mode or a collision) and cells whose roots come
+    out NaN are left uncertified.
+
+    A cell with c0 == 0 has an exact zero mode, a 2x2 Jordan block of Lambda
+    that eig splits by about sqrt(eps) ||Lambda|| onto either axis, and the
+    trigonometric roots misplace it by up to about 1e-10, beyond slack^2, so
+    no certificate above is sound there. Such a cell is decided by rule
+    instead: its cubic is mu (mu^2 + c2 mu + c1), and it is Unconfined where
+    that quadratic's largest (Re lambda)^2 (``_deflated``) exceeds tau^2,
+    with tau = _gap_tol(||S||_F) the pointwise tolerance, else Boundary;
+    never Confined. With gap_floor 0 only these cells are certified
+    Boundary. ``_loop_code`` applies the same rule and certificates to one
+    point on floats.
     """
     cubic = _depressed(c2, c1, c0)
-    real = cubic[3] <= 0.0
+    zero = c0 == 0.0
+    real = (cubic[3] <= 0.0) & ~zero
     confined, unconfined, boundary = (np.zeros(real.shape, dtype=bool) for _ in range(3))
     with np.errstate(invalid="ignore", divide="ignore"):
+        tau = _gap_tol(scale[zero])
+        unconfined[zero] = _deflated(c2[zero], c1[zero]) > tau * tau
+        boundary[zero] = ~unconfined[zero]
         scale_r = scale[real]
         slack = 1e-6 * (1.0 + scale_r)
         mu0, mu1, mu2 = _trig_roots(*(a[real] for a in cubic[:3]))
@@ -244,7 +275,7 @@ def _certify_cells(
         tau = _gap_tol(scale_r, gap_floor)
         confined[real] = separation > tau + slack
         boundary[real] = (separation > _gap_tol(scale_r) + slack) & (separation < tau - slack)
-        rest = ~real  # a complex pair (or NaN roots)
+        rest = ~(real | zero)  # a complex pair (or NaN roots)
         slack = 1e-6 * (1.0 + scale[rest])
         unconfined[rest] = np.maximum(*_cardano(*(a[rest] for a in cubic))) > slack * slack
     return confined, unconfined, boundary
@@ -265,15 +296,20 @@ def _loop_code(b: float, b0: float, omega: float) -> str:
     """Code 'C'/'U'/'B' of one loop point (|b|, |b0|), w0 = 4 |b0| / 3, by the
     pointwise eigenvalue rule (gap_floor 0), equal to ``_loop_codes``'.
 
-    ``_loop_cubic`` and the Confined and Unconfined certificates of
-    ``_certify_cells`` on Python floats: where it masks (real roots or not,
-    the arccos argument's range), this branches. ``max`` and ``min`` are
-    written as the comparisons the builtins make (the first of equals wins,
-    and a NaN compares false), so -0.0 and NaN pass through as they would.
-    A point left undecided goes through ``_eig_classes`` as one 6x6.
+    ``_loop_cubic``, the zero-mode rule and the Confined and Unconfined
+    certificates of ``_certify_cells`` on Python floats: where it masks
+    (c0 == 0, real roots or not, the arccos argument's range), this
+    branches; the rule is the one ``_deflated`` call both share. ``max`` and
+    ``min`` are written as the comparisons the builtins make (the first of
+    equals wins, and a NaN compares false), so -0.0 and NaN pass through as
+    they would. A point left undecided goes through ``_eig_classes`` as one
+    6x6.
     """
     b, b0 = abs(b), abs(b0)
     c2, c1, c0, scale = _loop_cubic(b, b0, omega, math.sqrt)
+    if c0 == 0.0:  # an exact zero mode: Unconfined or Boundary by rule
+        tau = _gap_tol(scale)
+        return "U" if _deflated(c2, c1) > tau * tau else "B"
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
@@ -319,12 +355,13 @@ def _loop_codes(b, b0, omega: float, gap_floor: float = 0.0) -> np.ndarray:
     against a column of b0 for a grid tile). One point at a time, under the
     pointwise rule, is ``_loop_code``.
 
-    Most points are certified Confined, Unconfined or, inside the band that
-    ``gap_floor`` adds above the pointwise gap tolerance, Boundary from the
-    closed-form mu-cubic of the loop (``_loop_cubic``, ``_certify_cells``);
-    only the rest (beside a tolerance edge, a mode collision or a zero mode)
-    get a 6x6 stack and go through the batched eigensolver, with the same
-    result either way.
+    Points with an exact zero mode (c0 == 0) are Unconfined or Boundary by
+    rule, and most others are certified Confined, Unconfined or, inside the
+    band that ``gap_floor`` adds above the pointwise gap tolerance, Boundary
+    from the closed-form mu-cubic of the loop (``_loop_cubic``,
+    ``_certify_cells``); only the rest (beside a tolerance edge, a mode
+    collision or a near zero mode) get a 6x6 stack and go through the
+    batched eigensolver, with the same result either way.
     """
     b, b0 = np.abs(b), np.abs(b0)
     confined, unconfined, boundary = _certify_cells(*_loop_cubic(b, b0, omega), gap_floor)

@@ -3,7 +3,8 @@ replaced, written out as references: ``classify``'s Confined branch, the
 eigenvalue rule, the occupations and ``resonance_shift``'s pairing. Each must
 give the same bits as the package, or the same error with the same message.
 ``certify_cells`` is the grid certificate before it split the cells on the
-discriminant's sign: both root formulas on every cell, one kept per cell.
+discriminant's sign: both root formulas on every cell, one kept per cell,
+and the zero-mode rule's quadratic on every cell, kept where c0 == 0.
 ``curve_fig2`` is the Fig. 2 curve with every k through the batched
 eigensolve, its class and frequencies from eig alone.
 
@@ -55,7 +56,10 @@ def rule(ev, scale, gap_floor=0.0):
 
 def certify_cells(c2, c1, c0, scale, gap_floor):
     """``sweep._certify_cells``' masks (confined, unconfined, boundary) with
-    the trigonometric and Cardano roots of every cell and ``np.where``."""
+    the trigonometric and Cardano roots of every cell and ``np.where``. Where
+    c0 == 0 the cubic is mu (mu^2 + c2 mu + c1): Unconfined where a root of
+    that quadratic (both real roots, or the pair) has (Re lambda)^2 beyond
+    the pointwise tolerance squared, else Boundary."""
     slack = 1e-6 * (1.0 + scale)
     shift = c2 / 3.0
     p = c1 - c2 * shift
@@ -77,10 +81,20 @@ def certify_cells(c2, c1, c0, scale, gap_floor):
         re_squared = np.where(
             real, mu0, np.maximum(u + v - shift, 0.5 * (np.sqrt(x * x + y * y) + x))
         )
+        d = c2 * c2 - 4.0 * c1
+        h = -0.5 * (c2 + np.copysign(np.sqrt(d), c2))
+        pair_sq = 0.5 * (np.sqrt(c1) - 0.5 * c2)
+        deflated = np.where(d < 0.0, pair_sq, np.maximum(h, c1 / h))
+    zero = c0 == 0.0
+    tol = _gap_tol(scale)
     tau = _gap_tol(scale, gap_floor)
-    confined = real & (separation > tau + slack)
-    boundary = real & (separation > _gap_tol(scale) + slack) & (separation < tau - slack)
-    return confined, re_squared > slack * slack, boundary
+    zero_unconfined = deflated > tol * tol
+    confined = ~zero & real & (separation > tau + slack)
+    unconfined = np.where(zero, zero_unconfined, re_squared > slack * slack)
+    boundary = np.where(
+        zero, ~zero_unconfined, real & (separation > tol + slack) & (separation < tau - slack)
+    )
+    return confined, unconfined, boundary
 
 
 def classify(lam) -> ModeSpectrum:

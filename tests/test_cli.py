@@ -295,6 +295,22 @@ class TestSweepCommands:
         assert code == 0
         assert json.loads(stdout)["tol"] == 1e-4
 
+    @pytest.mark.parametrize("text", [
+        "points=40\npoints=7\n",
+        "points=40\n points = 40\n",
+        "command=curve-fig2\ncommand=curve-fig2\n",
+    ])
+    def test_key_given_twice_rejected(self, capsys, tmp_path, text):
+        # a key given twice once silently took its last value: points=40 then
+        # points=7 wrote 7 rows and exited 0
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "curve-fig2", "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert "is given more than once" in err
+        assert stdout == "" and not out.exists()
+
     def test_config_command_mismatch_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "other.cfg"
         cfg.write_text("command=find-kcr\n")

@@ -20,6 +20,7 @@ phase convention's indifference to eigenvector phases, the per-mode quadratic
 forms equal to the operator-basis ones, the geometric phases' invariance under
 a change of time unit, and the symplecticity of the oracle's flow map."""
 
+import cmath
 import dataclasses
 import math
 import operator
@@ -280,7 +281,8 @@ def test_zero_mode_rows_classify_alike_under_transpose(alpha, alpha0):
     assert classify(L).classification == classify(L.T).classification
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no rule for det S == 0 yet")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the loop classifiers decide "
+                   "det S == 0 by rule, classify(Lambda) does not yet")
 def test_zero_mode_row_window_classifies_alike_under_transpose():
     # on alpha0 = 3/2 a slow mode sits beside the zero pair (c1 -> 0 at
     # alpha^2 = 0.8), and eig splits the pair above the gap tolerance for
@@ -290,6 +292,51 @@ def test_zero_mode_row_window_classifies_alike_under_transpose():
         L = J6 @ build_G(SystemParams.penning_loop(b0=1.5, b=alpha, omega=1.0)).S
         disagree += classify(L).classification != classify(L.T).classification
     assert disagree == 0
+
+
+def test_zero_mode_row_window_is_decided_by_the_deflated_rule():
+    # the window of the test above, where c0 == 0 at every point: the cubic is
+    # mu (mu^2 + c2 mu + c1). The cell certificates, run there, once called
+    # 45 points Confined and 71 Unconfined whose quadratic has no root beyond
+    # the tolerance (C 159, U 417, B 3,925). By rule a point is Unconfined
+    # where some root mu of the quadratic has (Re sqrt(mu))^2 > tau^2, here
+    # from np.roots, and Boundary otherwise; the three loop classifiers agree
+    alphas = np.linspace(0.8940, 0.89445, 4501)
+    c2, c1, c0, scale = sweep._loop_cubic(alphas, 1.5, 1.0)
+    assert not c0.any()
+    tau = _gap_tol(scale)
+    want = []
+    for a2, a1, t in zip(c2.tolist(), c1.tolist(), tau.tolist()):
+        lam = np.sqrt(np.roots([1.0, a2, a1]).astype(complex))
+        want.append("U" if (lam.real**2).max() > t * t else "B")
+    assert (want.count("B"), want.count("U")) == (4272, 229)
+    assert sweep._loop_codes(alphas, 1.5, 1.0).tolist() == want
+    assert [_loop_code(a, 1.5, 1.0) for a in alphas.tolist()] == want
+    assert sweep._classify_grid(alphas, np.array([1.5]), 0.0)[0].tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(c2=st.floats(-1e3, 1e3), c1=st.floats(-1e3, 1e3))
+@example(c2=2.0, c1=5.0)  # a pair: mu = -1 +- 2i, (Re lambda)^2 = (sqrt(5) - 1) / 2
+@example(c2=-3.0, c1=2.0)  # mu = 2 and 1
+@example(c2=3.0, c1=2.0)  # mu = -1 and -2: no real part
+@example(c2=0.0, c1=-4.0)  # mu = +-2, sign(c2) of +0.0
+def test_deflated_matches_the_quadratic_formula(c2, c1):
+    # the zero-mode rule's largest (Re lambda)^2 over the roots of
+    # mu^2 + c2 mu + c1, against the textbook formula on complex numbers;
+    # on the loop d >= 0 wherever c0 == 0, so only this test reaches the pair
+    assume(c2 != 0.0 or c1 != 0.0)  # mu^2, below
+    roots = [(-c2 + sign * cmath.sqrt(c2 * c2 - 4.0 * c1)) / 2.0 for sign in (1.0, -1.0)]
+    want = max(cmath.sqrt(mu).real ** 2 for mu in roots)
+    got = float(sweep._deflated(c2, c1))
+    assert abs(max(got, 0.0) - want) <= 1e-12 * (1.0 + abs(c2) + math.sqrt(abs(c1)))
+    assert sweep._deflated(np.array([c2]), np.array([c1]))[0] == got
+
+
+def test_deflated_is_nan_at_a_double_zero_root():
+    # mu^2: the triple root mu = 0 of the cubic, which the rule calls Boundary
+    assert math.isnan(sweep._deflated(0.0, 0.0))
+    assert sweep._loop_code(0.0, 0.0, 0.0) == "B"
 
 
 def _eig_only_grid(alphas, alpha0s, gap_floor):
@@ -409,7 +456,8 @@ def test_loop_code_certifies_what_certify_cells_certifies(point):
 
 
 def _assert_loop_code_certifies_as_certify_cells(point):
-    # _loop_code copies _certify_cells' Confined and Unconfined certificates;
+    # _loop_code copies _certify_cells' zero-mode rule and its Confined and
+    # Unconfined certificates;
     # the codes agree even if the copies drift apart (an undecided point goes
     # to eig), so compare where each leaves a point to the eigensolver
     b, b0, omega = point
@@ -502,9 +550,11 @@ disc_root_offsets = st.one_of(
 def test_split_certificate_decides_as_eig(alpha0, offsets, zero_mode_alphas, gap_floor):
     # _certify_cells runs the trigonometric roots on the cells with
     # disc <= 0 and Cardano's on the rest. Beside a sign change of disc along
-    # a row (within 1e-6 in alpha), where the two branches meet, and on the
-    # zero-mode rows alpha0 = 3/4 and 3/2, each cell it certifies gets the
-    # eigenvalue rule's code, no cell gets two certificates, and the masks
+    # a row (within 1e-6 in alpha), where the two branches meet, each cell it
+    # certifies gets the eigenvalue rule's code. On the zero-mode rows
+    # alpha0 = 3/4 and 3/2 (c0 == 0), where eig splits the zero pair onto
+    # either axis, every cell is decided by rule, as the reference decides
+    # it, and none is Confined. No cell gets two certificates, and the masks
     # are the unsplit form's
     lo = _disc_roots(alpha0)
     assume(len(lo))
@@ -515,9 +565,12 @@ def test_split_certificate_decides_as_eig(alpha0, offsets, zero_mode_alphas, gap
     masks = sweep._certify_cells(*cubic, gap_floor)
     curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
     codes = sweep._eig_classes(_generator(b, b0, 1.0, curvatures, b.shape), gap_floor)[2]
+    zero = cubic[2] == 0.0
+    assert zero[b.size - 2 * n :].all()
     for mask, code in zip(masks, "CUB"):
-        assert set(codes[mask].tolist()) <= {code}
+        assert set(codes[mask & ~zero].tolist()) <= {code}
     assert np.sum(masks, axis=0).max() <= 1
+    assert np.logical_or.reduce(masks)[zero].all() and not masks[0][zero].any()
     reference = numpy_reference.certify_cells(*cubic, gap_floor)
     assert all(np.array_equal(got, want) for got, want in zip(masks, reference))
 
@@ -735,15 +788,17 @@ def test_loop_codes_stack_only_the_uncertified_points(kernel_counts):
     assert rows == []
 
 
-def test_default_grid_stacks_only_zero_mode_and_collision_cells(kernel_counts):
+def test_default_grid_stacks_sixteen_cells(kernel_counts):
     # with the CLI's resolution margin, the cells the margin alone makes
-    # Boundary are certified too; only cells beside a zero mode or a mode
-    # collision (797 of 361,201) reach the eigensolver
+    # Boundary are certified too, and the exact zero modes on the rows
+    # alpha0 = 3/4 and 3/2 are decided by rule; only 16 of 361,201 cells,
+    # beside a zero mode or a mode collision, reach the eigensolver, in three
+    # stacks (797 before the rule, 780 of them on the zero-mode rows)
     rows, _ = kernel_counts
     grid = sweep.GridSpec()
     gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
     sweep._classify_grid(grid.alphas, grid.alpha0s, gap_floor)
-    assert 0 < sum(rows) < 1000
+    assert sum(rows) == 16 and sorted(rows) == [1, 5, 10]
     b0, b = (x.ravel() for x in np.meshgrid(grid.alpha0s, grid.alphas, indexing="ij"))
     n_boundary = 0
     for lo in range(0, len(b), sweep._CHUNK_CELLS):
@@ -757,18 +812,27 @@ def test_default_grid_stacks_only_zero_mode_and_collision_cells(kernel_counts):
     assert n_boundary > 1000
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     b=st.floats(min_value=0.0, max_value=10.0),
-    b0=st.floats(min_value=0.0, max_value=10.0),
+    b0=st.one_of(st.floats(min_value=0.0, max_value=10.0), st.sampled_from([0.0, 0.75, 1.5])),
     omega=st.sampled_from([0.0, 1.0]),
 )
-def test_pointwise_margin_certifies_no_boundary(b, b0, omega):
-    # with gap_floor 0 the Boundary certificate's band is empty, so the scans
-    # keep deciding every Boundary point through the eigensolver
+@example(b=0.0, b0=0.0, omega=0.0)  # the triple root mu = 0
+@example(b=0.0, b0=0.75, omega=1.0)
+def test_pointwise_margin_certifies_boundary_only_at_zero_modes(b, b0, omega):
+    # with gap_floor 0 the Boundary certificate's band is empty, so the only
+    # points certified Boundary are exact zero modes (c0 == 0: the rows
+    # alpha0 = 3/4 and 3/2 at omega = 1, alpha0 = 0 at omega = 0), which the
+    # rule decides as Unconfined or Boundary, never Confined; the scans keep
+    # deciding every other Boundary point through the eigensolver
     cubic = sweep._loop_cubic(np.array([b]), np.array([b0]), omega)
-    boundary = sweep._certify_cells(*cubic, 0.0)[2]
-    assert not boundary.any()
+    confined, unconfined, boundary = sweep._certify_cells(*cubic, 0.0)
+    zero = cubic[2] == 0.0
+    assert np.array_equal(boundary, zero & ~unconfined)
+    assert not confined[zero].any()
+    if zero[0]:
+        assert _loop_code(b, b0, omega) == ("U" if unconfined[0] else "B")
 
 
 #: k for the Fig. 2 curves: anywhere in [1e-4, 5], within 1e-6, 1e-9 or

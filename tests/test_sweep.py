@@ -150,8 +150,10 @@ def test_eig_fallback_codes_do_not_depend_on_the_matrix_eig_sees():
     b, b0 = grid.alphas[None, :], grid.alpha0s[:, None]
     rest = ~np.logical_or.reduce(sweep._certify_cells(*sweep._loop_cubic(b, b0, 1.0), gap_floor))
     b, b0 = (np.broadcast_to(x, rest.shape)[rest] for x in (b, b0))
-    # the zero-mode rows alpha0 = 3/4 and 3/2 are most of the fallback
-    assert np.count_nonzero((b0 == 0.75) | (b0 == 1.5)) > len(b) / 2
+    # the zero-mode rows alpha0 = 3/4 and 3/2 are decided by rule; 12 of the
+    # 16 cells left lie at alpha = 0
+    assert len(b) == 16 and np.count_nonzero(b == 0.0) == 12
+    assert not np.any((b0 == 0.75) | (b0 == 1.5))
     curvatures = PenningQuadrupole(4.0 * b0 / 3.0).curvatures()
     Lam = J6 @ sweep._generator(b, b0, 1.0, curvatures, b.shape)
     scale = np.sqrt((Lam**2).sum(axis=(-2, -1)))
@@ -530,14 +532,16 @@ def test_loop_codes_chunk_memory_per_cell():
 
 def test_loop_codes_row_piece_memory_per_cell():
     # rows wider than _CHUNK_CELLS are cut into one-row tiles of
-    # _CHUNK_CELLS cells; about 237 B per cell measured on the row alpha0 = 1
-    # of a grid three tiles wide (a piece of a zero-mode row, whose cells
-    # mostly go to eig as 6x6 stacks, takes about 1,000 B)
+    # _CHUNK_CELLS cells; about 180 B per cell measured on the row alpha0 = 1
+    # of a grid three tiles wide, and about 145 B on the zero-mode rows
+    # alpha0 = 3/4 and 3/2, whose cells the rule decides without a 6x6 stack
+    # (910-1,016 B per cell when they went to eig)
     grid = GridSpec(alpha_steps=3 * sweep._CHUNK_CELLS, alpha0_steps=600)
     alphas = grid.alphas[None, : sweep._CHUNK_CELLS]
-    alpha0s = grid.alpha0s[200:201, None]
-    assert alpha0s.item() == 1.0
-    assert _tile_peak_per_cell(grid, alphas, alpha0s) < 450
+    for row, alpha0 in ((200, 1.0), (150, 0.75), (300, 1.5)):
+        alpha0s = grid.alpha0s[row : row + 1, None]
+        assert alpha0s.item() == alpha0
+        assert _tile_peak_per_cell(grid, alphas, alpha0s) < 450
 
 
 def test_classify_grid_tile_memory_per_cell():
