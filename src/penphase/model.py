@@ -16,6 +16,8 @@ assembled here. ``_generator`` writes the layout of that matrix S and
 
 from __future__ import annotations
 
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -65,6 +67,18 @@ def _check_range(what: str, values) -> None:
         ok = np.all(np.abs(np.asarray(values, dtype=float)) <= _MAX_MAGNITUDE)
     if not ok:
         raise DomainError(f"{what} must be finite and at most {_MAX_MAGNITUDE:.2g} in magnitude")
+
+
+def _finite(what: str, x) -> bool:
+    """math.isfinite of a real number x, an int of any size being finite; an
+    x that is not a real number (a string, a complex) raises DomainError
+    naming `what`. A float skips the ABC checks, which cost about 0.4 us
+    each, and an int the first."""
+    if type(x) is float:
+        return math.isfinite(x)
+    if type(x) is not int and not isinstance(x, numbers.Real):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    return isinstance(x, numbers.Integral) or math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -249,12 +263,18 @@ def _mu_cubic(S: np.ndarray):
     With M = K + g g^T - |g|^2 I, symmetric: c2 = tr M + 4|g|^2,
     c1 = m2(M) + 4 g^T M g and c0 = det M, where m2 is the sum of the principal
     2x2 minors of M; M01 = M12 = 0. Every operation is a polynomial in the
-    entries, so a complex S gives the analytic continuation. Caller:
-    ``phases._omega_cubic``, on its complex omega-step; loop points take
-    its closed form ``sweep._loop_cubic``.
+    entries, so a complex S gives the analytic continuation. One 6x6 matrix
+    is read with ``.item`` and its coefficients are Python numbers: the bits
+    of 0-d arrays at a fraction of their cost. A stack gives arrays of shape
+    (...), whose complex products NumPy may fuse (``phases._dmodes_implicit``
+    says where that shows). Caller:
+    ``phases._omega_cubic``, on its complex omega-step, for one point's
+    record and for the Fig. 2 stack; loop points take its closed form
+    ``sweep._loop_cubic``.
     """
-    g0, g2 = S[..., 2, 4], S[..., 1, 3]
-    k00, k11, k22, k02 = S[..., 0, 0], S[..., 1, 1], S[..., 2, 2], S[..., 0, 2]
+    read = S.item if S.ndim == 2 else lambda i, j: S[..., i, j]
+    g0, g2 = read(2, 4), read(1, 3)
+    k00, k11, k22, k02 = read(0, 0), read(1, 1), read(2, 2), read(0, 2)
     g00, g22 = g0 * g0, g2 * g2
     gg = g00 + g22
     m00, m11, m22 = k00 + g00 - gg, k11 - gg, k22 + g22 - gg

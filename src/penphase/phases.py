@@ -24,7 +24,12 @@ A point query (``classify`` of J S, then ``aa_phase``, then
 ``resonance_shift``) decomposes two matrices: the point's Lambda, whose
 spectrum ``classify`` keeps for the record to reuse, and the shifted point's.
 The reports' three-term sums are taken on Python floats in NumPy's order,
-and ``resonance_shift`` pairs the modes on Python floats.
+and ``resonance_shift`` pairs the modes on Python floats. The record's
+implicit derivatives run on Python numbers too: ``model._mu_cubic`` reads one
+matrix's six entries as Python complexes, and ``_dmode`` takes the three
+frequencies one at a time as floats. A stack (the Fig. 2 curves) runs the
+same formulas on arrays. The record's ladder basis picks each row's pivot in
+a Python loop (``spectral.normal_mode_basis``).
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .model import (
     J6,
     QuadraticForm,
     SystemParams,
+    _finite,
     _generator,
     _mu_cubic,
     _read_only,
@@ -85,7 +91,7 @@ class FockLabel:
 
     def __post_init__(self):
         for n in (self.n1, self.n2, self.n3):
-            if not 0 <= n <= sys.float_info.max or int(n) != n:
+            if not (_finite("occupations", n) and 0 <= n <= sys.float_info.max) or int(n) != n:
                 raise DomainError(f"occupations must be integers from 0 to float max, got {self}")
 
     def as_array(self) -> np.ndarray:
@@ -188,7 +194,7 @@ _STEP = 1e-20
 def _omega_cubic(S: np.ndarray):
     """The mu-cubic's coefficients (c2, c1, c0) of ``model._mu_cubic`` at the
     complex step S(omega + i h) = S - i h S_L3, h = _STEP, over a stack S of
-    shape (..., 6, 6).
+    shape (..., 6, 6), or as Python complexes for one 6x6 S.
 
     The coefficients are real polynomials in omega, so their real parts are
     the coefficients at S (the step enters them as h^2, below rounding) and
@@ -197,23 +203,35 @@ def _omega_cubic(S: np.ndarray):
     return _mu_cubic(S - 1j * _STEP * _SL3)
 
 
-def _dmodes_cubic(cubic, freqs: np.ndarray) -> np.ndarray:
+def _dmode(c2, c1, c0, w):
     """Implicit differentiation of the mu-cubic q(mu, omega) = 0 at mu = -w^2:
-    dw/domega = q_omega / (2 w q_mu), from ``_omega_cubic``'s coefficients of
-    shape (...) and freqs of shape (..., m); a NaN frequency gives a NaN
-    derivative."""
-    c2, c1, c0 = (c[..., None] for c in cubic)
-    mu = -freqs * freqs
+    dw/domega = q_omega / (2 w q_mu), from ``_omega_cubic``'s coefficients;
+    one formula for Python numbers and for arrays that broadcast."""
+    mu = -w * w
     dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / _STEP
     dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real
-    return dq_domega / (2.0 * freqs * dq_dmu)
+    return dq_domega / (2.0 * w * dq_dmu)
+
+
+def _dmodes_cubic(cubic, freqs: np.ndarray) -> np.ndarray:
+    """``_dmode`` at freqs of shape (..., m), from ``_omega_cubic``'s
+    coefficients of shape (...); a NaN frequency gives a NaN derivative.
+    One matrix's coefficients are Python complexes, and its frequencies are
+    taken one at a time as Python floats."""
+    if isinstance(cubic[0], complex):
+        return np.array([_dmode(*cubic, w) for w in freqs.tolist()])
+    return _dmode(*(c[..., None] for c in cubic), freqs)
 
 
 def _dmodes_implicit(S: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The implicit derivative route over a stack S of shape (..., 6, 6) with
-    freqs of shape (..., m): ``_dmodes_cubic`` of ``_omega_cubic(S)``. The
-    Fig. 2 curves (``sweep.curve_fig2``) evaluate the cubic once and read
-    both the certificate's coefficients and the derivatives from it."""
+    """The implicit derivative route over one 6x6 S with freqs of shape (m,),
+    or a stack S of shape (..., 6, 6) with freqs of shape (..., m):
+    ``_dmodes_cubic`` of ``_omega_cubic(S)``. A matrix alone and the same
+    matrix in a stack can differ in the last bits: NumPy's loops over complex
+    arrays may fuse a product's multiply and add (they do with AVX-512),
+    where Python's complexes round each step. The Fig. 2 curves
+    (``sweep.curve_fig2``) evaluate the cubic once and read both the
+    certificate's coefficients and the derivatives from it."""
     return _dmodes_cubic(_omega_cubic(S), freqs)
 
 
@@ -331,7 +349,8 @@ def berry_phase_adiabatic(k: float, binding: BindingPotential, n: FockLabel) -> 
     by small-omega extrapolation. Shares ``aa_phase``'s last-point record,
     keyed on (params at omega = 0, binding.curvatures()).
     """
-    if k <= 0:
+    # a k that is not finite is left to SystemParams' range check
+    if _finite("field ratio k", k) and k <= 0:
         raise DomainError(f"field ratio k must be > 0, got {k}")
     params = SystemParams(b=k, b0=1.0, w0=binding.w0, omega=0.0)
     _, _, basis, dfreq, _ = _point_record(params, tuple(binding.curvatures()))
@@ -376,7 +395,7 @@ def resonance_shift(
     that changes under it (opposite-sign modes that collide and re-separate
     within delta) raises NumericalError.
     """
-    if not math.isfinite(delta_omega):
+    if not _finite("delta_omega", delta_omega):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
     if params.omega <= 0:
         raise DomainError("resonance_shift requires omega > 0")

@@ -12,7 +12,8 @@ source. Each stable mode's symplectic form Im(v^H J v) (``_forms``; ``classify``
 reads it off J's blocks) gives its Krein sign and its ladder normalisation;
 the form is guarded only against vanishing, which a simple imaginary
 eigenvalue's form never does. Past the eigensolve and the residuals, a
-Confined point's three modes are handled as Python floats.
+Confined point's three modes are handled as Python floats, and
+``normal_mode_basis`` picks each row's pivot in a Python loop.
 
 ``classify`` keeps the last matrix's spectrum, keyed on the bytes of the
 validated float64 Lambda; errors are not kept, and the spectrum's arrays are
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -222,6 +224,13 @@ def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
     compatibility and ignored. A commutator entry off by more than 1e-9 raises
     NumericalError naming its modes (1-based, as in the Fock label), their
     forms and the remaining |v_i^H J v_j|.
+
+    The forms' square roots are taken on Python floats and each row's pivot
+    is found by a Python loop; the values stay in NumPy, because Python's
+    complex arithmetic rounds differently from NumPy's loops over arrays: the
+    magnitudes (Python's abs of a complex can differ in the last bit), the
+    phase factor conj(z) / |z| of each row's pivot z, the scaled rows and
+    the check's deviations.
     """
     if spectrum.classification is not Classification.CONFINED:
         raise DomainError("normal-mode basis requires a Confined spectrum")
@@ -236,18 +245,26 @@ def normal_mode_basis(spectrum: ModeSpectrum, S=None) -> NormalModeBasis:
     c12 = (g12 - c01.conjugate() * g02) / f1
     a = c02 - c12 * c01
     T = np.array([[1.0, -c01, -a], [0.0, 1.0, -c12], [0.0, 0.0, 1.0]])
-    forms = np.array([g00.imag, f1.imag, (g22 - a * g20 - c12 * g21).imag])
-    rows = (-1j * (JV @ T) / np.sqrt(np.abs(forms))).T
+    forms = [g00.imag, f1.imag, (g22 - a * g20 - c12 * g21).imag]
+    rows = (-1j * (JV @ T) / np.array([math.sqrt(abs(f)) for f in forms])).T
+    # each row's pivot: its first component within a relative 1e-9 of its
+    # largest magnitude (the first component if that magnitude is NaN)
     size = np.abs(rows)
-    pivot = np.argmax(size >= (1.0 - 1e-9) * size.max(axis=1, keepdims=True), axis=1)
-    largest = rows[range(3), pivot]
+    largest = []
+    for row, row_size, top in zip(rows.tolist(), size.tolist(),
+                                  ((1.0 - 1e-9) * size.max(axis=1)).tolist()):
+        k = 0
+        while k < 5 and row_size[k] < top:
+            k += 1
+        largest.append(row[k])
+    largest = np.array(largest)
     basis = NormalModeBasis(
         coeffs=rows * (np.conj(largest) / np.abs(largest))[:, None],
         signs=spectrum.krein_signs,
         freqs=spectrum.freqs,
     )
     C, D = basis.ladder_commutators()
-    C[range(3), range(3)] -= basis.signs
+    C.flat[::4] -= basis.signs  # the diagonal
     dev = np.maximum(np.abs(C), np.abs(D))
     err = dev.max()
     if err > 1e-9:

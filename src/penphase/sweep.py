@@ -65,7 +65,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -75,7 +74,7 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _generator
+from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _finite, _generator
 from .phases import _dmodes_cubic, _omega_cubic
 from .spectral import _gap_tol, _rule, _simple_imaginary
 
@@ -697,15 +696,6 @@ def sweep_fig1(
         spec, extended = grown, True
 
 
-def _finite(tol) -> bool:
-    """math.isfinite of a scan tolerance; a tolerance that is not a real
-    number (a string, a complex) raises DomainError. A float skips the ABC
-    check, which costs about 0.4 us."""
-    if type(tol) is not float and not isinstance(tol, numbers.Real):
-        raise DomainError(f"tolerance must be a real number, got {tol!r}")
-    return math.isfinite(tol)
-
-
 def _bisect(confined_at, lo: float, hi: float, length: float, tol: float):
     """Halve [lo, hi] max(1, ceil(log2(length / tol))) times, one midpoint
     0.5 * (lo + hi) and one confined_at call per halving, keeping
@@ -748,7 +738,7 @@ def refine_boundary(
     found. (Points are told apart by s, so a segment across an axis classifies
     a point and its mirror image both.)
     """
-    if not (_finite(tol) and tol > 0):
+    if not (_finite("tolerance", tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
     try:
         (a, a0), (b, b0) = ((float(x), float(y)) for x, y in (p_confined, p_unconfined))
@@ -800,7 +790,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     max(1, ceil(log2(range / tol))) times by ``_bisect``, each k classified by
     ``_loop_code``.
     """
-    if not _finite(tol):
+    if not _finite("tolerance", tol):
         raise DomainError(f"tolerance must be finite, got {tol}")
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")

@@ -7,11 +7,16 @@ discriminant's sign: both root formulas on every cell, one kept per cell,
 and the zero-mode rule's quadratic on every cell, kept where c0 == 0.
 ``curve_fig2`` is the Fig. 2 curve with every k through the batched
 eigensolve, its class and frequencies from eig alone.
+``dmodes_implicit`` is the implicit derivative route with the mu-cubic's
+entries read as arrays and the frequencies broadcast, for one matrix as for
+a stack, and ``normal_mode_basis`` the ladder basis with its pivot, phase
+and commutator check on arrays.
 
 ``aa_phase`` and ``resonance_shift`` here rebuild a point's record without
 the package's memos: the spectrum from ``classify`` below, the ladder basis
-with its signs and frequencies taken from the spectrum's arrays, and the
-reports summed with ``np.sum`` over the NumPy occupations.
+from ``normal_mode_basis`` below with its signs and frequencies taken from
+the spectrum's arrays, the derivatives from ``dmodes_implicit`` below, and
+the reports summed with ``np.sum`` over the NumPy occupations.
 """
 
 import math
@@ -30,14 +35,13 @@ from penphase import (
     NormalModeBasis,
     NumericalError,
     SystemParams,
-    normal_mode_basis,
 )
 from penphase.model import BINDINGS, _check_range, _generator
 from penphase.phases import (
     PhaseReport,
     ResonanceShift,
     _SL3,
-    _dmodes_implicit,
+    _STEP,
     _mode_weights,
     cos_theta,
 )
@@ -136,6 +140,72 @@ def classify(lam) -> ModeSpectrum:
     return ModeSpectrum(Classification.CONFINED, tuple(modes), ev)
 
 
+def mu_cubic(S):
+    """``model._mu_cubic`` with every entry read as an array of shape (...),
+    0-d for one matrix."""
+    g0, g2 = S[..., 2, 4], S[..., 1, 3]
+    k00, k11, k22, k02 = S[..., 0, 0], S[..., 1, 1], S[..., 2, 2], S[..., 0, 2]
+    g00, g22 = g0 * g0, g2 * g2
+    gg = g00 + g22
+    m00, m11, m22 = k00 + g00 - gg, k11 - gg, k22 + g22 - gg
+    m02 = k02 + g0 * g2
+    minor0, minor1, minor2 = m11 * m22, m00 * m22 - m02 * m02, m00 * m11
+    c2 = m00 + m11 + m22 + 4.0 * gg
+    c1 = minor0 + minor1 + minor2 + 4.0 * (g00 * m00 + g22 * m22 + 2.0 * (g0 * g2 * m02))
+    c0 = m00 * minor0 - m02 * (m11 * m02)
+    return c2, c1, c0
+
+
+def dmodes_implicit(S, freqs):
+    """``phases._dmodes_implicit`` on arrays: the complex-step mu-cubic of
+    ``mu_cubic``, its coefficients broadcast against freqs of shape (..., m)."""
+    c2, c1, c0 = (c[..., None] for c in mu_cubic(S - 1j * _STEP * _SL3))
+    mu = -freqs * freqs
+    dq_domega = (c2.imag * mu * mu + c1.imag * mu + c0.imag) / _STEP
+    dq_dmu = 3.0 * mu * mu + 2.0 * c2.real * mu + c1.real
+    return dq_domega / (2.0 * freqs * dq_dmu)
+
+
+def normal_mode_basis(spectrum: ModeSpectrum) -> NormalModeBasis:
+    """``spectral.normal_mode_basis`` with the forms' square roots, each row's
+    pivot (``np.argmax`` over a mask of the magnitudes) and the commutator
+    deviations (``np.maximum``, ``np.unravel_index``) on arrays."""
+    if spectrum.classification is not Classification.CONFINED:
+        raise DomainError("normal-mode basis requires a Confined spectrum")
+    V = np.stack([m.eigvec for m in spectrum.modes], axis=1)
+    JV = J6 @ V
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = (np.conj(V.T) @ JV).tolist()
+    c01, c02 = g01 / g00, g02 / g00
+    f1 = g11 - c01 * g10
+    c12 = (g12 - c01.conjugate() * g02) / f1
+    a = c02 - c12 * c01
+    T = np.array([[1.0, -c01, -a], [0.0, 1.0, -c12], [0.0, 0.0, 1.0]])
+    forms = np.array([g00.imag, f1.imag, (g22 - a * g20 - c12 * g21).imag])
+    rows = (-1j * (JV @ T) / np.sqrt(np.abs(forms))).T
+    size = np.abs(rows)
+    pivot = np.argmax(size >= (1.0 - 1e-9) * size.max(axis=1, keepdims=True), axis=1)
+    largest = rows[range(3), pivot]
+    basis = NormalModeBasis(
+        coeffs=rows * (np.conj(largest) / np.abs(largest))[:, None],
+        signs=spectrum.krein_signs,
+        freqs=spectrum.freqs,
+    )
+    C, D = basis.ladder_commutators()
+    C[range(3), range(3)] -= basis.signs
+    dev = np.maximum(np.abs(C), np.abs(D))
+    err = dev.max()
+    if err > 1e-9:
+        i, j = sorted(np.unravel_index(np.argmax(dev), dev.shape))
+        W = V @ T
+        cross = abs(np.conj(W[:, i]) @ J6 @ W[:, j])
+        raise NumericalError(
+            f"ladder commutator normalization failed (err={err:.2e}) at modes "
+            f"{i + 1} and {j + 1}: symplectic forms {forms[i]:.3g} and {forms[j]:.3g}, "
+            f"cross form {cross:.3g}"
+        )
+    return basis
+
+
 def occupation(n) -> np.ndarray:
     """[n_i + 1/2] from the label's float array."""
     return n.as_array() + 0.5
@@ -164,7 +234,7 @@ def _record(params: SystemParams, binding):
     S = _generator(params.b, params.b0, params.omega, binding.curvatures())
     spec = _confined(S, f"parameter point {params}")
     b = basis(spec)
-    return S, spec, b, _dmodes_implicit(S, spec.freqs), _mode_weights(_SL3, b)
+    return S, spec, b, dmodes_implicit(S, spec.freqs), _mode_weights(_SL3, b)
 
 
 def report(b: NormalModeBasis, n, dfreq, l3) -> PhaseReport:
@@ -268,6 +338,6 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
     freqs[stable23] = np.sort(ev[stable23].imag, axis=-1)[:, :2:-1]
     alone = ~stable23 & (survivor > 0)
     freqs[alone, 0] = survivor[alone]
-    dw = _dmodes_implicit(S, freqs)
+    dw = dmodes_implicit(S, freqs)
     ct = np.array([cos_theta(k) for k in ks])
     return CurveTable(k=ks, cos_theta=ct, dw=dw, stable23=stable23)

@@ -1,7 +1,8 @@
 """``scripts/assemble_bench.py`` on synthetic runs: the paired seeds, medians
 and the no-regression check of each end-to-end metric, read in its better
-direction with an unresolved mark for a spread wider than the bound, and an
-error naming any file in the runs directory that is not a run file."""
+direction with an unresolved mark for a spread wider than the bound, the
+pairs the change won and the parent's interquartile range for every metric,
+and an error naming any file in the runs directory that is not a run file."""
 
 import importlib.util
 import json
@@ -52,6 +53,31 @@ def test_ratios_bounds_and_directions(tmp_path):
     assert not checks["ok_ratio"]["within_bound"]
     assert checks["ok_ratio"]["parent_iqr_over_median"] == 0.0
     assert entry["op_p50_eig6_pairs_won_by_change"] == "0/5"
+    assert entry["op_p50_eig6_parent_iqr"] == checks["op_p50_eig6"]["parent_iqr"]
+    assert [checks[m]["pairs_won_by_change"] for m in ("op_p50_eig6", "peak_rss_mb", "ok_ratio")] \
+        == ["0/5"] * 3
+
+
+def test_pairs_won_in_the_better_direction_ties_for_neither(tmp_path):
+    entry = _summary(tmp_path, {
+        "parent": {"op_p50_eig6": [10.0, 10.0, 10.0, 10.0, 10.0],
+                   "peak_rss_mb": [40.0, 40.0, 41.0, 42.0, 43.0],
+                   "ok_ratio": [0.9, 0.9, 0.9, 1.0, 1.0]},
+        "change": {"op_p50_eig6": [9.0, 9.5, 10.0, 11.0, 9.9],
+                   "peak_rss_mb": [40.0, 39.0, 41.0, 43.0, 44.0],
+                   "ok_ratio": [1.0, 0.9, 0.8, 1.0, 1.0]},
+    })
+    checks = entry["no_regression"]
+    # lower is better: strictly below the parent's run of the same seed
+    assert checks["op_p50_eig6"]["pairs_won_by_change"] == "3/5"
+    assert entry["op_p50_eig6_pairs_won_by_change"] == "3/5"
+    assert checks["peak_rss_mb"]["pairs_won_by_change"] == "1/5"
+    # higher is better: strictly above
+    assert checks["ok_ratio"]["pairs_won_by_change"] == "1/5"
+    # statistics.quantiles' exclusive method: quartiles 40.0 and 42.5
+    assert checks["peak_rss_mb"]["parent_iqr"] == 2.5
+    assert checks["peak_rss_mb"]["parent_iqr_over_median"] == 2.5 / 41.0
+    assert checks["op_p50_eig6"]["parent_iqr"] == 0.0
 
 
 def test_spread_wider_than_the_bound_is_unresolved(tmp_path):

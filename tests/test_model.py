@@ -104,6 +104,20 @@ def test_check_range_accepts_the_largest_magnitude(monkeypatch):
     model._check_range("parameters", ())
 
 
+@pytest.mark.parametrize("value, finite", [
+    (0.5, True), (math.inf, False), (math.nan, False), (10**400, True), (np.float64(-math.inf), False),
+    (np.int64(3), True), (True, True),
+])
+def test_finite_of_real_numbers(value, finite):
+    assert model._finite("x", value) is finite
+
+
+@pytest.mark.parametrize("value", ["1", 1 + 0j, np.complex128(1.0), None])
+def test_finite_rejects_what_is_not_a_real_number(value):
+    with pytest.raises(DomainError, match="x must be a real number"):
+        model._finite("x", value)
+
+
 class TestBuildG:
     def test_isotropic_decoupled(self):
         p = SystemParams(b=0, b0=0, w0=0.8, omega=0)

@@ -51,7 +51,7 @@ class TestFockLabel:
             FockLabel(-1, 0, 0)
         with pytest.raises(DomainError):
             FockLabel(0, 0.5, 0)
-        for bad in (2.5, math.inf, -math.inf, math.nan, 10**400):
+        for bad in (2.5, math.inf, -math.inf, math.nan, 10**400, "1", 1 + 0j):
             with pytest.raises(DomainError):
                 FockLabel(bad, 0, 0)
             with pytest.raises(DomainError):
@@ -293,6 +293,16 @@ class TestBerryPhaseAdiabatic:
         d_over_ct = np.array(report.dfreq_domega) / cos_theta(0.26)
         assert np.allclose(d_over_ct, [-1.0, 0.0, 1.0], atol=1e-9)
 
+    @pytest.mark.parametrize("k, message", [
+        ("0.2", "field ratio k must be a real number"),
+        (0.2 + 0j, "field ratio k must be a real number"),
+        (math.inf, "parameters must be finite"),
+        (math.nan, "parameters must be finite"),
+    ])
+    def test_ratio_that_is_not_a_finite_real_raises_domain_error(self, k, message):
+        with pytest.raises(DomainError, match=message):
+            berry_phase_adiabatic(k, loop_binding(), FockLabel(0, 0, 0))
+
     def test_matches_small_omega_cross_check(self):
         # test-only cross-check: finite rotation at omega = 1e-4 approaches the
         # omega = 0 perturbative value linearly
@@ -320,6 +330,13 @@ class TestResonanceShift:
                    for label in (n, n_prime))
         with pytest.raises(DomainError, match="finite shift"):
             resonance_shift(params, binding, n, n_prime, 1e-3)
+
+    @pytest.mark.parametrize("delta", ["1e-3", 1e-3 + 0j, None])
+    def test_non_real_shift_raises_domain_error(self, delta):
+        params = SystemParams.penning_loop(b0=0.5, b=0.3, omega=1.0)
+        with pytest.raises(DomainError, match="delta_omega must be a real number"):
+            resonance_shift(params, PenningQuadrupole(params.w0), FockLabel(1, 0, 0),
+                            FockLabel(0, 1, 0), delta)
 
     def test_matches_two_aa_phase_calls(self, rng):
         for params in sample_confined_loop_points(rng, 4):

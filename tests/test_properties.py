@@ -10,12 +10,15 @@ cells certified from the mu-cubic
 labelled as the eigenvalue rule labels them, with one root formula per cell
 giving the masks of both, the Fig. 2 curves equal to their all-eig reference
 where eig decides a row and within 1e-13 where the mu-cubic certifies it,
-the isotropic binding's frequencies, Krein signs and Fig. 2 curves equal to
-their closed forms, the bisection equal to the one-halving-per-call loop, the
+the isotropic binding's frequencies, Krein signs, three derivative routes,
+Berry phase and Fig. 2 curves equal to their closed forms, the bisection
+equal to the one-halving-per-call loop, the
 mu-cubic's implicit derivative equal to the determinant-based one and to
-the other two derivative routes, the perturbative route equal to the
+the other two derivative routes, and bit for bit to its NumPy reference for
+a matrix and for a stack, the perturbative route equal to the
 dual-basis one, the ladder commutators of
-the normal-mode basis, its agreement with the energy-form coefficients and its
+the normal-mode basis, its bits and its commutator failures equal to its
+NumPy reference's, its agreement with the energy-form coefficients and its
 phase convention's indifference to eigenvector phases, the per-mode quadratic
 forms equal to the operator-basis ones, the geometric phases' invariance under
 a change of time unit, and the symplecticity of the oracle's flow map."""
@@ -33,12 +36,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from penphase import (
+    DERIVATIVE_METHODS,
     J6,
     Classification,
     IsotropicOscillator,
+    Mode,
+    ModeSpectrum,
     PenningQuadrupole,
     SystemParams,
     aa_phase,
+    berry_phase_adiabatic,
     build_G,
     classify,
     dmode_domega,
@@ -895,19 +902,58 @@ def _assert_close(got, want):
     assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(k=isotropic_ks, w0=isotropic_w0s)
-@example(k=150.0, w0=4.0 / 3.0)
-@example(k=1e-3, w0=4.0 / 3.0)
-def test_isotropic_binding_matches_its_closed_forms(k, w0):
-    # Larmor's theorem: classify's frequencies and Krein signs and the
-    # perturbative derivatives of an isotropic binding at omega = 0
+#: Each derivative route's tolerance against the closed form, in units of
+#: 1 + |dw| and as a function of ||Lambda||_F. The implicit and perturbative
+#: routes are exact to rounding (at most 2.5e-14 over k in [1e-3, 150]).
+#: finite_diff differences eigenvalues that carry a rounding error of about
+#: eps ||Lambda||_F over its step 1e-5: its tolerance is 1e-10 (1 + ||Lambda||_F),
+#: about 4.5 eps ||Lambda||_F / 1e-5, where it was measured at 0.07 of that
+#: (4.1e-8 at k = 137, ||Lambda||_F = 2.6e4).
+ROUTE_TOLERANCE = {
+    "implicit": lambda norm: 1e-12,
+    "perturbative": lambda norm: 1e-12,
+    "finite_diff": lambda norm: 1e-10 * (1.0 + norm),
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(k=isotropic_ks, w0=isotropic_w0s, method=st.sampled_from(DERIVATIVE_METHODS))
+@example(k=150.0, w0=4.0 / 3.0, method="perturbative")
+@example(k=1e-3, w0=4.0 / 3.0, method="perturbative")
+@example(k=150.0, w0=4.0 / 3.0, method="finite_diff")
+@example(k=1e-3, w0=10.0, method="finite_diff")
+def test_isotropic_binding_matches_its_closed_forms(k, w0, method):
+    # Larmor's theorem: classify's frequencies and Krein signs and each
+    # route's derivatives of an isotropic binding at omega = 0 (600 examples,
+    # about 200 a route)
     params = SystemParams(b=k, b0=1.0, w0=w0, omega=0.0)
-    spectrum = classify(J6 @ build_G(params, IsotropicOscillator(w0)).S)
+    S = build_G(params, IsotropicOscillator(w0)).S
+    spectrum = classify(J6 @ S)
     assert spectrum.classification is Classification.CONFINED
     _assert_close(spectrum.freqs, closed_forms.isotropic_freqs(k, w0))
     assert spectrum.krein_signs.tolist() == [1, 1, 1]
-    _assert_close(dmode_domega(params, IsotropicOscillator(w0)), closed_forms.isotropic_dw(k))
+    got = dmode_domega(params, IsotropicOscillator(w0), method)
+    want = np.array(closed_forms.isotropic_dw(k))
+    tolerance = ROUTE_TOLERANCE[method](float(np.linalg.norm(J6 @ S)))
+    assert np.all(np.abs(got - want) <= tolerance * (1.0 + np.abs(want)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=isotropic_ks, w0=isotropic_w0s,
+       n=st.builds(FockLabel, *[st.integers(min_value=0, max_value=10**6)] * 3))
+@example(k=150.0, w0=4.0 / 3.0, n=FockLabel(1, 2, 0))
+def test_berry_phase_matches_the_closed_form(k, w0, n):
+    # eq. 8 at omega = 0 with every Krein sign +1 and dw = (-1, 0, +1) cos(theta):
+    # -2 pi sum (n_i + 1/2) dw_i = 2 pi cos(theta) (n1 - n3)
+    report = berry_phase_adiabatic(k, IsotropicOscillator(w0), n)
+    occupation = [n.n1 + 0.5, n.n2 + 0.5, n.n3 + 0.5]
+    want = 2.0 * math.pi * closed_forms.isotropic_dw(k)[2] * (n.n1 - n.n3)
+    assert report.aa_phase_eq7 is None
+    assert abs(report.aa_phase_eq8 - want) <= 1e-12 * 2.0 * math.pi * sum(occupation)
+    freqs = closed_forms.isotropic_freqs(k, w0)
+    energy = sum(f * o for f, o in zip(freqs, occupation))
+    assert abs(report.quasienergy - energy) <= 1e-12 * sum(
+        (1.0 + f) * o for f, o in zip(freqs, occupation))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1047,6 +1093,102 @@ def test_implicit_route_matches_circle_node_reference(point):
     # relative in the (1 + |d|) sense of route_spread
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
     assert route_spread(params, binding_cls(w0)) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=route_points,
+       drawn=st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=1, max_size=3))
+@example(point=(0.0, 1.0, 1.3107908255390095, 0.0, PenningQuadrupole), drawn=[1.0])
+def test_implicit_route_matches_numpy_reference_bit_for_bit(point, drawn):
+    # one matrix's mu-cubic on Python numbers gives the bits of the
+    # reference's 0-d arrays, and a stack of one the bits of the reference's
+    # stack; drawn frequencies where the reference divides by zero are left out
+    b, b0, w0, omega, binding_cls = point
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    spec = classify(J6 @ S)
+    runs = [np.array(drawn)]
+    if spec.classification is Classification.CONFINED:
+        runs.append(spec.freqs)
+    for freqs in runs:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want, want_stack = (numpy_reference.dmodes_implicit(T, f)
+                                for T, f in ((S, freqs), (S[None], freqs[None])))
+        if not np.isfinite(want_stack).all():
+            continue
+        assert _dmodes_implicit(S, freqs).tobytes() == want.tobytes()
+        assert _dmodes_implicit(S[None], freqs[None]).tobytes() == want_stack.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=route_points)
+@example(point=(0.0, 1.0, 1.3107908255390095, 0.0, PenningQuadrupole))
+def test_implicit_route_of_a_matrix_and_of_a_stack_agree(point):
+    # NumPy's loops over complex arrays may fuse a product's multiply and add
+    # (they do with AVX-512) where Python's complexes and NumPy's scalars
+    # round each step, so a matrix and a stack of one differ in the last bits
+    # at about a third of random points, as numpy_reference's 0-d arrays do:
+    # at most 1e-14 (1 + |d|) over 20,000 random points
+    b, b0, w0, omega, binding_cls = point
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S
+    spec = classify(J6 @ S)
+    assume(spec.classification is Classification.CONFINED)
+    gaps = np.diff(np.sort(spec.raw_eigenvalues.imag))
+    assume(min(gaps.min(), spec.freqs.min()) >= 0.05)
+    alone = _dmodes_implicit(S, spec.freqs)
+    stacked = _dmodes_implicit(S[None], spec.freqs[None])[0]
+    assert np.all(np.abs(alone - stacked) <= 1e-12 * (1.0 + np.abs(stacked)))
+
+
+def _basis_outcome(make_basis, spec):
+    """The basis' coefficient, sign and frequency bytes, or the type and text
+    of its error."""
+    try:
+        basis = make_basis(spec)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return basis.coeffs.tobytes(), basis.signs.tobytes(), basis.freqs.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(point=route_points)
+@example(point=(1.004194013496052, 0.34906544603570067, 4.0 * 0.34906544603570067 / 3.0,
+                1.0, PenningQuadrupole))
+@example(point=(0.0, 1.0, 4.0 / 3.0, 1.0, PenningQuadrupole))
+@example(point=(0.0, 1.0, 2.0, 0.0, IsotropicOscillator))
+def test_normal_mode_basis_matches_numpy_reference_bit_for_bit(point):
+    # the examples: a near Krein collision and two axisymmetric points, whose
+    # rows' largest components tie
+    b, b0, w0, omega, binding_cls = point
+    spec = classify(J6 @ build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), binding_cls(w0)).S)
+    assume(spec.classification is Classification.CONFINED)
+    want = _basis_outcome(numpy_reference.normal_mode_basis, spec)
+    assert _basis_outcome(normal_mode_basis, spec) == want
+    assert len(want) == 3
+
+
+component = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=st.lists(st.lists(component, min_size=6, max_size=6), min_size=3, max_size=3),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
+@example(vectors=[[0j, 0j, 1j, 0j, 1 + 1j, 0.125 + 1j], [0j, 0j, 1j, 0j, 0j, 2 + 0j],
+                  [0j, 1 + 0j, 0j, 0j, 0j, 0j]], signs=[-1, -1, -1])
+@example(vectors=[[1 + 0j, 0j, 0j, 1j, 0j, 0j], [0j, 1 + 0j, 0j, 0j, 1j, 0j],
+                  [1 + 0j, 0j, 0j, 1j, 0j, 0j]], signs=[1, 1, 1])
+def test_commutator_failure_matches_numpy_reference(vectors, signs):
+    # three vectors that are not a Hamiltonian matrix's eigenvectors, with
+    # signs drawn apart from their forms, fail the commutator check (or an
+    # earlier division) with the reference's text. The examples: deviations
+    # that tie but for the last bit of a complex magnitude, which Python's
+    # abs and NumPy's differ in, and a third vector equal to the first, whose
+    # zero form gives a NaN row with a NaN pivot magnitude and NaN deviations
+    modes = tuple(Mode(freq=1.0, krein_sign=s, eigvec=np.array(v))
+                  for s, v in zip(signs, vectors))
+    spec = ModeSpectrum(Classification.CONFINED, modes, np.zeros(6, dtype=complex))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert _basis_outcome(normal_mode_basis, spec) == _basis_outcome(
+            numpy_reference.normal_mode_basis, spec)
 
 
 def _dual_basis_perturbative(S, freqs):
