@@ -107,6 +107,8 @@ class SystemParams:
     omega: float = 0.0
 
     def __post_init__(self):
+        for name in ("b", "b0", "w0", "omega"):  # strings and complexes raise here
+            _finite(name, getattr(self, name))
         # field magnitudes: sign of the field direction is absorbed
         object.__setattr__(self, "b", abs(float(self.b)))
         object.__setattr__(self, "b0", abs(float(self.b0)))
@@ -128,6 +130,7 @@ class SystemParams:
     @classmethod
     def penning_loop(cls, b0: float, b: float = 0.0, omega: float = 0.0) -> "SystemParams":
         """Construct with the loop constraint w0 = (4/3) b0 enforced exactly."""
+        _finite("b0", b0)
         return cls(b=b, b0=b0, w0=4.0 * abs(float(b0)) / 3.0, omega=omega)
 
 
@@ -137,6 +140,8 @@ def make_params_dimensionless(alpha: float, alpha0: float, w: float) -> SystemPa
     The rotation frequency is taken as the time unit, so b = alpha,
     b0 = alpha0 and w0 = w.
     """
+    for name, x in (("alpha", alpha), ("alpha0", alpha0), ("w", w)):
+        _finite(name, x)
     if alpha < 0 or alpha0 < 0 or w < 0:
         raise DomainError(
             f"dimensionless parameters must be >= 0, got ({alpha}, {alpha0}, {w})"
@@ -149,6 +154,8 @@ def make_params_adiabatic(k: float, omega: float = 0.0) -> SystemParams:
 
     omega = 0 is the exact adiabatic point.
     """
+    _finite("field ratio k", k)
+    _finite("omega", omega)
     if k <= 0:
         raise DomainError(f"field ratio k must be > 0, got {k}")
     if omega < 0:

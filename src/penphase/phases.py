@@ -156,6 +156,7 @@ def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
 
 def cos_theta(k: float) -> float:
     """Cosine of the precession-cone semiangle, (1 + k^2)^(-1/2)."""
+    _finite("field ratio k", k)  # a string or a complex raises here
     if not k >= 0:
         raise DomainError(f"field ratio k must be >= 0, got {k}")
     return 1.0 / math.sqrt(1.0 + k * k)

@@ -51,13 +51,13 @@ block's two ends, and its discriminant is a quartic in b^2, bounded below by
 its Bernstein coefficients. Confined blocks are certified by root isolation
 at both ends, Unconfined ones by a real root or a complex pair beyond the
 slack; the cells of the blocks left undecided go to ``_loop_codes``. Blocks
-decide 81% of the default map's cells. Grid work runs in tiles of at most
-_CHUNK_CELLS blocks and pieces of at most _CHUNK_CELLS cells, so memory
-stays bounded for any grid size, with one thread per CPU the process may
-use. The labeller, the CSV and the SVG read each grid row as runs of equal
-values (``_runs``): the 4-connected regions are one union-find over the
-class runs, so no cell is labelled twice, and a CSV run or SVG rect is one
-string per run.
+decide 81% of the default map's cells. Grid work runs on the calling thread
+in tiles of at most _CHUNK_CELLS blocks and pieces of at most
+max(_CHUNK_CELLS, _BLOCK_COLUMNS) cells, so memory stays bounded for any
+grid size. The labeller, the CSV and the SVG read each grid row as runs of
+equal values (``_runs``): the 4-connected regions are one union-find over
+the class runs, so no cell is labelled twice, and a CSV run or SVG rect is
+one string per run.
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ import functools
 import itertools
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Tuple
 
@@ -118,6 +116,8 @@ class GridSpec:
 
     def __post_init__(self):
         extents = (self.alpha_min, self.alpha_max, self.alpha0_min, self.alpha0_max)
+        for name, x in zip(("alpha_min", "alpha_max", "alpha0_min", "alpha0_max"), extents):
+            _finite(name, x)
         _check_range("grid extents", extents)
         try:
             steps = min(operator.index(self.alpha_steps), operator.index(self.alpha0_steps))
@@ -498,11 +498,13 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     so unsorted or repeated alphas stay covered. The block stage runs on
     tiles of whole rows holding at most _CHUNK_CELLS blocks (one row's blocks
     split into pieces when they are more), as (row x block) arrays; a decided
-    block writes its code into its cells. The cells of the undecided blocks
-    go through ``_loop_codes`` in pieces of at most _CHUNK_CELLS cells, so
-    every code is the eigenvalue rule's and no per-cell array spans a tile.
-    One thread per usable CPU; NumPy releases the interpreter lock in the
-    heavy calls.
+    block writes its code into its cells. The cells of all the undecided
+    blocks of a tile go through ``_loop_codes`` in one pass, as a
+    (block x column) grid _BLOCK_COLUMNS wide cut into pieces of at most
+    max(_CHUNK_CELLS, _BLOCK_COLUMNS) cells, so every code is the eigenvalue
+    rule's and no per-cell array spans a tile. A short last block's columns
+    are clipped to the grid's last column, so its piece repeats that cell:
+    same alpha, same code.
     """
     codes = np.empty((len(alpha0s), len(alphas)), dtype="<U1")
     b, b0 = np.abs(alphas), np.abs(alpha0s)
@@ -511,42 +513,24 @@ def _classify_grid(alphas: np.ndarray, alpha0s: np.ndarray, gap_floor: float) ->
     b_lo, b_hi = np.minimum.reduceat(b, starts), np.maximum.reduceat(b, starts)
     width = min(len(starts), _CHUNK_CELLS)
     height = max(1, _CHUNK_CELLS // width)
-
-    def work(corner):
-        i, k = corner
+    down = max(1, _CHUNK_CELLS // _BLOCK_COLUMNS)  # blocks per piece of _loop_codes
+    for i, k in itertools.product(range(0, len(alpha0s), height), range(0, len(starts), width)):
         blocks = slice(k, k + width)
         confined, real_root, pair = _certify_blocks(
             b_lo[None, blocks], b_hi[None, blocks], b0[i : i + height, None], gap_floor
         )
-        undecided = ~(confined | real_root | pair)
-        block = np.where(confined, "C", "U")
-        rows, n = block.shape
         first = k * _BLOCK_COLUMNS
-        full = min(n, (cols - first) // _BLOCK_COLUMNS)  # blocks of _BLOCK_COLUMNS cells
-        last = first + full * _BLOCK_COLUMNS
-        cells = codes[i : i + rows, first:last].reshape(rows, full, _BLOCK_COLUMNS)  # a view
-        cells[...] = block[:, :full, None]
-        # the last block of a row, when it is short (else an empty slice)
-        codes[i : i + rows, last : first + n * _BLOCK_COLUMNS] = block[:, full:]
-        # the undecided blocks of each width as a (block, column) grid, in pieces
-        for kind, span in ((slice(0, full), _BLOCK_COLUMNS), (slice(full, n), cols - last)):
-            row, start = np.nonzero(undecided[:, kind])
-            if not len(row):
-                continue
-            row, start = row + i, first + (start + kind.start) * _BLOCK_COLUMNS
-            across = min(span, _CHUNK_CELLS)
-            down = max(1, _CHUNK_CELLS // across)
-            for a, j in itertools.product(range(0, len(row), down), range(0, span, across)):
-                r = row[a : a + down, None]
-                c = start[a : a + down, None] + np.arange(j, min(j + across, span))
-                codes[r, c] = _loop_codes(b[c], b0[r], 1.0, gap_floor)
-
-    affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
-    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    corners = itertools.product(range(0, len(alpha0s), height), range(0, len(starts), width))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(work, corners):
-            pass
+        cells = codes[i : i + height, first : first + width * _BLOCK_COLUMNS]  # a view
+        block = np.repeat(np.where(confined, "C", "U"), _BLOCK_COLUMNS, axis=1)
+        cells[...] = block[:, : cells.shape[1]]
+        # the undecided blocks as a (block, column) grid, a short block's
+        # columns clipped to the last, in pieces of `down` blocks
+        row, start = np.nonzero(~(confined | real_root | pair))
+        row, start = row + i, first + start * _BLOCK_COLUMNS
+        for a in range(0, len(row), down):
+            r = row[a : a + down, None]
+            c = np.minimum(start[a : a + down, None] + np.arange(_BLOCK_COLUMNS), cols - 1)
+            codes[r, c] = _loop_codes(b[c], b0[r], 1.0, gap_floor)
     return codes
 
 
@@ -668,7 +652,7 @@ def sweep_fig1(
     below 10 grows by 50% increments, capped at 10, at the cell size asked for
     on that axis; once no axis grows the result is reported as-is.
     """
-    if not (math.isfinite(gap_scale) and gap_scale >= 0):
+    if not (_finite("gap scale", gap_scale) and gap_scale >= 0):
         raise DomainError(f"gap scale must be finite and >= 0, got {gap_scale}")
     spec = grid or GridSpec()
     steps = ((spec.alpha_max - spec.alpha_min) / spec.alpha_steps,

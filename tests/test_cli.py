@@ -579,7 +579,8 @@ def test_underscore_alias(capsys, tmp_path, alias):
 
 def test_commands_load_no_scipy(tmp_path):
     # NumPy is the only runtime dependency: importing the package and running
-    # each command leaves no scipy module loaded
+    # each command leaves no scipy module loaded; nor concurrent.futures, as
+    # every command runs on the calling thread
     script = f"""
 import sys
 import penphase, penphase.cli
@@ -594,6 +595,7 @@ for argv in (
 ):
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("concurrent.futures" in sys.modules)
 """
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -604,4 +606,4 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]

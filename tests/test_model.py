@@ -63,6 +63,34 @@ class TestParams:
         with pytest.raises(DomainError):
             make_params_adiabatic(-0.3, 0.0)
 
+    @pytest.mark.parametrize("factory, args, message", [
+        (make_params_dimensionless, ("1", 1, 1), "alpha must be a real number"),
+        (make_params_dimensionless, (1, 1j, 1), "alpha0 must be a real number"),
+        (make_params_dimensionless, (1, 1, np.complex128(1.0)), "w must be a real number"),
+        (make_params_adiabatic, ("0.2",), "field ratio k must be a real number"),
+        (make_params_adiabatic, (0.2 + 0j,), "field ratio k must be a real number"),
+        (make_params_adiabatic, (0.2, "0"), "omega must be a real number"),
+    ])
+    def test_factories_reject_what_is_not_a_real_number(self, factory, args, message):
+        with pytest.raises(DomainError, match=message):
+            factory(*args)
+
+    @pytest.mark.parametrize("value", ["1", 1j, np.complex128(1.0), None])
+    @pytest.mark.parametrize("field", ["b", "b0", "w0", "omega"])
+    def test_params_reject_what_is_not_a_real_number(self, field, value):
+        # a string is not parsed: SystemParams(b="1", ...) once gave b = 1.0
+        args = {"b": 0.5, "b0": 1.0, "w0": 1.0, "omega": 0.0, field: value}
+        with pytest.raises(DomainError, match=f"^{field} must be a real number"):
+            SystemParams(**args)
+        if field != "w0":
+            with pytest.raises(DomainError, match=f"^{field} must be a real number"):
+                SystemParams.penning_loop(**{k: v for k, v in args.items() if k != "w0"})
+
+    def test_params_accept_ints_and_numpy_reals(self):
+        p = SystemParams(b=np.int64(-2), b0=np.float32(0.5), w0=3, omega=np.float64(1.0))
+        assert (p.b, p.b0, p.w0, p.omega) == (2.0, 0.5, 3.0, 1.0)
+        assert all(type(x) is float for x in (p.b, p.b0, p.w0, p.omega))
+
     def test_field_sign_absorbed(self):
         p = SystemParams(b=-0.4, b0=-1.2, w0=0.5, omega=0.0)
         assert p.b == 0.4 and p.b0 == 1.2

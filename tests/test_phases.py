@@ -176,6 +176,11 @@ class TestCosTheta:
         with pytest.raises(DomainError):
             cos_theta(math.nan)
 
+    @pytest.mark.parametrize("k", ["1", 1j, np.complex128(1.0), None])
+    def test_ratio_that_is_not_a_real_number_raises_domain_error(self, k):
+        with pytest.raises(DomainError, match="field ratio k must be a real number"):
+            cos_theta(k)
+
 
 class TestDerivatives:
     def test_method_triangle(self, rng):

@@ -53,7 +53,7 @@ from penphase import (
 )
 import closed_forms
 import numpy_reference
-from conftest import K_CR, route_spread
+from conftest import K_CR, SLOW_MODE_POINT, route_spread
 from dynamics_oracle import flow_map
 from penphase import sweep
 from penphase.model import BINDINGS, _generator, _mu_cubic, build_L3_form
@@ -936,6 +936,39 @@ def test_isotropic_binding_matches_its_closed_forms(k, w0, method):
     want = np.array(closed_forms.isotropic_dw(k))
     tolerance = ROUTE_TOLERANCE[method](float(np.linalg.norm(J6 @ S)))
     assert np.all(np.abs(got - want) <= tolerance * (1.0 + np.abs(want)))
+
+
+def _negative_count(H: np.ndarray) -> int:
+    return int(np.count_nonzero(np.linalg.eigvalsh(H) < 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    b=st.floats(min_value=0.0, max_value=3.0),
+    b0=st.floats(min_value=0.0, max_value=3.0),
+    w0=st.floats(min_value=0.1, max_value=3.0),
+    omega=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+    binding=st.sampled_from(sorted(BINDINGS)),
+)
+@example(b=SLOW_MODE_POINT[0], b0=SLOW_MODE_POINT[1], w0=4.0 * SLOW_MODE_POINT[1] / 3.0,
+         omega=1.0, binding="penning")
+def test_krein_signs_match_the_inertia_of_the_pencil(b, b0, w0, omega, binding):
+    # S - t iJ is Hermitian and singular at t = w for each mode's conjugate
+    # eigenvector; as t rises through w its null eigenvalue falls when the
+    # Krein sign is +1 and rises when it is -1, so the count of negative
+    # eigenvalues steps by the sign (eps stays below every gap, which the
+    # Confined class puts above 1e-7 (1 + ||Lambda||_F) >= eps). A mode of
+    # sign -1 carries a negative-definite 2x2 block of S, so S has two
+    # negative eigenvalues per such mode
+    S = build_G(SystemParams(b=b, b0=b0, w0=w0, omega=omega), BINDINGS[binding](w0)).S
+    spectrum = classify(J6 @ S)
+    assume(spectrum.classification is Classification.CONFINED)
+    iJ = 1j * J6
+    for mode in spectrum.modes:
+        w, eps = mode.freq, 1e-7 * (1.0 + mode.freq)
+        step = _negative_count(S - (w + eps) * iJ) - _negative_count(S - (w - eps) * iJ)
+        assert step == mode.krein_sign
+    assert _negative_count(S) == 2 * spectrum.krein_signs.tolist().count(-1)
 
 
 @settings(max_examples=200, deadline=None)

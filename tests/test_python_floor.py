@@ -54,8 +54,8 @@ STDLIB_ADDED = {
             (3, 13),
         ),
     },
-    "__future__": {}, "argparse": {}, "concurrent.futures": {}, "dataclasses": {},
-    "functools": {}, "json": {}, "numbers": {},
+    "__future__": {}, "argparse": {}, "dataclasses": {}, "functools": {}, "json": {},
+    "numbers": {},
 }
 
 #: Standard-library modules added after Python 3.10.

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import os
+import threading
 import tracemalloc
 import types
 
@@ -86,19 +87,13 @@ class TestSweepFig1:
     def test_origin_is_boundary(self, small_map):
         assert small_map.classes[0, 0] == "B"
 
-    def test_pool_without_sched_getaffinity(self, monkeypatch):
-        # os.sched_getaffinity is missing on macOS and Windows; there the
-        # pool is sized by os.cpu_count
-        grid = GridSpec(alpha_steps=60, alpha0_steps=60)
-        want = io.StringIO()
-        sweep_fig1(grid).to_csv(want)
-        calls = []
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or 3)
-        got = io.StringIO()
-        sweep_fig1(grid).to_csv(got)
-        assert calls
-        assert got.getvalue() == want.getvalue()
+    def test_runs_on_the_calling_thread(self, monkeypatch):
+        # the grid is classified without starting a thread
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert sweep_fig1(GridSpec(alpha_steps=60, alpha0_steps=60)).classes.shape == (61, 61)
 
     def test_csv_format(self, small_map):
         buf = io.StringIO()
@@ -128,15 +123,17 @@ class TestSweepFig1:
         assert (rm.grid.alpha_max, rm.grid.alpha_steps) == (10.0, 50)
         assert (rm.grid.alpha0_max, rm.grid.alpha0_steps) == (10.0, 50)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "5", 1j])
     @pytest.mark.parametrize("field", ["alpha_min", "alpha_max", "alpha0_min", "alpha0_max"])
     def test_non_finite_extent_rejected(self, field, value):
-        with pytest.raises(DomainError, match="finite"):
+        message = "finite" if isinstance(value, float) else f"{field} must be a real number"
+        with pytest.raises(DomainError, match=message):
             GridSpec(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -4.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -4.0, "4", 1j])
     def test_non_finite_gap_scale_rejected(self, value):
-        with pytest.raises(DomainError, match="finite"):
+        message = "finite" if isinstance(value, float) else "gap scale must be a real number"
+        with pytest.raises(DomainError, match=message):
             sweep_fig1(GridSpec(alpha_steps=20, alpha0_steps=20), gap_scale=value)
 
 
@@ -548,8 +545,8 @@ def test_classify_grid_tile_memory_per_cell():
     # a tile of the block stage is whole rows holding at most _CHUNK_CELLS
     # blocks (431 rows of the default map's 19 blocks), worked as
     # (row x block) arrays, and the cells of its undecided blocks go through
-    # _loop_codes in pieces of at most _CHUNK_CELLS; about 13 B per cell of
-    # the tile measured, the codes included
+    # _loop_codes in pieces of at most _CHUNK_CELLS; about 14 B per cell of
+    # the tile measured, the codes and the tile's block codes per cell included
     grid = GridSpec()
     gap_floor = sweep.GAP_SLOPE_SCALE * grid.max_step
     rows = sweep._CHUNK_CELLS // -(-grid.alphas.size // sweep._BLOCK_COLUMNS)
@@ -566,8 +563,8 @@ def test_classify_grid_tile_memory_per_cell():
 
 @pytest.mark.parametrize("chunk_cells", [1, 5, 7, 30])
 def test_grid_tiles_cover_every_cell(monkeypatch, chunk_cells):
-    # 1, 5 and 7 split each 11-cell row into capped-width pieces; 30 takes
-    # two whole rows per tile and leaves a one-row tile at the end
+    # 1, 5 and 7 give one-block pieces of _loop_codes; 30 takes two whole
+    # rows per tile and leaves a one-row tile at the end
     alphas, alpha0s = np.linspace(0.0, 3.0, 11), np.linspace(0.0, 3.0, 13)
     gap_floor = 0.02  # the default map's margin, under which all three classes occur
     b0, b = (x.ravel() for x in np.meshgrid(alpha0s, alphas, indexing="ij"))
@@ -656,6 +653,15 @@ class TestFindKcr:
     def test_pinned_result(self, tol, k_cr, bracket, iterations):
         res = find_kcr(tol=tol)
         assert (res.k_cr, res.bracket, res.iterations) == (k_cr, bracket, iterations)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_bracket_holds_the_closed_form(self, tol):
+        # K_CR is the closed form's root (closed_forms.K_CR); at tol 1e-7 the
+        # bracket is (0.2583129025, 0.2583129615), 2.3e-8 from k_cr to K_CR
+        res = find_kcr(tol=tol)
+        lo, hi = res.bracket
+        assert lo < K_CR < hi
+        assert abs(res.k_cr - K_CR) <= tol
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
