@@ -2,9 +2,12 @@
 critical-ratio search and resonance shifts, with deterministic CSV/JSON/SVG
 output and a manifest per produced file.
 
-Every file-producing run writes `<output>.manifest`, a key=value config that
-reproduces the run bit-exactly via --config. Exit codes: 0 ok, 2 domain
-error, 3 numerical error, 4 no cyclic states.
+Every command's output goes through ``_emit``: first each file it was given
+a path for, in order, each written atomically; then, if any was, the
+manifest `<output>.manifest`, a key=value config that reproduces the run
+bit-exactly via --config; then stdout. A path that cannot be written (an
+empty one included) is an error, and a failed write prints nothing. Exit
+codes: 0 ok, 2 domain error, 3 numerical error, 4 no cyclic states.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .errors import DegeneracyError, DomainError, NoCyclicStatesError, NumericalError
+from .errors import DomainError, NoCyclicStatesError, NumericalError
 from .model import (
     BINDINGS,
     J6,
+    BindingPotential,
     SystemParams,
     build_G,
     make_params_adiabatic,
@@ -49,6 +53,13 @@ def _add_param_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_label_options(p: argparse.ArgumentParser, *prefixes: str) -> None:
+    """Occupations --<prefix>1..3 of one Fock label per prefix."""
+    for prefix in prefixes:
+        for i in (1, 2, 3):
+            p.add_argument(f"--{prefix}{i}", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="penphase",
@@ -63,15 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action=argparse.BooleanOptionalAction, default=False,
                    help="print machine-readable JSON")
     p.add_argument("-o", "--output", default=None, help="also write the JSON report here")
-    p.add_argument("--config", default=None, help="key=value config file")
 
     p = sub.add_parser("phases", help="geometric-phase report for one Fock label")
     _add_param_options(p)
-    p.add_argument("--n1", type=int, default=0)
-    p.add_argument("--n2", type=int, default=0)
-    p.add_argument("--n3", type=int, default=0)
+    _add_label_options(p, "n")
     p.add_argument("-o", "--output", default=None, help="write the JSON report here")
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("sweep-fig1", aliases=["sweep_fig1"],
                        help="region map over (alpha, alpha0)")
@@ -85,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="widen the window until four confined components appear")
     p.add_argument("-o", "--output", required=False, default="fig1.csv")
     p.add_argument("--svg", default=None, help="also render the map to this SVG")
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("curve-fig2", aliases=["curve_fig2"],
                        help="adiabatic derivative curves over k")
@@ -95,26 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binding", choices=tuple(BINDINGS), default="penning")
     p.add_argument("-o", "--output", required=False, default="fig2.csv")
     p.add_argument("--svg", default=None, help="also render the curves to this SVG")
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("find-kcr", aliases=["find_kcr"],
                        help="locate the critical field ratio by bisection")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("-o", "--output", default=None, help="write the JSON result here")
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("resonance", help="resonance-peak shift between two labels")
     _add_param_options(p)
-    p.add_argument("--n1", type=int, default=0)
-    p.add_argument("--n2", type=int, default=0)
-    p.add_argument("--n3", type=int, default=0)
-    p.add_argument("--np1", type=int, default=0)
-    p.add_argument("--np2", type=int, default=0)
-    p.add_argument("--np3", type=int, default=0)
+    _add_label_options(p, "n", "np")
     p.add_argument("--delta-omega", type=float, required=False, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--config", default=None)
 
+    # last in each manifest's key order; an alias maps to its command's parser
+    for p in dict.fromkeys(sub.choices.values()):
+        p.add_argument("--config", default=None, help="key=value config file, e.g. a manifest")
     return parser
 
 
@@ -169,8 +170,8 @@ def _read_config(path: str, command: str, defaults: dict) -> List[str]:
     return tokens
 
 
-def _manifest_text(command: str, args: argparse.Namespace) -> str:
-    lines = [f"command={command}", f"artifact_version={__version__}"]
+def _manifest_text(args: argparse.Namespace) -> str:
+    lines = [f"command={args.command}", f"artifact_version={__version__}"]
     for key, val in sorted(_SPECTRAL_CONSTANTS.items()):
         lines.append(f"{key}={val}")
     for dest, val in vars(args).items():
@@ -180,9 +181,7 @@ def _manifest_text(command: str, args: argparse.Namespace) -> str:
             rendered = "none"
         elif isinstance(val, bool):
             rendered = "true" if val else "false"
-        elif isinstance(val, float):
-            rendered = repr(val)
-        else:
+        else:  # a float's str is its repr
             rendered = str(val)
         lines.append(f"{dest}={rendered}")
     return "\n".join(lines) + "\n"
@@ -207,16 +206,21 @@ def _write_file(path: str, render) -> None:
         raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
-    _write_file(path, lambda fh: fh.write(text))
+def _emit(args: argparse.Namespace, text: str, *files) -> int:
+    """Write each (path, render) of `files` whose path is not None, in order;
+    then, if any was written, the manifest next to args.output; then `text`
+    to stdout. A failed write raises before anything is printed."""
+    files = [(path, render) for path, render in files if path is not None]
+    for path, render in files:
+        _write_file(path, render)
+    if files:
+        manifest = _manifest_text(args)
+        _write_file(args.output + ".manifest", lambda fh: fh.write(manifest))
+    sys.stdout.write(text)
+    return 0
 
 
-def _emit_manifest(command: str, args: argparse.Namespace) -> None:
-    if getattr(args, "output", None):
-        _write_text(args.output + ".manifest", _manifest_text(command, args))
-
-
-def _params_from_args(args) -> SystemParams:
+def _point_from_args(args) -> Tuple[SystemParams, BindingPotential]:
     dimensionless = args.alpha is not None or args.alpha0 is not None or args.w is not None
     adiabatic = args.k is not None
     if dimensionless == adiabatic:
@@ -228,28 +232,24 @@ def _params_from_args(args) -> SystemParams:
             raise DomainError("the dimensionless style needs all of --alpha, --alpha0, --w")
         if args.omega is not None:
             raise DomainError("--omega applies to the --k style only (omega = 1 here)")
-        return make_params_dimensionless(args.alpha, args.alpha0, args.w)
-    omega = 0.0 if args.omega is None else args.omega
-    return make_params_adiabatic(args.k, omega)
+        params = make_params_dimensionless(args.alpha, args.alpha0, args.w)
+    else:
+        params = make_params_adiabatic(args.k, 0.0 if args.omega is None else args.omega)
+    return params, BINDINGS[args.binding](params.w0)
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_json(command: str, args: argparse.Namespace, result) -> int:
+def _emit_json(args: argparse.Namespace, result) -> int:
     """Print a result dataclass as JSON; with -o, also write it and its manifest."""
     text = _json_dumps(dataclasses.asdict(result))
-    sys.stdout.write(text)
-    if args.output:
-        _write_text(args.output, text)
-        _emit_manifest(command, args)
-    return 0
+    return _emit(args, text, (args.output, lambda fh: fh.write(text)))
 
 
 def _cmd_classify(args) -> int:
-    params = _params_from_args(args)
-    binding = BINDINGS[args.binding](params.w0)
+    params, binding = _point_from_args(args)
     spectrum = classify(J6 @ build_G(params, binding).S)
     ev = sorted(spectrum.raw_eigenvalues, key=lambda z: (round(z.imag, 12), z.real))
     report = {
@@ -260,49 +260,39 @@ def _cmd_classify(args) -> int:
         ],
     }
     text = _json_dumps(report)
-    if args.json:
-        sys.stdout.write(text)
-    else:
-        print(f"classification: {report['classification']}")
-        print("eigenvalues:")
-        for re, im in report["eigenvalues"]:
-            print(f"  {re:+.16e} {im:+.16e}i")
-        if spectrum.modes:
-            print("modes (freq, krein):")
-            for i, m in enumerate(spectrum.modes, start=1):
-                print(f"  {i}: {m.freq:.16g}  {m.krein_sign:+d}")
-    if args.output:
-        _write_text(args.output, text)
-        _emit_manifest("classify", args)
-    return 0
+    lines = [f"classification: {report['classification']}", "eigenvalues:"]
+    lines += [f"  {re:+.16e} {im:+.16e}i" for re, im in report["eigenvalues"]]
+    if spectrum.modes:
+        lines.append("modes (freq, krein):")
+        lines += [f"  {i}: {m.freq:.16g}  {m.krein_sign:+d}"
+                  for i, m in enumerate(spectrum.modes, start=1)]
+    shown = text if args.json else "\n".join(lines) + "\n"
+    return _emit(args, shown, (args.output, lambda fh: fh.write(text)))
 
 
 def _cmd_phases(args) -> int:
-    params = _params_from_args(args)
-    binding = BINDINGS[args.binding](params.w0)
+    params, binding = _point_from_args(args)
     label = FockLabel(args.n1, args.n2, args.n3)
     if params.omega > 0:
         report = aa_phase(params, binding, label)
     else:
         report = berry_phase_adiabatic(params.k, binding, label)
-    return _emit_json("phases", args, report)
+    return _emit_json(args, report)
 
 
 def _cmd_sweep_fig1(args) -> int:
     grid = GridSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GridSpec)})
     rm = sweep_fig1(grid, auto_extend=args.auto_extend, gap_scale=args.gap_scale)
-    _write_file(args.output, rm.to_csv)
-    if args.svg:
-        _write_file(args.svg, lambda fh: svgplot.region_map_svg(rm, fh))
-    _emit_manifest("sweep-fig1", args)
     g = rm.grid
-    print(
+    return _emit(
+        args,
         f"confined components: {rm.n_components}; unconfined regions: "
         f"{rm.n_unconfined_regions}; window alpha in [{g.alpha_min:g}, {g.alpha_max:g}], "
         f"alpha0 in [{g.alpha0_min:g}, {g.alpha0_max:g}] "
-        f"(auto-extended: {str(rm.auto_extended).lower()})"
+        f"(auto-extended: {str(rm.auto_extended).lower()})\n",
+        (args.output, rm.to_csv),
+        (args.svg, lambda fh: svgplot.region_map_svg(rm, fh)),
     )
-    return 0
 
 
 def _cmd_curve_fig2(args) -> int:
@@ -312,22 +302,21 @@ def _cmd_curve_fig2(args) -> int:
         raise DomainError("k grid must be finite")
     ks = np.linspace(args.k_min, args.k_max, args.points)
     table = curve_fig2(ks, binding=args.binding)
-    _write_file(args.output, table.to_csv)
-    if args.svg:
-        _write_file(args.svg, lambda fh: svgplot.curves_svg(table, fh))
-    _emit_manifest("curve-fig2", args)
-    print(f"rows: {len(table.k)}; stable pair below k = "
-          f"{table.k[table.stable23][-1] if table.stable23.any() else float('nan'):g}")
-    return 0
+    return _emit(
+        args,
+        f"rows: {len(table.k)}; stable pair below k = "
+        f"{table.k[table.stable23][-1] if table.stable23.any() else float('nan'):g}\n",
+        (args.output, table.to_csv),
+        (args.svg, lambda fh: svgplot.curves_svg(table, fh)),
+    )
 
 
 def _cmd_find_kcr(args) -> int:
-    return _emit_json("find-kcr", args, find_kcr(tol=args.tol))
+    return _emit_json(args, find_kcr(tol=args.tol))
 
 
 def _cmd_resonance(args) -> int:
-    params = _params_from_args(args)
-    binding = BINDINGS[args.binding](params.w0)
+    params, binding = _point_from_args(args)
     if args.delta_omega is None:
         raise DomainError("--delta-omega is required")
     res = resonance_shift(
@@ -337,7 +326,7 @@ def _cmd_resonance(args) -> int:
         FockLabel(args.np1, args.np2, args.np3),
         args.delta_omega,
     )
-    return _emit_json("resonance", args, res)
+    return _emit_json(args, res)
 
 
 _DISPATCH = {
@@ -354,30 +343,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+        args = parser.parse_args(argv)
         # no command name has an underscore but its alias (sweep_fig1, ...)
         command = args.command.replace("_", "-")
-        if getattr(args, "config", None):
+        if args.config is not None:
             prefix = _read_config(args.config, command, vars(parser.parse_args([command])))
             # config supplies defaults; explicit flags win by coming last
-            try:
-                args = parser.parse_args([command, *prefix, *argv[1:]])
-            except SystemExit as exc:
-                return int(exc.code or 0)
+            args = parser.parse_args([command, *prefix, *argv[1:]])
         args.command = command
         return _DISPATCH[command](args)
-    except DomainError as exc:
+    except SystemExit as exc:  # argparse: a usage error (2), --help or --version (0)
+        return int(exc.code or 0)
+    except (DomainError, NoCyclicStatesError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoCyclicStatesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DegeneracyError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, DomainError):
+            return 2
+        return 4 if isinstance(exc, NoCyclicStatesError) else 3
 
 
 if __name__ == "__main__":

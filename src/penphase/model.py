@@ -69,16 +69,42 @@ def _check_range(what: str, values) -> None:
         raise DomainError(f"{what} must be finite and at most {_MAX_MAGNITUDE:.2g} in magnitude")
 
 
-def _finite(what: str, x) -> bool:
-    """math.isfinite of a real number x, an int of any size being finite; an
-    x that is not a real number (a string, a complex) raises DomainError
-    naming `what`. A float skips the ABC checks, which cost about 0.4 us
-    each, and an int the first."""
+def _float(what: str, x) -> float:
+    """float(x) of a real number x, an int beyond the float range giving the
+    infinity of its sign, which each caller's finiteness or range check
+    rejects as it rejects inf; an x that is not a real number (a string, a
+    complex) raises DomainError naming `what`. A float skips the ABC checks,
+    which cost about 0.4 us each, and an int the first."""
     if type(x) is float:
-        return math.isfinite(x)
+        return x
     if type(x) is not int and not isinstance(x, numbers.Real):
         raise DomainError(f"{what} must be a real number, got {x!r}")
-    return isinstance(x, numbers.Integral) or math.isfinite(x)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _finite(what: str, x) -> bool:
+    """math.isfinite of ``_float(what, x)``, an int of any size being finite."""
+    if type(x) is float:
+        return math.isfinite(x)
+    return isinstance(x, numbers.Integral) or math.isfinite(_float(what, x))
+
+
+def _real_array(what: str, a) -> np.ndarray:
+    """a as a float array, an int beyond the float range as ``_float`` gives
+    it; DomainError naming `what` where a holds complex numbers or strings
+    (which are not parsed) or has ragged rows."""
+    try:
+        arr = np.asarray(a)
+        if arr.dtype.kind not in "cSU":
+            return arr.astype(float, copy=False)
+    except OverflowError:
+        return np.array([_float(what, x) for x in a])
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"{what} must be a sequence of real numbers")
 
 
 @dataclass(frozen=True)
@@ -108,12 +134,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("b", "b0", "w0", "omega"):  # strings and complexes raise here
-            _finite(name, getattr(self, name))
+            object.__setattr__(self, name, _float(name, getattr(self, name)))
         # field magnitudes: sign of the field direction is absorbed
-        object.__setattr__(self, "b", abs(float(self.b)))
-        object.__setattr__(self, "b0", abs(float(self.b0)))
-        object.__setattr__(self, "w0", float(self.w0))
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "b", abs(self.b))
+        object.__setattr__(self, "b0", abs(self.b0))
         if self.w0 < 0:
             raise DomainError(f"binding frequency w0 must be >= 0, got {self.w0}")
         if self.omega < 0:
@@ -130,8 +154,7 @@ class SystemParams:
     @classmethod
     def penning_loop(cls, b0: float, b: float = 0.0, omega: float = 0.0) -> "SystemParams":
         """Construct with the loop constraint w0 = (4/3) b0 enforced exactly."""
-        _finite("b0", b0)
-        return cls(b=b, b0=b0, w0=4.0 * abs(float(b0)) / 3.0, omega=omega)
+        return cls(b=b, b0=b0, w0=4.0 * abs(_float("b0", b0)) / 3.0, omega=omega)
 
 
 def make_params_dimensionless(alpha: float, alpha0: float, w: float) -> SystemParams:
@@ -201,9 +224,7 @@ class QuadraticForm:
     S: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.S):
-            raise DomainError("coefficient matrix must be real")
-        S = np.asarray(self.S, dtype=float)
+        S = _real_array("coefficient matrix", self.S)
         if S.shape != (6, 6):
             raise DomainError(f"expected a 6x6 matrix, got {S.shape}")
         if not np.isfinite(S).all():

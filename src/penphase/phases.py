@@ -49,6 +49,7 @@ from .model import (
     QuadraticForm,
     SystemParams,
     _finite,
+    _float,
     _generator,
     _mu_cubic,
     _read_only,
@@ -156,9 +157,8 @@ def expectation_quadratic(Q, basis: NormalModeBasis, n: FockLabel) -> float:
 
 def cos_theta(k: float) -> float:
     """Cosine of the precession-cone semiangle, (1 + k^2)^(-1/2)."""
-    _finite("field ratio k", k)  # a string or a complex raises here
-    if not k >= 0:
-        raise DomainError(f"field ratio k must be >= 0, got {k}")
+    if not (math.isfinite(_float("field ratio k", k)) and k >= 0):
+        raise DomainError(f"field ratio k must be finite and >= 0, got {k}")
     return 1.0 / math.sqrt(1.0 + k * k)
 
 
@@ -396,7 +396,7 @@ def resonance_shift(
     that changes under it (opposite-sign modes that collide and re-separate
     within delta) raises NumericalError.
     """
-    if not _finite("delta_omega", delta_omega):
+    if not math.isfinite(_float("delta_omega", delta_omega)):
         raise DomainError(f"delta_omega must be finite, got {delta_omega}")
     if params.omega <= 0:
         raise DomainError("resonance_shift requires omega > 0")

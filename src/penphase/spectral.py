@@ -31,7 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import J6, _read_only
+from .model import J6, _read_only, _real_array
 
 __all__ = [
     "Classification",
@@ -132,14 +132,12 @@ def classify(lam) -> ModeSpectrum:
     symplectic form; a form below 1e-10 |v|^2 carries no sign and demotes
     the point to Boundary (a degeneracy below the gap resolution).
 
-    A complex, non-finite or non-6x6 input raises DomainError. The last
-    matrix's spectrum is kept, keyed on the bytes of Lambda as float64, so a
-    repeated matrix is not decomposed again; ``raw_eigenvalues`` and each
-    mode's ``eigvec`` are read-only.
+    A complex, non-numeric, non-finite or non-6x6 input raises DomainError.
+    The last matrix's spectrum is kept, keyed on the bytes of Lambda as
+    float64, so a repeated matrix is not decomposed again; ``raw_eigenvalues``
+    and each mode's ``eigvec`` are read-only.
     """
-    if np.iscomplexobj(lam):
-        raise DomainError("dynamical matrix must be real")
-    L = np.asarray(lam, dtype=float)
+    L = _real_array("dynamical matrix", lam)
     if L.shape != (6, 6):
         raise DomainError(f"expected a 6x6 dynamical matrix, got shape {L.shape}")
     if not np.isfinite(L).all():

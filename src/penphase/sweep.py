@@ -72,7 +72,7 @@ from typing import IO, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MultiCrossingError, NumericalError
-from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _finite, _generator
+from .model import BINDINGS, J6, PenningQuadrupole, _check_range, _float, _generator, _real_array
 from .phases import _dmodes_cubic, _omega_cubic
 from .spectral import _gap_tol, _rule, _simple_imaginary
 
@@ -115,10 +115,8 @@ class GridSpec:
     alpha0_steps: int = 600
 
     def __post_init__(self):
-        extents = (self.alpha_min, self.alpha_max, self.alpha0_min, self.alpha0_max)
-        for name, x in zip(("alpha_min", "alpha_max", "alpha0_min", "alpha0_max"), extents):
-            _finite(name, x)
-        _check_range("grid extents", extents)
+        names = ("alpha_min", "alpha_max", "alpha0_min", "alpha0_max")
+        _check_range("grid extents", tuple(_float(name, getattr(self, name)) for name in names))
         try:
             steps = min(operator.index(self.alpha_steps), operator.index(self.alpha0_steps))
         except TypeError:
@@ -215,10 +213,12 @@ def _deflated(c2, c1):
     with d = c2^2 - 4 c1, the larger of the real roots h = -(c2 + sign(c2)
     sqrt(d)) / 2 and c1 / h (free of cancellation) where d >= 0 (negative
     when both are), else the pair's (|mu| + Re mu) / 2 = (sqrt(c1) - c2 / 2)
-    / 2. NaN where c2 = c1 = 0 (h = 0)."""
+    / 2. h underflows to 0 only at c1 = 0, |c2| <= 5e-324, where it is the
+    root -c2; so the result is NaN only where c2 = c1 = 0 (c1 / h = 0 / 0)."""
     d = c2 * c2 - 4.0 * c1
     with np.errstate(invalid="ignore", divide="ignore"):
         h = -0.5 * (c2 + np.copysign(np.sqrt(d), c2))
+        h = np.where(h == 0.0, -c2, h)
         return np.where(d < 0.0, 0.5 * (np.sqrt(c1) - 0.5 * c2), np.maximum(h, c1 / h))
 
 
@@ -652,7 +652,7 @@ def sweep_fig1(
     below 10 grows by 50% increments, capped at 10, at the cell size asked for
     on that axis; once no axis grows the result is reported as-is.
     """
-    if not (_finite("gap scale", gap_scale) and gap_scale >= 0):
+    if not (math.isfinite(_float("gap scale", gap_scale)) and gap_scale >= 0):
         raise DomainError(f"gap scale must be finite and >= 0, got {gap_scale}")
     spec = grid or GridSpec()
     steps = ((spec.alpha_max - spec.alpha_min) / spec.alpha_steps,
@@ -722,12 +722,13 @@ def refine_boundary(
     found. (Points are told apart by s, so a segment across an axis classifies
     a point and its mirror image both.)
     """
-    if not (_finite("tolerance", tol) and tol > 0):
+    if not (math.isfinite(_float("tolerance", tol)) and tol > 0):
         raise DomainError(f"tolerance must be finite and > 0, got {tol}")
-    try:
-        (a, a0), (b, b0) = ((float(x), float(y)) for x, y in (p_confined, p_unconfined))
+    try:  # _float parses no string: its DomainError is a ValueError
+        (a, a0), (b, b0) = ((_float("alpha", x), _float("alpha0", y))
+                            for x, y in (p_confined, p_unconfined))
     except (TypeError, ValueError):
-        raise DomainError("segment endpoints must be (alpha, alpha0) pairs") from None
+        raise DomainError("segment endpoints must be (alpha, alpha0) pairs of reals") from None
     _check_range("parameters", (a, a0, b, b0))
     da, da0 = b - a, b0 - a0
     length = math.hypot(da, da0)
@@ -774,7 +775,7 @@ def find_kcr(tol: float = 1e-7) -> KcrResult:
     max(1, ceil(log2(range / tol))) times by ``_bisect``, each k classified by
     ``_loop_code``.
     """
-    if not _finite("tolerance", tol):
+    if not math.isfinite(_float("tolerance", tol)):
         raise DomainError(f"tolerance must be finite, got {tol}")
     if tol < 1e-9:
         raise DomainError(f"tolerance must be >= 1e-9, got {tol}")
@@ -876,11 +877,8 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
         ks = np.linspace(0.01, 1.0, 500)
     else:
         try:
-            ks = np.asarray(list(k_grid))
-            if ks.dtype.kind in "cSU":  # complex numbers or strings
-                raise TypeError
-            ks = ks.astype(float, copy=False)
-        except (TypeError, ValueError):
+            ks = _real_array("k grid", list(k_grid))
+        except TypeError:  # not iterable
             raise DomainError("k grid must be a sequence of real numbers") from None
         if ks.ndim != 1 or len(ks) == 0:
             raise DomainError("k grid must be a non-empty 1-D sequence")
@@ -889,7 +887,7 @@ def curve_fig2(k_grid: Optional[Sequence[float]] = None, binding: str = "penning
             raise DomainError("k grid values must be > 0")
         if np.any(np.diff(ks) <= 0):
             raise DomainError("k grid must be strictly increasing")
-    if binding not in BINDINGS:
+    if not isinstance(binding, str) or binding not in BINDINGS:
         raise DomainError(f"unknown binding kind {binding!r}")
     curvatures = BINDINGS[binding](4.0 / 3.0).curvatures()
     S = _generator(ks, 1.0, 0.0, curvatures, ks.shape)

@@ -15,6 +15,9 @@ from penphase import (
 
 SEED = 20260810
 
+# ints beyond the float range, as test ids that are not 400 digits long
+BIG_INTS = [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+
 # A Confined loop point (alpha, alpha0) at omega = 1, 5e-10 below the
 # alpha0 = 3/4 zero-mode line: its slow mode has frequency 1.74e-5, 28 times
 # the zero-mode tolerance, and a symplectic form Im(v^H J v) of -1.3e-5 (first

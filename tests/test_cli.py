@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SLOW_MODE_POINT, route_spread
+import penphase
 from penphase import PenningQuadrupole, cli, make_params_dimensionless
 from penphase.cli import main
 
@@ -607,3 +608,82 @@ print("concurrent.futures" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
+
+
+# one quick run of each command, classify in both output modes
+EMIT_RUNS = {
+    "classify": ["classify", "--k", "0.2"],
+    "classify-json": ["classify", "--k", "0.2", "--json"],
+    "phases": ["phases", "--k", "0.2", "--omega", "0.01", "--n1", "1"],
+    "sweep-fig1": ["sweep-fig1", "--alpha-steps", "20", "--alpha0-steps", "20",
+                   "--no-auto-extend"],
+    "curve-fig2": ["curve-fig2", "--points", "20"],
+    "find-kcr": ["find-kcr", "--tol", "1e-3"],
+    "resonance": ["resonance", *_PARAMS, "--delta-omega", "1e-4"],
+}
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("run_id", list(EMIT_RUNS))
+    def test_failed_write_prints_nothing(self, capsys, tmp_path, run_id):
+        # every command writes its files before it prints: a failed write
+        # leaves stdout empty (the JSON commands once printed first)
+        def refuse(path, render):
+            raise cli.DomainError(f"cannot write {path}: refused")
+
+        with mock.patch.object(cli, "_write_file", refuse):
+            code, out, err = run(capsys, *EMIT_RUNS[run_id], "-o", str(tmp_path / "result"))
+        assert code == 2
+        assert out == "" and "cannot write" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("run_id, option", [
+        *((run_id, "-o") for run_id in EMIT_RUNS),
+        ("sweep-fig1", "--svg"),
+        ("curve-fig2", "--svg"),
+    ])
+    def test_empty_path_is_an_error(self, capsys, tmp_path, monkeypatch, run_id, option):
+        # a given empty path is written like any other and fails (four
+        # commands once skipped an empty -o, and both sweeps an empty --svg);
+        # no partial file and no manifest is left, nothing is printed. The
+        # CSV before an empty --svg is a whole file, written first.
+        monkeypatch.chdir(tmp_path)
+        argv = [*EMIT_RUNS[run_id], option, ""]
+        if option == "--svg":
+            argv += ["-o", "out.csv"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "error: cannot write :" in err
+        left = [p.name for p in tmp_path.iterdir()]
+        assert left == (["out.csv"] if option == "--svg" else [])
+
+
+class TestUsageErrors:
+    def test_unreadable_config_exits_2(self, capsys, tmp_path):
+        # an empty --config is read like any other path (it was once ignored)
+        for config in (str(tmp_path / "missing.cfg"), ""):
+            code, out, err = run(capsys, "find-kcr", "--config", config)
+            assert code == 2
+            assert out == "" and err.startswith(f"error: cannot read config {config}: ")
+
+    def test_omega_with_the_dimensionless_style_exits_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--alpha", "0.1", "--alpha0", "0.5", "--w",
+                             "0.6", "--omega", "1")
+        assert code == 2
+        assert err == "error: --omega applies to the --k style only (omega = 1 here)\n"
+
+    def test_one_grid_point_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "curve-fig2", "--points", "1", "-o", str(tmp_path / "f"))
+        assert code == 2
+        assert err == "error: need at least 2 grid points\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_option_exits_2(self, capsys):
+        code, out, err = run(capsys, "find-kcr", "--widgets", "3")
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --widgets 3" in err
+
+    def test_version_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--version")
+        assert code == 0
+        assert out == f"penphase {penphase.__version__}\n"

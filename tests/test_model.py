@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_write_flag_refused
+from conftest import BIG_INTS, assert_write_flag_refused
 from dynamics_oracle import classical_energy, quadratic_value
 from penphase import (
     DomainError,
@@ -70,6 +70,11 @@ class TestParams:
         (make_params_adiabatic, ("0.2",), "field ratio k must be a real number"),
         (make_params_adiabatic, (0.2 + 0j,), "field ratio k must be a real number"),
         (make_params_adiabatic, (0.2, "0"), "omega must be a real number"),
+        # ints beyond the float range, rejected as inf is
+        (make_params_dimensionless, (10**400, 1, 1), "parameters must be finite"),
+        (make_params_dimensionless, (1, 1, -10**400), "must be >= 0"),
+        (make_params_adiabatic, (10**400,), "parameters must be finite"),
+        (make_params_adiabatic, (0.2, 10**400), "parameters must be finite"),
     ])
     def test_factories_reject_what_is_not_a_real_number(self, factory, args, message):
         with pytest.raises(DomainError, match=message):
@@ -85,6 +90,31 @@ class TestParams:
         if field != "w0":
             with pytest.raises(DomainError, match=f"^{field} must be a real number"):
                 SystemParams.penning_loop(**{k: v for k, v in args.items() if k != "w0"})
+
+    @pytest.mark.parametrize("value", BIG_INTS)
+    @pytest.mark.parametrize("field", ["b", "b0", "w0", "omega"])
+    def test_params_reject_ints_beyond_the_float_range(self, field, value):
+        # such an int once raised a bare OverflowError from float()
+        args = {"b": 0.5, "b0": 1.0, "w0": 1.0, "omega": 0.0, field: value}
+        message = "must be >= 0" if field in ("w0", "omega") and value < 0 else "must be finite"
+        with pytest.raises(DomainError, match=message):
+            SystemParams(**args)
+        if field != "w0":
+            with pytest.raises(DomainError, match=message):
+                SystemParams.penning_loop(**{k: v for k, v in args.items() if k != "w0"})
+
+    @pytest.mark.parametrize("field, message", [
+        ("w0", "binding frequency w0 must be >= 0, got -0.5"),
+        ("omega", "rotation frequency omega must be >= 0, got -0.5"),
+    ])
+    def test_params_reject_negative_frequencies(self, field, message):
+        args = {"b": 0.5, "b0": 1.0, "w0": 1.0, "omega": 0.0, field: -0.5}
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SystemParams(**args)
+
+    def test_adiabatic_factory_rejects_negative_omega(self):
+        with pytest.raises(DomainError, match="^omega must be >= 0, got -0.1$"):
+            make_params_adiabatic(0.2, -0.1)
 
     def test_params_accept_ints_and_numpy_reals(self):
         p = SystemParams(b=np.int64(-2), b0=np.float32(0.5), w0=3, omega=np.float64(1.0))
@@ -138,6 +168,17 @@ def test_check_range_accepts_the_largest_magnitude(monkeypatch):
 ])
 def test_finite_of_real_numbers(value, finite):
     assert model._finite("x", value) is finite
+
+
+@pytest.mark.parametrize("value, want", [
+    (0.5, 0.5), (-3, -3.0), (np.float64(2.5), 2.5), (math.nan, math.nan),
+    pytest.param(10**400, math.inf, id="10**400"), pytest.param(-10**400, -math.inf, id="-10**400"),
+])
+def test_float_of_real_numbers(value, want):
+    # an int beyond the float range is the infinity of its sign, not an OverflowError
+    got = model._float("x", value)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 @pytest.mark.parametrize("value", ["1", 1 + 0j, np.complex128(1.0), None])

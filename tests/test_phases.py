@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import numpy_reference
 from conftest import (
+    BIG_INTS,
     SLOW_MODE_POINT,
     assert_write_flag_refused,
     route_spread,
@@ -150,7 +151,10 @@ class TestExpectationQuadratic:
             L3.S, basis, label) == expectation_quadratic(L3.S.tolist(), basis, label)
         for Q, message in [(np.eye(5), "6x6"), (np.eye(6) + 1e-3j, "real"),
                            (np.full((6, 6), np.nan), "finite"),
-                           (np.triu(np.ones((6, 6))), "symmetric")]:
+                           (np.triu(np.ones((6, 6))), "symmetric"),
+                           ("abc", "sequence of real numbers"),
+                           ([[1, 2], [3]], "sequence of real numbers"),
+                           ([["1"] * 6] * 6, "sequence of real numbers")]:
             with pytest.raises(DomainError, match=message):
                 expectation_quadratic(Q, basis, label)
 
@@ -175,6 +179,12 @@ class TestCosTheta:
             cos_theta(-0.1)
         with pytest.raises(DomainError):
             cos_theta(math.nan)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan, *BIG_INTS])
+    def test_ratio_that_is_not_finite_raises_domain_error(self, k):
+        # 10**400 once raised a bare OverflowError from math.sqrt
+        with pytest.raises(DomainError, match="field ratio k must be finite and >= 0"):
+            cos_theta(k)
 
     @pytest.mark.parametrize("k", ["1", 1j, np.complex128(1.0), None])
     def test_ratio_that_is_not_a_real_number_raises_domain_error(self, k):
@@ -303,9 +313,16 @@ class TestBerryPhaseAdiabatic:
         (0.2 + 0j, "field ratio k must be a real number"),
         (math.inf, "parameters must be finite"),
         (math.nan, "parameters must be finite"),
+        pytest.param(10**400, "parameters must be finite", id="10**400"),
+        pytest.param(-10**400, "field ratio k must be > 0", id="-10**400"),
     ])
     def test_ratio_that_is_not_a_finite_real_raises_domain_error(self, k, message):
         with pytest.raises(DomainError, match=message):
+            berry_phase_adiabatic(k, loop_binding(), FockLabel(0, 0, 0))
+
+    @pytest.mark.parametrize("k", [0.0, -0.1])
+    def test_ratio_that_is_not_positive_raises_domain_error(self, k):
+        with pytest.raises(DomainError, match=f"^field ratio k must be > 0, got {k}$"):
             berry_phase_adiabatic(k, loop_binding(), FockLabel(0, 0, 0))
 
     def test_matches_small_omega_cross_check(self):
@@ -335,6 +352,19 @@ class TestResonanceShift:
                    for label in (n, n_prime))
         with pytest.raises(DomainError, match="finite shift"):
             resonance_shift(params, binding, n, n_prime, 1e-3)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, *BIG_INTS])
+    def test_non_finite_shift_raises_domain_error(self, delta):
+        params = SystemParams.penning_loop(b0=0.5, b=0.3, omega=1.0)
+        with pytest.raises(DomainError, match="^delta_omega must be finite"):
+            resonance_shift(params, PenningQuadrupole(params.w0), FockLabel(1, 0, 0),
+                            FockLabel(0, 1, 0), delta)
+
+    def test_static_field_raises_domain_error(self):
+        params = make_params_adiabatic(0.1, 0.0)
+        with pytest.raises(DomainError, match="^resonance_shift requires omega > 0$"):
+            resonance_shift(params, PenningQuadrupole(params.w0), FockLabel(1, 0, 0),
+                            FockLabel(0, 1, 0), 1e-3)
 
     @pytest.mark.parametrize("delta", ["1e-3", 1e-3 + 0j, None])
     def test_non_real_shift_raises_domain_error(self, delta):

@@ -328,6 +328,8 @@ def test_zero_mode_row_window_is_decided_by_the_deflated_rule():
 @example(c2=-3.0, c1=2.0)  # mu = 2 and 1
 @example(c2=3.0, c1=2.0)  # mu = -1 and -2: no real part
 @example(c2=0.0, c1=-4.0)  # mu = +-2, sign(c2) of +0.0
+@example(c2=5e-324, c1=0.0)  # mu = 0 and -5e-324: h underflows to -0.0, once 0/0
+@example(c2=-5e-324, c1=0.0)  # mu = 0 and 5e-324
 def test_deflated_matches_the_quadratic_formula(c2, c1):
     # the zero-mode rule's largest (Re lambda)^2 over the roots of
     # mu^2 + c2 mu + c1, against the textbook formula on complex numbers;
@@ -338,6 +340,13 @@ def test_deflated_matches_the_quadratic_formula(c2, c1):
     got = float(sweep._deflated(c2, c1))
     assert abs(max(got, 0.0) - want) <= 1e-12 * (1.0 + abs(c2) + math.sqrt(abs(c1)))
     assert sweep._deflated(np.array([c2]), np.array([c1]))[0] == got
+
+
+def test_deflated_at_the_smallest_subnormal_c2():
+    # the roots are 0 and -c2; h = -c2 / 2 underflows to zero, once giving 0/0
+    assert sweep._deflated(5e-324, 0.0) == 0.0
+    assert sweep._deflated(-5e-324, 0.0) == 5e-324
+    assert sweep._deflated(np.array([5e-324, -5e-324]), np.zeros(2)).tolist() == [0.0, 5e-324]
 
 
 def test_deflated_is_nan_at_a_double_zero_root():

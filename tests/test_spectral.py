@@ -145,10 +145,17 @@ class TestClassifyMemo:
 
     def test_errors_are_not_kept(self):
         spectral._classify_bytes.cache_clear()
-        for bad in (np.full((6, 6), np.nan), np.zeros((5, 5))):
+        for bad in (np.full((6, 6), np.nan), np.zeros((5, 5)), "abc", [[1, 2], [3]]):
             with pytest.raises(DomainError):
                 classify(bad)
         assert spectral._classify_bytes.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad", ["abc", [[1, 2], [3]], [["1"] * 6] * 6, [[1j, None] * 3] * 6])
+    def test_input_that_is_not_an_array_of_reals_raises(self, bad):
+        # np.asarray(..., dtype=float) once raised a bare ValueError or TypeError,
+        # or parsed the strings
+        with pytest.raises(DomainError, match="^dynamical matrix must be a sequence of real"):
+            classify(bad)
 
     def test_complex_input_raises(self):
         L = loop_lambda(0.2, 1.0, 0.0).astype(complex)

@@ -27,7 +27,7 @@ from penphase import (
     refine_boundary,
     sweep_fig1,
 )
-from conftest import K_CR, SLOW_MODE_POINT
+from conftest import BIG_INTS, K_CR, SLOW_MODE_POINT
 from penphase import svgplot, sweep
 from penphase.phases import _dmodes_perturbative
 from penphase.spectral import _gap_tol, _rule
@@ -129,6 +129,22 @@ class TestSweepFig1:
         message = "finite" if isinstance(value, float) else f"{field} must be a real number"
         with pytest.raises(DomainError, match=message):
             GridSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", BIG_INTS)
+    @pytest.mark.parametrize("field", ["alpha_min", "alpha_max", "alpha0_min", "alpha0_max"])
+    def test_extent_beyond_the_float_range_rejected(self, field, value):
+        with pytest.raises(DomainError, match="grid extents must be finite"):
+            GridSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha_min", "alpha0_min"])
+    def test_negative_extent_rejected(self, field):
+        with pytest.raises(DomainError, match="^grid extents must be >= 0$"):
+            GridSpec(**{field: -0.5})
+
+    @pytest.mark.parametrize("value", BIG_INTS)
+    def test_gap_scale_beyond_the_float_range_rejected(self, value):
+        with pytest.raises(DomainError, match="^gap scale must be finite and >= 0"):
+            sweep_fig1(GridSpec(alpha_steps=20, alpha0_steps=20), gap_scale=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -4.0, "4", 1j])
     def test_non_finite_gap_scale_rejected(self, value):
@@ -373,12 +389,21 @@ class TestRefineBoundary:
             refine_boundary((0.45, 0.1), (0.45, 0.9), tol=1e-6)
 
     # 1e200 is finite, but its square overflows
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200, *BIG_INTS])
     @pytest.mark.parametrize("coord", range(4))
     def test_non_finite_endpoint_rejected(self, coord, value):
         coords = [0.3, 0.55, 0.3, 0.8]
         coords[coord] = value
         with pytest.raises(DomainError, match="parameters must be finite"):
+            refine_boundary(coords[:2], coords[2:], tol=1e-6)
+
+    @pytest.mark.parametrize("value", ["0.8", 0.8 + 0j, None])
+    @pytest.mark.parametrize("coord", range(4))
+    def test_non_real_endpoint_rejected(self, coord, value):
+        # float() once parsed the strings: ("0.3", "0.55") -> ("0.3", "0.8") was bisected
+        coords = [0.3, 0.55, 0.3, 0.8]
+        coords[coord] = value
+        with pytest.raises(DomainError, match="segment endpoints must be .* pairs of reals"):
             refine_boundary(coords[:2], coords[2:], tol=1e-6)
 
     def test_negative_coordinates_folded(self):
@@ -388,6 +413,7 @@ class TestRefineBoundary:
 
     @pytest.mark.parametrize("tol", [
         math.nan, math.inf, 0.0, -1e-6, 1e-6j, 1e-6 + 0j, np.complex128(1e-6), "1e-6", None,
+        *BIG_INTS,
     ])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(DomainError, match="tolerance"):
@@ -667,7 +693,7 @@ class TestFindKcr:
         with pytest.raises(DomainError):
             find_kcr(tol=1e-10)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, *BIG_INTS])
     def test_non_finite_tolerance_rejected(self, tol):
         with pytest.raises(DomainError, match="finite"):
             find_kcr(tol=tol)
@@ -763,6 +789,22 @@ class TestCurveFig2:
             curve_fig2([0.1, math.inf])
         with pytest.raises(DomainError):
             curve_fig2([0.1], binding="hexapole")
+
+    @pytest.mark.parametrize("grid", [[10**400], [0.1, 10**400], [-10**400, 0.1]])
+    def test_grid_beyond_the_float_range_rejected(self, grid):
+        with pytest.raises(DomainError, match="k grid must be finite"):
+            curve_fig2(grid)
+
+    @pytest.mark.parametrize("grid", [[], [[0.1, 0.2]], np.ones((2, 2))])
+    def test_empty_or_2d_grid_rejected(self, grid):
+        with pytest.raises(DomainError, match="^k grid must be a non-empty 1-D sequence$"):
+            curve_fig2(grid)
+
+    @pytest.mark.parametrize("binding", ["hexapole", ["penning"], None])
+    def test_unknown_binding_rejected(self, binding):
+        # an unhashable binding once raised TypeError
+        with pytest.raises(DomainError, match="^unknown binding kind"):
+            curve_fig2([0.1], binding=binding)
 
     @pytest.mark.parametrize("grid", [
         [0.1 + 1j, 0.2], [0.1 + 0j, 0.2], np.array([0.1, 0.2], dtype=complex),
